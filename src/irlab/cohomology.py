@@ -131,6 +131,16 @@ class CmFlags:
     is_unmixed: bool
 
 
+def is_generalized_cm(M: Module) -> bool:
+    """Every Ext^{n-i}(M, S) with i < dim M has finite length."""
+    n = M.ring.nvars
+    for i in range(M.dim()):
+        E = M.ext(n - i)
+        if not E.is_zero() and E.dim() > 0:
+            return False
+    return True
+
+
 def cm_flags(M: Module) -> CmFlags:
     """Cohen-Macaulay, generalized-CM, and unmixedness of a nonzero module."""
     if M.is_zero():
@@ -138,21 +148,15 @@ def cm_flags(M: Module) -> CmFlags:
     d = M.dim()
     depth = M.depth()
     is_cm = depth == d
-    n = M.ring.nvars
-    gcm = True
-    for i in range(d):
-        E = M.ext(n - i)
-        if not E.is_zero() and E.dim() > 0:
-            gcm = False
-            break
+    gcm = is_generalized_cm(M)
     if d == 0:
         unmixed = True
     elif M.cyclic_ideal is not None:
         from .filtration import unmixed_component
         unmixed = unmixed_component(M.cyclic_ideal) == M.cyclic_ideal
     else:
-        from .filtration import module_lower_dimensional_part_is_zero
-        unmixed = module_lower_dimensional_part_is_zero(M)
+        from .filtration import module_is_unmixed
+        unmixed = module_is_unmixed(M)
     return CmFlags(is_cm, gcm, unmixed)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import is_generalized_cm
 from .errors import PreconditionError, ZeroModuleError
 from .groebner import Ideal, _divides, _mono_lcm, maximal_ideal
 from .modules import Module, subquotient_presentation
@@ -64,10 +65,6 @@ def module_is_unmixed(M: Module) -> bool:
         if not E.is_zero() and E.dim() == i:
             return False
     return True
-
-
-# Alias used by the cohomology layer for non-cyclic presentations.
-module_lower_dimensional_part_is_zero = module_is_unmixed
 
 
 @dataclass(frozen=True)
@@ -242,16 +239,6 @@ class SequentialClassification:
     filtration: DimensionFiltration
 
 
-def _gcm_flag(M: Module) -> bool:
-    n = M.ring.nvars
-    d = M.dim()
-    for i in range(d):
-        E = M.ext(n - i)
-        if not E.is_zero() and E.dim() > 0:
-            return False
-    return True
-
-
 def classify_sequential(ideal: Ideal) -> SequentialClassification:
     """Test the dimension-filtration quotients for (generalized) CM-ness."""
     filt = dimension_filtration(ideal)
@@ -261,7 +248,7 @@ def classify_sequential(ideal: Ideal) -> SequentialClassification:
     for Q in filt.step_modules():
         dim_q, depth_q = Q.dim(), Q.depth()
         cm = dim_q == depth_q
-        gcm = cm or _gcm_flag(Q)
+        gcm = cm or is_generalized_cm(Q)
         steps.append((dim_q, depth_q, cm, gcm))
         all_cm = all_cm and cm
         all_gcm = all_gcm and gcm

@@ -1,8 +1,11 @@
 """Groebner bases for ideals and free-module submodules, and ideal arithmetic.
 
-Buchberger with the classical pair criteria and normal selection; no F4/F5.
-The module layer uses a position-over-term order (position 0 highest), which
-doubles as the elimination device behind syzygies, intersections and colons.
+One Buchberger, with normal selection and the classical pair criteria (no
+F4/F5), serves ideals and submodules of free modules alike: an ideal runs as
+rank-1 input, every polynomial lifted to position 0.  The chain criterion
+always applies; the product criterion only at rank 1, where it is sound.  The
+module order is position-over-term (position 0 highest), which doubles as the
+elimination device behind syzygies, intersections and colons.
 Every basis returned is reduced, monic and sorted, hence canonical for the
 (ideal, order) pair.
 
@@ -34,7 +37,10 @@ def spair_budget():
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial helpers.  A raw polynomial is a dict {expo tuple: coeff}.
+# Raw helpers.  A raw vector is a dict {(position, expo tuple): coeff} in a free
+# module of some rank; an ideal is the rank-1 case, every term in position 0.
+# The order is position-over-term with position 0 highest, so leading positions
+# can be eliminated block-wise.
 
 def _divides(a, b):
     for x, y in zip(a, b):
@@ -51,187 +57,6 @@ def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _sub_scaled(target, src, expo, coeff, p):
-    """target -= coeff * x^expo * src, in place."""
-    for m, c in src.items():
-        key = tuple(a + b for a, b in zip(m, expo))
-        v = (target.get(key, 0) - coeff * c) % p
-        if v:
-            target[key] = v
-        else:
-            target.pop(key, None)
-
-
-def _normal_form_raw(f, leads, basis, key, p):
-    """Fully reduced remainder of raw poly f against monic raw polys `basis`."""
-    work = dict(f)
-    out = {}
-    kcache: dict = {}
-
-    def ckey(m):
-        v = kcache.get(m)
-        if v is None:
-            v = key(m)
-            kcache[m] = v
-        return v
-
-    while work:
-        m = max(work, key=ckey)
-        c = work.pop(m)
-        for lm, g in zip(leads, basis):
-            if _divides(lm, m):
-                _sub_scaled(work, g, _mono_sub(m, lm), c, p)
-                work.pop(m, None)  # numerically cancelled already; be safe
-                break
-        else:
-            out[m] = c
-    return out
-
-
-def _monic_raw(f, key, p):
-    lm = max(f, key=key)
-    c = f[lm]
-    if c == 1:
-        return f
-    inv = pow(c, p - 2, p)
-    return {m: (v * inv) % p for m, v in f.items()}
-
-
-def _buchberger_raw(gens, key, p, budget):
-    """Reduced Groebner basis of the raw polynomials `gens`."""
-    G = []
-    for g in gens:
-        if g:
-            G.append(_monic_raw(dict(g), key, p))
-    if not G:
-        return []
-    # Fast path: monomial generators are a Groebner basis after minimalization.
-    if all(len(g) == 1 for g in G):
-        monos = sorted({next(iter(g)) for g in G}, key=key)
-        keep = []
-        for m in monos:
-            if not any(_divides(k, m) for k in keep):
-                keep.append(m)
-        return [{m: 1} for m in sorted(keep, key=key)]
-
-    leads = [max(g, key=key) for g in G]
-    heap = []
-    for i, j in combinations(range(len(G)), 2):
-        heapq.heappush(heap, (sum(_mono_lcm(leads[i], leads[j])), j, i))
-    done = set()
-    spent = 0
-    while heap:
-        _, j, i = heapq.heappop(heap)
-        done.add((i, j))
-        li, lj = leads[i], leads[j]
-        lcm = _mono_lcm(li, lj)
-        # Product criterion (valid in the ring case): coprime leads reduce to 0.
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
-            continue
-        # Chain criterion.
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if _divides(leads[k], lcm) \
-                    and (min(i, k), max(i, k)) in done \
-                    and (min(j, k), max(j, k)) in done:
-                skip = True
-                break
-        if skip:
-            continue
-        spent += 1
-        if spent > budget:
-            raise ResourceBudgetExceeded(f"S-pair budget {budget} exceeded")
-        s = {}
-        _sub_scaled(s, G[i], _mono_sub(lcm, li), p - 1, p)
-        _sub_scaled(s, G[j], _mono_sub(lcm, lj), 1, p)
-        rem = _normal_form_raw(s, leads, G, key, p)
-        if rem:
-            rem = _monic_raw(rem, key, p)
-            G.append(rem)
-            new_lead = max(rem, key=key)
-            leads.append(new_lead)
-            new = len(G) - 1
-            for t in range(new):
-                heapq.heappush(heap, (sum(_mono_lcm(leads[t], new_lead)), new, t))
-
-    # Minimalize: drop elements whose lead is divisible by another lead.
-    order_idx = sorted(range(len(G)), key=lambda i: key(leads[i]))
-    kept = []
-    for i in order_idx:
-        if not any(_divides(leads[k], leads[i]) for k in kept):
-            kept.append(i)
-    minimal = [G[i] for i in kept]
-    min_leads = [leads[i] for i in kept]
-    # Tail-reduce to the unique reduced basis.
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        other_leads = min_leads[:i] + min_leads[i + 1:]
-        reduced.append(_normal_form_raw(g, other_leads, others, key, p))
-    reduced = [_monic_raw(g, key, p) for g in reduced if g]
-    reduced.sort(key=lambda g: key(max(g, key=key)))
-    return reduced
-
-
-class GroebnerBasis:
-    """Reduced Groebner basis bound to a ring and an order."""
-
-    __slots__ = ("ring", "order", "elements", "leads")
-
-    def __init__(self, ring_: Ring, order, raw_elements):
-        self.ring = ring_
-        self.order = order
-        self.elements = tuple(Poly(ring_, g) for g in raw_elements)
-        self.leads = tuple(max(g, key=order.key) for g in raw_elements)
-
-    def normal_form(self, f: Poly) -> Poly:
-        if f.ring is not self.ring:
-            raise RingMismatchError("polynomial over a different ring")
-        raw = _normal_form_raw(f.terms, self.leads,
-                               [g.terms for g in self.elements],
-                               self.order.key, self.ring.field.p)
-        return Poly(self.ring, raw)
-
-    def contains(self, f: Poly) -> bool:
-        return self.normal_form(f).is_zero()
-
-    def is_unit_ideal(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].is_constant() \
-            and not self.elements[0].is_zero()
-
-    def initial_monomials(self):
-        return self.leads
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def buchberger(gens, order=None, budget=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`."""
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise ValueError("cannot infer the ring from an empty generator list; "
-                         "use Ideal(ring, []) instead")
-    R = polys[0].ring
-    for g in polys:
-        if g.ring is not R:
-            raise RingMismatchError("generators over different rings")
-    order = order or R.order
-    raw = _buchberger_raw([g.terms for g in polys], order.key, R.field.p,
-                          budget or spair_budget())
-    return GroebnerBasis(R, order, raw)
-
-
-# ---------------------------------------------------------------------------
-# Module layer.  A raw vector is a dict {(position, expo tuple): coeff} in a
-# free module of some rank; the order is position-over-term with position 0
-# highest, so leading positions can be eliminated block-wise.
-
 def _vkey_factory(key):
     def vkey(pm):
         return (-pm[0], key(pm[1]))
@@ -243,6 +68,7 @@ def _v_divides(a, b):
 
 
 def _v_sub_scaled(target, src, expo, coeff, p):
+    """target -= coeff * x^expo * src, in place."""
     for (pos, m), c in src.items():
         kkey = (pos, tuple(a + b for a, b in zip(m, expo)))
         v = (target.get(kkey, 0) - coeff * c) % p
@@ -253,6 +79,11 @@ def _v_sub_scaled(target, src, expo, coeff, p):
 
 
 def _v_normal_form(f, leads, basis, vkey, p):
+    """Fully reduced remainder of raw vector f against monic raw vectors `basis`."""
+    # Only reducers leading in a term's own position can divide it.
+    by_pos: dict = {}
+    for lt, g in zip(leads, basis):
+        by_pos.setdefault(lt[0], []).append((lt[1], g))
     work = dict(f)
     out = {}
     kcache: dict = {}
@@ -267,10 +98,11 @@ def _v_normal_form(f, leads, basis, vkey, p):
     while work:
         t = max(work, key=ckey)
         c = work.pop(t)
-        for lt, g in zip(leads, basis):
-            if _v_divides(lt, t):
-                _v_sub_scaled(work, g, _mono_sub(t[1], lt[1]), c, p)
-                work.pop(t, None)
+        m = t[1]
+        for lm, g in by_pos.get(t[0], ()):
+            if _divides(lm, m):
+                _v_sub_scaled(work, g, _mono_sub(m, lm), c, p)
+                work.pop(t, None)  # numerically cancelled already; be safe
                 break
         else:
             out[t] = c
@@ -287,15 +119,25 @@ def _v_monic(f, vkey, p):
 
 
 def module_buchberger_raw(vecs, key, p, budget):
-    """Reduced module Groebner basis of raw vectors under position-over-term.
+    """Reduced Groebner basis of raw vectors under position-over-term.
 
-    Only same-position pairs are formed; the product criterion is not applied
-    (it is unsound for modules), the chain criterion is.
+    Only same-position pairs are formed.  The chain criterion always applies;
+    the product criterion only when every input vector lies in position 0 (it
+    is unsound for modules of higher rank).
     """
     vkey = _vkey_factory(key)
     G = [_v_monic(dict(v), vkey, p) for v in vecs if v]
     if not G:
         return []
+    # Fast path: single-term vectors are a Groebner basis after minimalization.
+    if all(len(g) == 1 for g in G):
+        kept = []
+        for t in sorted({next(iter(g)) for g in G}, key=vkey):
+            if not any(_v_divides(k, t) for k in kept):
+                kept.append(t)
+        return [{t: 1} for t in kept]
+
+    rank1 = all(pos == 0 for g in G for pos, _ in g)
     leads = [max(g, key=vkey) for g in G]
     heap = []
     for i, j in combinations(range(len(G)), 2):
@@ -308,6 +150,10 @@ def module_buchberger_raw(vecs, key, p, budget):
         done.add((i, j))
         li, lj = leads[i], leads[j]
         lcm = _mono_lcm(li[1], lj[1])
+        # Product criterion: coprime leads reduce to 0 in the ring case.
+        if rank1 and all(a + b == c for a, b, c in zip(li[1], lj[1], lcm)):
+            continue
+        # Chain criterion.
         skip = False
         for k in range(len(G)):
             if k == i or k == j or leads[k][0] != li[0]:
@@ -321,7 +167,7 @@ def module_buchberger_raw(vecs, key, p, budget):
             continue
         spent += 1
         if spent > budget:
-            raise ResourceBudgetExceeded(f"module S-pair budget {budget} exceeded")
+            raise ResourceBudgetExceeded(f"S-pair budget {budget} exceeded")
         s = {}
         _v_sub_scaled(s, G[i], _mono_sub(lcm, li[1]), p - 1, p)
         _v_sub_scaled(s, G[j], _mono_sub(lcm, lj[1]), 1, p)
@@ -336,6 +182,7 @@ def module_buchberger_raw(vecs, key, p, budget):
                 if leads[t][0] == lt[0]:
                     heapq.heappush(heap, (sum(_mono_lcm(leads[t][1], lt[1])), new, t))
 
+    # Minimalize: drop elements whose lead is divisible by another lead.
     order_idx = sorted(range(len(G)), key=lambda i: vkey(leads[i]))
     kept = []
     for i in order_idx:
@@ -343,6 +190,7 @@ def module_buchberger_raw(vecs, key, p, budget):
             kept.append(i)
     minimal = [G[i] for i in kept]
     min_leads = [leads[i] for i in kept]
+    # Tail-reduce to the unique reduced basis.
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
@@ -383,6 +231,67 @@ def module_groebner(vecs, rank, ring_: Ring, order=None, budget=None) -> ModuleG
     return ModuleGB(ring_, rank, order, raw)
 
 
+def _lift(f: Poly):
+    """The polynomial f as a rank-1 raw vector."""
+    return {(0, m): c for m, c in f.terms.items()}
+
+
+class GroebnerBasis:
+    """Reduced Groebner basis of an ideal, bound to a ring and an order.
+
+    A view of the rank-1 module basis: `elements` are Polys, `leads` their
+    lead exponents.
+    """
+
+    __slots__ = ("ring", "order", "elements", "leads", "_module")
+
+    def __init__(self, ring_: Ring, order, raw_vecs):
+        self.ring = ring_
+        self.order = order
+        self._module = ModuleGB(ring_, 1, order, raw_vecs)
+        self.elements = tuple(Poly(ring_, {m: c for (_, m), c in v.items()})
+                              for v in raw_vecs)
+        self.leads = tuple(lt[1] for lt in self._module.leads)
+
+    def normal_form(self, f: Poly) -> Poly:
+        if f.ring is not self.ring:
+            raise RingMismatchError("polynomial over a different ring")
+        raw = self._module.normal_form(_lift(f))
+        return Poly(self.ring, {m: c for (_, m), c in raw.items()})
+
+    def contains(self, f: Poly) -> bool:
+        return self.normal_form(f).is_zero()
+
+    def is_unit_ideal(self) -> bool:
+        return len(self.elements) == 1 and self.elements[0].is_constant() \
+            and not self.elements[0].is_zero()
+
+    def initial_monomials(self):
+        return self.leads
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def buchberger(gens, order=None, budget=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by `gens`."""
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
+        raise ValueError("cannot infer the ring from an empty generator list; "
+                         "use Ideal(ring, []) instead")
+    R = polys[0].ring
+    for g in polys:
+        if g.ring is not R:
+            raise RingMismatchError("generators over different rings")
+    order = order or R.order
+    raw = module_buchberger_raw([_lift(g) for g in polys], order.key, R.field.p,
+                                budget or spair_budget())
+    return GroebnerBasis(R, order, raw)
+
+
 def syzygies_raw(vecs, rank, ring_: Ring, order=None):
     """Generators of the syzygy module of `vecs` (raw vectors of rank `rank`).
 
@@ -412,8 +321,7 @@ def syzygies(polys, order=None):
     if not polys:
         return []
     R = polys[0].ring
-    vecs = [{(0, m): c for m, c in f.terms.items()} for f in polys]
-    return syzygies_raw(vecs, 1, R, order)
+    return syzygies_raw([_lift(f) for f in polys], 1, R, order)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +387,8 @@ class Ideal:
         return a == b
 
     def __hash__(self):
-        return hash((id(self.ring), tuple(sorted(hash(g) for g in self.gens))))
+        # Equal ideals share their reduced basis, as __eq__ compares it.
+        return hash((id(self.ring), self.groebner().elements))
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.gens) or "0"

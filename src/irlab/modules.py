@@ -266,7 +266,7 @@ class Module:
         for g in ideal.gens:
             if not g.is_homogeneous():
                 raise PreconditionError(f"inhomogeneous ideal generator {g}")
-        key = (id(ideal.ring), tuple(sorted(hash(g) for g in ideal.gens)))
+        key = (id(ideal.ring), frozenset(ideal.gens))
         cached = _CYCLIC_CACHE.get(key)
         if cached is not None:
             return cached

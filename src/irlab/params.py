@@ -46,11 +46,9 @@ class Rng:
         return (z ^ (z >> 31)) & _MASK
 
     def next_int(self) -> int:
+        z = self._mix(self.state)
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        return z
 
     def below(self, n: int) -> int:
         return self.next_int() % n

@@ -91,7 +91,7 @@ def formula_gcm(M: Module):
     return value, threshold
 
 
-def formula_seq(ideal: Ideal):
+def formula_seq(ideal: Ideal, cls):
     """Filtration double-sum formula for sequentially generalized CM modules.
 
     Evaluates, over the dimension filtration D_0 <= ... <= D_t = M,
@@ -99,10 +99,9 @@ def formula_seq(ideal: Ideal):
         s_0(M) + sum_{i<t} sum_{j=1..d_{i+1}} (C(d_{i+1}, j) - C(d_i, j)) s_j(M/D_i)
 
     and, when the module is sequentially CM, verifies the collapse to
-    sum_i s_i(M).  Returns (value, collapse_value_or_None) or None when not
-    sequentially generalized CM.
+    sum_i s_i(M).  `cls` is classify_sequential(ideal).  Returns
+    (value, collapse_value_or_None) or None when not sequentially generalized CM.
     """
-    cls = classify_sequential(ideal)
     if not cls.is_sequentially_gcm:
         return None
     filt = cls.filtration
@@ -237,7 +236,8 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     else:
         checks["gcm_binomial"] = CrossCheck("gcm_binomial", False)
 
-    fs = formula_seq(ideal)
+    cls = classify_sequential(ideal)
+    fs = formula_seq(ideal, cls)
     if fs is not None:
         value, collapse = fs
         checks["seq_filtration_sum"] = CrossCheck(
@@ -247,7 +247,6 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
         checks["seq_filtration_sum"] = CrossCheck("seq_filtration_sum", False)
 
     total = s.total()
-    cls = classify_sequential(ideal)
     checks["socle_sum"] = CrossCheck(
         "socle_sum", cls.is_sequentially_cm, total,
         (total == N) if cls.is_sequentially_cm else None,
@@ -310,8 +309,8 @@ class LimitLevel:
     n: int
     requested: int
     completed: int
-    min_ir: int
-    deep_system_ir: int
+    min_ir: int | None
+    deep_system_ir: int | None  # None when the deep construction failed
     histogram: dict
     below_top_socle: int
     failures: int
@@ -375,9 +374,10 @@ def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
 
     Each level samples random degree-n systems of parameters and also includes
     one certified deep system of minimum degree n, so the stable value is
-    always realized; samples dipping under the top socle dimension are counted
-    separately (the socle surjection that forces the lower bound only holds for
-    deep enough parameter ideals).
+    realized.  A random draw or deep construction that fails counts under
+    `failures` and adds no observation.  Samples dipping under the top socle
+    dimension are counted separately (the socle surjection that forces the
+    lower bound only holds for deep enough parameter ideals).
     """
     M = Module.cyclic(ideal)
     s = socle_dimensions(M)
@@ -404,9 +404,11 @@ def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
             deep = construct_c_sop(ideal, n, level_rng.spawn(10**6).state)
             deep_ir = index_of_reducibility(list(deep), ideal).value
         except SearchExhausted:
-            deep_ir = stable
-        histogram[deep_ir] = histogram.get(deep_ir, 0) + 1
-        min_ir = deep_ir if min_ir is None else min(min_ir, deep_ir)
+            deep_ir = None
+            failures += 1
+        else:
+            histogram[deep_ir] = histogram.get(deep_ir, 0) + 1
+            min_ir = deep_ir if min_ir is None else min(min_ir, deep_ir)
         below = sum(cnt for v, cnt in histogram.items() if v < s.top())
         levels.append(LimitLevel(n, samples_per_n, completed, min_ir, deep_ir,
                                  histogram, below, failures))

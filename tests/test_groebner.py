@@ -91,6 +91,9 @@ def test_budget_guard(R3, monkeypatch):
     gens = [x ** 3 - y * z * z, y ** 3 - x * z * z, z ** 3 - x * y * y]
     with pytest.raises(ResourceBudgetExceeded):
         buchberger(gens, budget=1)
+    vecs = [{(0, m): c for m, c in g.terms.items()} | {(1, (0, 0, 0)): 1} for g in gens]
+    with pytest.raises(ResourceBudgetExceeded):
+        module_groebner(vecs, 2, R3, budget=1)
     monkeypatch.setenv("IRLAB_BUDGET", "1")
     with pytest.raises(ResourceBudgetExceeded):
         Ideal(R3, gens).groebner()
@@ -293,6 +296,31 @@ def test_module_groebner_reduced_and_contains(R3):
     for v in vecs:
         assert gb.contains(v)
     assert not gb.contains({(0, (0, 0, 0)): 1})
+
+    # Coprime leads x*e0, y*e0 at rank 2: the S-pair (yz - xw)*e1 must survive,
+    # so the product criterion may not prune it.
+    R = ring(("x", "y", "z", "w"))
+    p = R.field.p
+    gb = module_groebner([{(0, (1, 0, 0, 0)): 1, (1, (0, 0, 1, 0)): 1},
+                          {(0, (0, 1, 0, 0)): 1, (1, (0, 0, 0, 1)): 1}], 2, R)
+    assert len(gb) == 3
+    assert {(1, (0, 1, 1, 0)): 1, (1, (1, 0, 0, 1)): p - 1} in gb.elements
+
+    # Single-term vectors: the minimal set, monic, position 1 before position 0,
+    # ascending in the term order within a position.
+    x_, y_, z_ = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    terms = [((1, x_), 3), ((0, y_), 1), ((1, (2, 0, 0)), 1), ((0, (0, 1, 1)), 5),
+             ((1, z_), 2)]
+    gb = module_groebner([{t: c} for t, c in terms], 2, R3)
+    assert list(gb.elements) == [{(1, z_): 1}, {(1, x_): 1}, {(0, y_): 1}]
+
+
+def test_equal_ideals_hash_equal(R3):
+    x, y, _ = R3.gens()
+    a, b = Ideal(R3, [x, y]), Ideal(R3, [x, x + y])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_minimal_generators_prunes(R3):

@@ -8,6 +8,7 @@ from irlab.groebner import Ideal
 from irlab.modules import (Module, minimalize_complex, module_invariants,
                            subquotient_presentation, taylor_resolution)
 from irlab.params import Rng
+from irlab.ring import Poly
 
 
 def hilbert_from_numerator(numer, nvars, degrees):
@@ -24,6 +25,15 @@ def hilbert_from_numerator(numer, nvars, degrees):
 
 
 # -- free resolutions -------------------------------------------------------------
+
+def test_cyclic_cache_survives_hash_collisions(R3, monkeypatch):
+    x, y, z = R3.gens()
+    monkeypatch.setattr(Poly, "__hash__", lambda self: 0)
+    a, b = Ideal(R3, [x * y, z]), Ideal(R3, [x * z, y])
+    assert a != b
+    assert Module.cyclic(a).cyclic_ideal == a
+    assert Module.cyclic(b).cyclic_ideal == b
+
 
 def test_koszul_resolution_of_point(R2):
     x, y = R2.gens()

@@ -1,7 +1,7 @@
 import pytest
 
 from irlab.cohomology import socle_dimensions
-from irlab.errors import PreconditionError
+from irlab.errors import PreconditionError, SearchExhausted
 from irlab.filtration import classify_sequential
 from irlab.groebner import Ideal
 from irlab.modules import Module
@@ -80,19 +80,20 @@ def test_formula_gcm_matches_deep_random_sops(two_planes_origin):
 
 
 def test_formula_seq_plane_line(plane_and_line):
-    value, collapse = formula_seq(plane_and_line)
+    value, collapse = formula_seq(plane_and_line, classify_sequential(plane_and_line))
     assert value == 2
     assert collapse == 2  # sequentially CM: double sum collapses to the socle sum
 
 
 def test_formula_seq_cm_single_step(R3):
     x, y, _ = R3.gens()
-    value, collapse = formula_seq(Ideal(R3, [x * y]))
+    I = Ideal(R3, [x * y])
+    value, collapse = formula_seq(I, classify_sequential(I))
     assert value == collapse == 1
 
 
 def test_formula_seq_not_applicable(two_planes_3d):
-    assert formula_seq(two_planes_3d) is None
+    assert formula_seq(two_planes_3d, classify_sequential(two_planes_3d)) is None
 
 
 def test_formula_dim3_golden(two_planes_3d, R5):
@@ -211,6 +212,27 @@ def test_profile_payload_shape(plane_and_line):
     assert len(payload["levels"]) == 2
     assert {"n", "samples", "min_ir", "deep_system_ir", "histogram",
             "below_top_socle", "failures"} <= set(payload["levels"][0])
+
+
+def test_profile_counts_failed_deep_construction(plane_and_line, monkeypatch):
+    import irlab.stable as stable_mod
+
+    real = stable_mod.construct_c_sop
+
+    def flaky(ideal, min_degree=1, seed=0):
+        if min_degree == 2:
+            raise SearchExhausted("no deep system", (2,))
+        return real(ideal, min_degree, seed)
+
+    monkeypatch.setattr(stable_mod, "construct_c_sop", flaky)
+    profile = limit_profile(plane_and_line, n_max=2, samples_per_n=4, seed=0)
+    ok, failed = profile.levels
+    assert ok.deep_system_ir is not None
+    assert sum(ok.histogram.values()) == ok.completed + 1
+    assert failed.deep_system_ir is None
+    assert failed.to_payload()["deep_system_ir"] is None
+    assert failed.failures == failed.requested - failed.completed + 1
+    assert sum(failed.histogram.values()) == failed.completed
 
 
 # -- the inequality dichotomy -----------------------------------------------------------
