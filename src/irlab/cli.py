@@ -13,7 +13,7 @@ Input files are UTF-8 JSON ring specifications:
 Every command emits the same fixed-schema JSON report (text mode renders the
 same data); reruns with equal (input, seed, version) are byte-identical.
 Exit codes: 0 ok, 1 input/parse error, 2 resource or search budget,
-3 internal cross-check failure, 4 non-sop input, 5 failed golden assertion.
+3 internal cross-check or invariant failure, 4 non-sop input, 5 failed golden assertion.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .cohomology import cm_flags, socle_dimensions
-from .errors import (IrlabError, MethodDisagreement, PolynomialParseError,
-                     PreconditionError, ResourceBudgetExceeded, SearchExhausted)
+from .errors import (InternalInvariantError, IrlabError, MethodDisagreement,
+                     PolynomialParseError, PreconditionError, ResourceBudgetExceeded,
+                     SearchExhausted)
 from .filtration import classify_sequential, unmixed_component
 from .groebner import Ideal
 from .modules import Module
 from .params import construct_c_sop, index_of_reducibility, is_system_of_parameters
-from .ring import is_prime, ring
+from .ring import check_characteristic, ring
 from .stable import (goto_suzuki_bound, limit_profile, stability_suite,
                      stable_value)
 
@@ -83,9 +84,11 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     variables = tuple(data["variables"])
     if len(set(variables)) != len(variables):
         raise PreconditionError("variables must be distinct")
-    char = int(data.get("characteristic", 32003))
-    if not is_prime(char):
-        raise PreconditionError(f"characteristic {char} is not prime")
+    try:
+        char = int(data.get("characteristic", 32003))
+        check_characteristic(char)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(str(exc)) from None
     s2 = None
     raw_s2 = data.get("s2_ification")
     if raw_s2:
@@ -470,7 +473,7 @@ def main(argv=None) -> int:
     except (ResourceBudgetExceeded, SearchExhausted) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MethodDisagreement as exc:
+    except (MethodDisagreement, InternalInvariantError) as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
     except IrlabError as exc:

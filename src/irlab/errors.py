@@ -43,6 +43,13 @@ class MethodDisagreement(IrlabError):
     """
 
 
+class InternalInvariantError(IrlabError):
+    """A result failed an invariant that holds for every correct computation.
+
+    Like MethodDisagreement, always an internal error.
+    """
+
+
 class ZeroModuleError(IrlabError):
     """Numeric invariants of the zero module were requested."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import is_generalized_cm
-from .errors import PreconditionError, ZeroModuleError
+from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import Ideal, _divides, _mono_lcm, maximal_ideal
 from .modules import Module, subquotient_presentation
 
@@ -131,7 +131,7 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
             dims.append(ideal.colon(K).krull_dimension())
     filt = DimensionFiltration(ideal, tuple(kept), tuple(dims), d)
     if not filt.satisfies_dimension_condition():
-        raise AssertionError("dimension filtration failed the dimension condition")
+        raise InternalInvariantError("dimension filtration failed the dimension condition")
     return filt
 
 
@@ -209,7 +209,7 @@ def monomial_primary_decomposition(ideal: Ideal):
     for o in comps[1:]:
         inter = _mono_intersect(inter, o)
     if set(inter) != set(gens):
-        raise AssertionError("decomposition does not intersect back to the input")
+        raise InternalInvariantError("decomposition does not intersect back to the input")
     return [Ideal(R, [R.monomial(m) for m in c]) for c in comps]
 
 

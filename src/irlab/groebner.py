@@ -6,6 +6,9 @@ rank-1 input, every polynomial lifted to position 0.  The chain criterion
 always applies; the product criterion only at rank 1, where it is sound.  The
 module order is position-over-term (position 0 highest), which doubles as the
 elimination device behind syzygies, intersections and colons.
+Reduction keeps its working terms in a heap on (position, descending key), so
+each step pops the next leading term instead of scanning, and one run shares
+a single per-exponent key cache across every S-pair and tail reduction.
 Every basis returned is reduced, monic and sorted, hence canonical for the
 (ideal, order) pair.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import combinations
+from operator import add
 
 from .errors import NotArtinianError, ResourceBudgetExceeded, RingMismatchError
 from .ring import Elimination, Poly, Ring, monomials_of_degree
@@ -63,6 +67,11 @@ def _vkey_factory(key):
     return vkey
 
 
+def _desc(k):
+    """Order key k with every int negated: ascending _desc is descending order."""
+    return tuple(-x if isinstance(x, int) else _desc(x) for x in k)
+
+
 def _v_divides(a, b):
     return a[0] == b[0] and _divides(a[1], b[1])
 
@@ -78,39 +87,64 @@ def _v_sub_scaled(target, src, expo, coeff, p):
             target.pop(kkey, None)
 
 
-def _v_normal_form(f, leads, basis, vkey, p):
-    """Fully reduced remainder of raw vector f against monic raw vectors `basis`."""
-    # Only reducers leading in a term's own position can divide it.
-    by_pos: dict = {}
-    for lt, g in zip(leads, basis):
-        by_pos.setdefault(lt[0], []).append((lt[1], g))
+def _add_reducer(by_pos, lt, g):
+    """File monic raw vector g with lead term lt as (lead exponent, tail terms)."""
+    tail = [(pos, m, c) for (pos, m), c in g.items() if (pos, m) != lt]
+    by_pos.setdefault(lt[0], []).append((lt[1], tail))
+
+
+def _v_normal_form(f, by_pos, key, dkeys, p):
+    """Fully reduced remainder of raw vector f, its terms in descending order.
+
+    `by_pos` maps a position to its reducers (lead exponent, tail) in basis
+    order; only reducers leading in a term's own position can divide it.
+    Terms wait in a min-heap on (position, descending key); a term that
+    cancels leaves `work` and its heap entry is skipped when popped.  `dkeys`
+    caches the descending key per exponent and may be shared between calls
+    under one order.
+    """
     work = dict(f)
+    heap = []
+    for pos, m in work:
+        d = dkeys.get(m)
+        if d is None:
+            d = dkeys[m] = _desc(key(m))
+        heap.append((pos, d, m))
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     out = {}
-    kcache: dict = {}
-
-    def ckey(t):
-        v = kcache.get(t)
-        if v is None:
-            v = vkey(t)
-            kcache[t] = v
-        return v
-
-    while work:
-        t = max(work, key=ckey)
-        c = work.pop(t)
-        m = t[1]
-        for lm, g in by_pos.get(t[0], ()):
+    while heap:
+        pos, _, m = pop(heap)
+        t = (pos, m)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for lm, tail in by_pos.get(pos, ()):
             if _divides(lm, m):
-                _v_sub_scaled(work, g, _mono_sub(m, lm), c, p)
-                work.pop(t, None)  # numerically cancelled already; be safe
+                shift = _mono_sub(m, lm)
+                for gp, gm, gc in tail:
+                    m2 = tuple(map(add, gm, shift))
+                    kk = (gp, m2)
+                    old = work.get(kk)
+                    if old is None:
+                        work[kk] = (-c * gc) % p
+                        d = dkeys.get(m2)
+                        if d is None:
+                            d = dkeys[m2] = _desc(key(m2))
+                        push(heap, (gp, d, m2))
+                    else:
+                        v = (old - c * gc) % p
+                        if v:
+                            work[kk] = v
+                        else:
+                            del work[kk]
                 break
         else:
             out[t] = c
     return out
 
 
-def _v_monic(f, vkey, p):
-    lt = max(f, key=vkey)
+def _v_monic(f, lt, p):
     c = f[lt]
     if c == 1:
         return f
@@ -123,10 +157,11 @@ def module_buchberger_raw(vecs, key, p, budget):
 
     Only same-position pairs are formed.  The chain criterion always applies;
     the product criterion only when every input vector lies in position 0 (it
-    is unsound for modules of higher rank).
+    is unsound for modules of higher rank).  One descending-key cache serves
+    every reduction of the run.
     """
     vkey = _vkey_factory(key)
-    G = [_v_monic(dict(v), vkey, p) for v in vecs if v]
+    G = [dict(v) for v in vecs if v]
     if not G:
         return []
     # Fast path: single-term vectors are a Groebner basis after minimalization.
@@ -137,8 +172,13 @@ def module_buchberger_raw(vecs, key, p, budget):
                 kept.append(t)
         return [{t: 1} for t in kept]
 
-    rank1 = all(pos == 0 for g in G for pos, _ in g)
     leads = [max(g, key=vkey) for g in G]
+    G = [_v_monic(g, lt, p) for g, lt in zip(G, leads)]
+    rank1 = all(pos == 0 for g in G for pos, _ in g)
+    by_pos: dict = {}
+    for lt, g in zip(leads, G):
+        _add_reducer(by_pos, lt, g)
+    dkeys: dict = {}
     heap = []
     for i, j in combinations(range(len(G)), 2):
         if leads[i][0] == leads[j][0]:
@@ -171,12 +211,13 @@ def module_buchberger_raw(vecs, key, p, budget):
         s = {}
         _v_sub_scaled(s, G[i], _mono_sub(lcm, li[1]), p - 1, p)
         _v_sub_scaled(s, G[j], _mono_sub(lcm, lj[1]), 1, p)
-        rem = _v_normal_form(s, leads, G, vkey, p)
+        rem = _v_normal_form(s, by_pos, key, dkeys, p)
         if rem:
-            rem = _v_monic(rem, vkey, p)
+            lt = next(iter(rem))
+            rem = _v_monic(rem, lt, p)
             G.append(rem)
-            lt = max(rem, key=vkey)
             leads.append(lt)
+            _add_reducer(by_pos, lt, rem)
             new = len(G) - 1
             for t in range(new):
                 if leads[t][0] == lt[0]:
@@ -188,23 +229,25 @@ def module_buchberger_raw(vecs, key, p, budget):
     for i in order_idx:
         if not any(_v_divides(leads[k], leads[i]) for k in kept):
             kept.append(i)
-    minimal = [G[i] for i in kept]
-    min_leads = [leads[i] for i in kept]
-    # Tail-reduce to the unique reduced basis.
+    # Tail-reduce to the unique reduced basis.  A lead divides no term below
+    # it, so every tail reduces against all minimal elements at once, and the
+    # lead (coefficient 1) stays first.
+    by_pos = {}
+    for i in kept:
+        _add_reducer(by_pos, leads[i], G[i])
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        other_leads = min_leads[:i] + min_leads[i + 1:]
-        reduced.append(_v_normal_form(g, other_leads, others, vkey, p))
-    reduced = [_v_monic(g, vkey, p) for g in reduced if g]
-    reduced.sort(key=lambda g: vkey(max(g, key=vkey)))
+    for i in kept:
+        lt = leads[i]
+        tail = {t: c for t, c in G[i].items() if t != lt}
+        reduced.append({lt: 1, **_v_normal_form(tail, by_pos, key, dkeys, p)})
+    reduced.sort(key=lambda g: vkey(next(iter(g))))
     return reduced
 
 
 class ModuleGB:
     """Reduced Groebner basis of a submodule of a rank-r free module."""
 
-    __slots__ = ("ring", "rank", "order", "elements", "leads")
+    __slots__ = ("ring", "rank", "order", "elements", "leads", "_by_pos")
 
     def __init__(self, ring_: Ring, rank: int, order, raw_elements):
         self.ring = ring_
@@ -213,10 +256,13 @@ class ModuleGB:
         self.elements = tuple(raw_elements)
         vkey = _vkey_factory(order.key)
         self.leads = tuple(max(g, key=vkey) for g in raw_elements)
+        self._by_pos: dict = {}
+        for lt, g in zip(self.leads, self.elements):
+            _add_reducer(self._by_pos, lt, g)
 
     def normal_form(self, raw_vec):
-        return _v_normal_form(raw_vec, self.leads, self.elements,
-                              _vkey_factory(self.order.key), self.ring.field.p)
+        return _v_normal_form(raw_vec, self._by_pos, self.order.key, {},
+                              self.ring.field.p)
 
     def contains(self, raw_vec) -> bool:
         return not self.normal_form(raw_vec)

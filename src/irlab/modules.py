@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ZeroModuleError
+from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import (Ideal, ModuleGB, _divides, module_groebner, syzygies_raw,
                        unit_ideal)
 from .linalg import SpanTracker
@@ -160,7 +160,7 @@ class FreeResolution:
                     piece = poly_times_vec({m: c}, lower[pos], p)
                     acc = vec_sub(acc, {kk: (p - v) % p for kk, v in piece.items()}, p)
                 if acc:
-                    raise AssertionError(f"d_{k + 1} o d_{k + 2} != 0")
+                    raise InternalInvariantError(f"d_{k + 1} o d_{k + 2} != 0")
         return True
 
     def has_unit_entries(self) -> bool:
@@ -476,7 +476,7 @@ class Module:
                     self._depth = n - j
                     break
             else:
-                raise AssertionError("no nonvanishing Ext against a nonzero module")
+                raise InternalInvariantError("no nonvanishing Ext against a nonzero module")
         return self._depth
 
     def is_cohen_macaulay(self) -> bool:

@@ -13,6 +13,9 @@ from itertools import combinations_with_replacement
 from .errors import PolynomialParseError, RingMismatchError
 
 DEFAULT_CHARACTERISTIC = 32003
+# Dense elimination runs in int64 with a reduction after each product, exact
+# only while (p - 1)^2 fits; the bound also keeps trial division short.
+MAX_CHARACTERISTIC = 2**31
 
 
 def is_prime(n: int) -> bool:
@@ -30,14 +33,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_characteristic(p: int) -> None:
+    """Raise ValueError unless 2 <= p < 2^31 and p is prime."""
+    if not 2 <= p < MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic {p} is outside the supported range "
+                         f"2 <= p < 2^31")
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+
+
 class PrimeField:
     """Arithmetic in Z/p for a prime p; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_CHARACTERISTIC):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+        check_characteristic(p)
         self.p = p
 
     def add(self, a, b):

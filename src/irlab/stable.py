@@ -26,7 +26,7 @@ from math import comb
 
 from .cohomology import (annihilator_data, cm_flags, local_cohomology_length,
                          socle_dimensions)
-from .errors import PreconditionError, SearchExhausted
+from .errors import InternalInvariantError, PreconditionError, SearchExhausted
 from .filtration import classify_sequential, unmixed_component
 from .groebner import Ideal
 from .modules import Module
@@ -124,7 +124,7 @@ def formula_seq(ideal: Ideal, cls):
     if cls.is_sequentially_cm:
         collapse = s_m.total()
         if collapse != value:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"filtration formula {value} disagrees with socle sum {collapse} "
                 f"on a sequentially CM module")
     return value, collapse

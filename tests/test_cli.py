@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from irlab.cli import (EXIT_INPUT, EXIT_NOT_SOP, EXIT_OK, corpus_index,
-                       load_corpus_spec, load_ring_spec, main)
+from irlab.cli import (EXIT_CROSSCHECK, EXIT_INPUT, EXIT_NOT_SOP, EXIT_OK,
+                       corpus_index, load_corpus_spec, load_ring_spec, main)
 
 PLANE_LINE = {
     "label": "plane and line",
@@ -135,6 +135,26 @@ def test_stable_command(spec_file, capsys):
     assert report["cross_checks"]["socle_sum"]["matches"] is True
 
 
+def test_internal_invariant_exits_3(spec_file, capsys, monkeypatch):
+    # Skew every quotient's socle vector above H^0 so the filtration formula
+    # of formula_seq disagrees with the socle sum it must collapse to.
+    import irlab.stable as stable_mod
+    from irlab.cohomology import SocleVector
+    real = stable_mod.socle_dimensions
+
+    def skewed(M):
+        s = real(M)
+        if M.cyclic_ideal is not None and M.cyclic_ideal.gens == (M.ring.parse("x"),):
+            return SocleVector((s[0],) + tuple(v + 1 for v in s.values[1:]))
+        return s
+
+    monkeypatch.setattr(stable_mod, "socle_dimensions", skewed)
+    code, _, err = run(capsys, "stable", spec_file, "--trials", "1")
+    assert code == EXIT_CROSSCHECK
+    assert err.startswith("internal cross-check failure: filtration formula")
+    assert err.count("\n") == 1
+
+
 def test_limit_command(spec_file, capsys):
     code, out, _ = run(capsys, "limit", spec_file, "--nmax", "2", "--samples", "6")
     assert code == EXIT_OK
@@ -184,3 +204,19 @@ def test_ring_spec_needs_fields():
         load_ring_spec({"variables": ["x"], "ideal": [], "characteristic": 10})
     with pytest.raises(PreconditionError):
         load_ring_spec({"variables": ["x", "y"], "ideal": ["x + x*y"]})
+
+
+@pytest.mark.parametrize("char", [4294967311, 18446744073709551629, "abc"])
+def test_characteristic_outside_range_is_input_error(char, tmp_path, capsys):
+    # 4294967311 gave silently wrong Betti numbers (int64 overflow); the 2^64
+    # one hung the loader in trial division.  Both now stop at load, exit 1.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(PLANE_LINE | {"characteristic": char}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_largest_supported_characteristic_loads():
+    assert load_ring_spec(PLANE_LINE | {"characteristic": 2**31 - 1}).characteristic == 2**31 - 1

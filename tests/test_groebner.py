@@ -5,7 +5,7 @@ from irlab.errors import NotArtinianError, ResourceBudgetExceeded
 from irlab.groebner import (Ideal, buchberger, module_groebner, syzygies,
                             unit_ideal)
 from irlab.params import Rng
-from irlab.ring import ring
+from irlab.ring import GREVLEX, LEX, Elimination, ring
 
 
 def random_homogeneous(R, rng, degree):
@@ -125,6 +125,60 @@ def test_normal_form_is_membership_test(R3):
     f = (x * x - y * z) * y + (y * y - x * z) * (x + z)
     assert I.contains(f)
     assert not I.contains(x)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, Elimination(1)], ids=repr)
+def test_normal_form_on_every_order(R3, order):
+    x, y, z = R3.gens()
+    gens = [x * x - y * z, y * y - x * z]
+    gb = buchberger(gens, order=order)
+    rng = Rng(5)
+    for _ in range(8):
+        deg = 2 + rng.below(3)
+        f = random_homogeneous(R3, rng, deg)
+        nf = gb.normal_form(f)
+        # f - NF(f) lies in I by plain linear algebra, with no Groebner basis.
+        assert membership_bruteforce(f - nf, gens, deg)
+        assert not any(_divides(lm, m) for lm in gb.leads for m in nf.terms)
+        h = random_homogeneous(R3, rng, deg - 2)
+        for g in gens:
+            assert gb.normal_form(f + h * g) == nf
+
+
+def test_module_normal_form_rank_two(R3):
+    p = R3.field.p
+    vecs = [
+        {(0, (2, 0, 0)): 1, (0, (0, 1, 1)): p - 1, (1, (1, 0, 0)): 3},
+        {(0, (0, 2, 0)): 1, (1, (0, 0, 1)): 5},
+        {(1, (0, 1, 0)): 1, (1, (0, 0, 1)): 2},
+    ]
+    gb = module_groebner(vecs, 2, R3)
+    rng = Rng(9)
+    for _ in range(6):
+        f = {(rng.below(2), tuple(rng.below(3) for _ in range(3))): 1 + rng.below(p - 1)
+             for _ in range(5)}
+        nf = gb.normal_form(f)
+        # Terms come out descending in position-over-term, lead first.
+        assert list(nf) == sorted(nf, key=lambda t: (-t[0], R3.order.key(t[1])),
+                                  reverse=True)
+        assert not any(q == pos and _divides(lm, m)
+                       for q, lm in gb.leads for pos, m in nf)
+        # f - NF(f) is a member, and adding a multiple of a generator is invisible.
+        diff = dict(f)
+        for t, c in nf.items():
+            diff[t] = (diff.get(t, 0) - c) % p
+        assert gb.contains({t: c for t, c in diff.items() if c})
+        shift = tuple(rng.below(2) for _ in range(3))
+        for v in vecs:
+            g = dict(f)
+            for (pos, m), c in v.items():
+                t = (pos, tuple(a + b for a, b in zip(m, shift)))
+                g[t] = (g.get(t, 0) + 7 * c) % p
+            assert gb.normal_form({t: c for t, c in g.items() if c}) == nf
 
 
 # -- ideal operations --------------------------------------------------------------

@@ -27,6 +27,24 @@ def test_nonprime_characteristic_rejected():
         PrimeField(32004)
 
 
+@pytest.mark.parametrize("p", [-7, 0, 1, 2**31 + 11, 4294967311, 18446744073709551629])
+def test_characteristic_outside_range_rejected(p):
+    # Above 2^31 int64 elimination overflows: at p = 4294967311 the resolution
+    # of (x^2+yz, y^2+xz, z^2+xy) came out (1, 3, 4, 3, 1).  Near 2^64 trial
+    # division never finished.  Both are now refused before any primality test.
+    with pytest.raises(ValueError, match="2 <= p < 2\\^31"):
+        PrimeField(p)
+
+
+def test_largest_supported_characteristic_resolves_exactly():
+    from irlab.groebner import Ideal
+    from irlab.modules import Module
+    R = ring(("x", "y", "z"), p=2**31 - 1)
+    x, y, z = R.gens()
+    M = Module.cyclic(Ideal(R, [x * x + y * z, y * y + x * z, z * z + x * y]))
+    assert M.resolution().betti_numbers() == (1, 3, 3, 1)
+
+
 @given(st.integers(0, 32002), st.integers(0, 32002), st.integers(0, 32002))
 @settings(max_examples=200)
 def test_field_axioms(a, b, c):
