@@ -172,9 +172,9 @@ def module_buchberger_raw(vecs, key, p, budget):
                 kept.append(t)
         return [{t: 1} for t in kept]
 
+    rank1 = all(pos == 0 for g in G for pos, _ in g)
     leads = [max(g, key=vkey) for g in G]
     G = [_v_monic(g, lt, p) for g, lt in zip(G, leads)]
-    rank1 = all(pos == 0 for g in G for pos, _ in g)
     by_pos: dict = {}
     for lt, g in zip(leads, G):
         _add_reducer(by_pos, lt, g)
