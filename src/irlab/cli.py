@@ -84,10 +84,13 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     variables = tuple(data["variables"])
     if len(set(variables)) != len(variables):
         raise PreconditionError("variables must be distinct")
+    char = data.get("characteristic", 32003)
+    # Only a JSON integer: int() would truncate 32003.7 and accept true as 1.
+    if not isinstance(char, int) or isinstance(char, bool):
+        raise PreconditionError(f"characteristic must be an integer, got {char!r}")
     try:
-        char = int(data.get("characteristic", 32003))
         check_characteristic(char)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     s2 = None
     raw_s2 = data.get("s2_ification")
@@ -278,10 +281,6 @@ def cmd_limit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Bundled corpus and the golden runner.
-
-def corpus_path(name: str):
-    return resources.files("irlab") / "corpus" / name
-
 
 def load_corpus_spec(name: str) -> RingSpec:
     with (resources.files("irlab") / "corpus" / name).open("r", encoding="utf-8") as fh:

@@ -97,9 +97,6 @@ class DimensionFiltration:
             out.append(Module.cyclic(chain[-1]))
         return out
 
-    def nonzero_steps(self):
-        return [(K, d) for K, d in zip(self.ideals, self.dims) if d >= 0]
-
     def satisfies_dimension_condition(self) -> bool:
         ds = [d for d in self.dims if d >= 0] + [self.top_dim]
         return all(a < b for a, b in zip(ds, ds[1:]))

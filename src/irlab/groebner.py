@@ -25,7 +25,7 @@ from itertools import combinations
 from operator import add
 
 from .errors import NotArtinianError, ResourceBudgetExceeded, RingMismatchError
-from .ring import Elimination, Poly, Ring, monomials_of_degree
+from .ring import Elimination, Poly, Ring
 
 DEFAULT_SPAIR_BUDGET = 200_000
 
@@ -312,9 +312,6 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0].is_constant() \
             and not self.elements[0].is_zero()
 
-    def initial_monomials(self):
-        return self.leads
-
     def __iter__(self):
         return iter(self.elements)
 
@@ -591,33 +588,10 @@ class Ideal:
         With no bound the quotient must be Artinian (NotArtinianError otherwise);
         the result is then the full finite monomial basis of S/I.
         """
-        gb = self.groebner()
-        if gb.is_unit_ideal():
-            return []
-        leads = gb.leads
-        n = self.ring.nvars
         if degree_bound is None and not self.is_artinian_quotient():
             raise NotArtinianError("quotient is not Artinian; pass a degree bound")
-        out = []
-        level = [(0,) * n]
-        degree = 0
-        while level:
-            out.extend(level)
-            if degree_bound is not None and degree >= degree_bound:
-                break
-            nxt = set()
-            for m in level:
-                for i in range(n):
-                    cand = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    if not any(_divides(lm, cand) for lm in leads):
-                        nxt.add(cand)
-            level = sorted(nxt, key=self.ring.order.key)
-            degree += 1
-        out.sort(key=self.ring.order.key)
-        return out
-
-    def vector_space_dimension(self) -> int:
-        return len(self.standard_monomials())
+        levels = standard_levels(self.groebner().leads, self.ring.nvars, degree_bound)
+        return sorted((m for _, level in levels for m in level), key=self.ring.order.key)
 
     def minimal_generators(self):
         """A minimal generating set, by greedy redundancy pruning (homogeneous input).
@@ -658,11 +632,20 @@ def unit_ideal(ring_: Ring) -> Ideal:
     return Ideal(ring_, [ring_.one()])
 
 
-def ideal_sum(a: Ideal, b) -> Ideal:
-    return a + b
+def standard_levels(leads, n, top=None):
+    """Yield (degree, set of monomials) outside the monomial ideal of `leads`.
 
-
-def monomials_outside(leads, n, degree):
-    """Monomials of total degree `degree` not divisible by any of `leads`."""
-    return [m for m in monomials_of_degree(n, degree)
-            if not any(_divides(lm, m) for lm in leads)]
+    Standard monomials are closed under division, so each level grows from the
+    one below by single variable steps, dropping the members a lead divides.
+    Stops at the first empty level, or after degree `top`; with no `top` the
+    quotient must be Artinian for this to end.
+    """
+    level = {(0,) * n}
+    degree = 0
+    while top is None or degree <= top:
+        level = {m for m in level if not any(_divides(lm, m) for lm in leads)}
+        if not level:
+            return
+        yield degree, level
+        level = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in level for i in range(n)}
+        degree += 1

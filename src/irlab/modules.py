@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
-from .groebner import (Ideal, ModuleGB, _divides, module_groebner, syzygies_raw,
-                       unit_ideal)
+from .groebner import (Ideal, _divides, module_groebner, standard_levels,
+                       syzygies_raw, unit_ideal)
 from .linalg import SpanTracker
 from .ring import Poly, Ring, monomials_of_degree
 
@@ -142,13 +142,6 @@ class FreeResolution:
     def betti_numbers(self):
         return tuple(len(s) for s in self.shifts)
 
-    def betti_table(self):
-        table = {}
-        for k, degs in enumerate(self.shifts):
-            for d in degs:
-                table[(k, d)] = table.get((k, d), 0) + 1
-        return table
-
     def check_complex(self):
         """Assert that consecutive differentials compose to zero."""
         p = self.ring.field.p
@@ -166,9 +159,6 @@ class FreeResolution:
     def has_unit_entries(self) -> bool:
         zero = (0,) * self.ring.nvars
         return any(m == zero for cols in self.diffs for col in cols for (_, m) in col)
-
-    def print_betti(self):
-        return " -> ".join(f"F{k}{sorted(s)}" for k, s in enumerate(self.shifts))
 
 
 def minimalize_complex(res: FreeResolution) -> FreeResolution:
@@ -250,7 +240,6 @@ class Module:
         if check:
             for r in self.relations:
                 vec_degree(r, self.shifts)  # raises when inhomogeneous
-        self._rel_gb: ModuleGB | None = None
         self._resolution: FreeResolution | None = None
         self._ext: dict = {}
         self._min_pres = None
@@ -283,56 +272,29 @@ class Module:
     def rank(self) -> int:
         return len(self.shifts)
 
-    def relation_gb(self) -> ModuleGB:
-        if self._rel_gb is None:
-            self._rel_gb = module_groebner(list(self.relations), self.rank, self.ring)
-        return self._rel_gb
-
     # -- minimal presentation ---------------------------------------------------
     def minimal_presentation(self):
-        """(shifts, relations) with unit entries pivoted away; Nakayama-minimal."""
+        """(shifts, relations) with unit entries pivoted away; Nakayama-minimal.
+
+        The presentation is the one-step complex F_1 -> F_0, so the unit pivots
+        cancel exactly as in `minimalize_complex`.
+        """
         if self._min_pres is not None:
             return self._min_pres
-        p = self.ring.field.p
-        zero = (0,) * self.ring.nvars
-        shifts = list(self.shifts)
-        rels = [dict(r) for r in self.relations]
-        while True:
-            hit = None
-            for ri, r in enumerate(rels):
-                for (pos, m), c in r.items():
-                    if m == zero:
-                        hit = (ri, pos, c)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                break
-            ri, pos, c = hit
-            r = rels.pop(ri)
-            cinv = pow(c, p - 2, p)
-            w = {key: v for key, v in r.items() if key != (pos, zero)}
-            out = []
-            for other in rels:
-                q = vec_component(other, pos)
-                if q:
-                    # e_pos == -c^{-1} w modulo the relations.
-                    other = vec_sub(other, {k: v for k, v in other.items() if k[0] == pos}, p)
-                    other = vec_sub(other, poly_times_vec(
-                        {m: (v * cinv) % p for m, v in q.items()}, w, p), p)
-                out.append(vec_drop_position(other, pos))
-            rels = [r2 for r2 in out if r2]
-            del shifts[pos]
+        rels = list(self.relations)
+        degs = [vec_degree(r, self.shifts) for r in rels]
+        res = minimalize_complex(FreeResolution(self.ring, [self.shifts, degs], [rels]))
+        shifts = res.shifts[0]
+        # The differential is gone when every relation cancelled; the
+        # cancellation also leaves zero columns behind.
+        rels = [r for cols in res.diffs for r in cols if r]
         # Prune to a minimal relation set so beta_1 is honest too.
         rels = minimal_vec_generators(rels, shifts, self.ring)
-        self._min_pres = (tuple(shifts), tuple(rels))
+        self._min_pres = (shifts, tuple(rels))
         return self._min_pres
 
     def minimal_generator_count(self) -> int:
         return len(self.minimal_presentation()[0])
-
-    def minimal_generator_degrees(self):
-        return self.minimal_presentation()[0]
 
     def is_zero(self) -> bool:
         return self.minimal_generator_count() == 0
@@ -483,26 +445,26 @@ class Module:
         return self.depth() == self.dim()
 
     # -- Hilbert data ----------------------------------------------------------------
+    def _position_levels(self, top=None):
+        """(shift, standard_levels) per generator of the minimal presentation.
+
+        Each position's levels run against the leads, in that position, of a
+        Groebner basis of the relations; `top` bounds the total degree.
+        """
+        shifts, rels = self.minimal_presentation()
+        gb = module_groebner(list(rels), len(shifts), self.ring)
+        for pos, s in enumerate(shifts):
+            leads = [m for (q, m) in gb.leads if q == pos]
+            yield s, standard_levels(leads, self.ring.nvars, None if top is None else top - s)
+
     def hilbert_function(self, degrees):
         """dim_k M_d for each d in `degrees`, via standard module monomials."""
-        shifts, rels = self.minimal_presentation()
-        if not shifts:
-            return {d: 0 for d in degrees}
-        gb = module_groebner(list(rels), len(shifts), self.ring)
-        key = self.ring.order.key
-        n = self.ring.nvars
-        per_pos = {pos: [m for (q, m) in gb.leads if q == pos] for pos in range(len(shifts))}
-        out = {}
-        for d in degrees:
-            total = 0
-            for pos, s in enumerate(shifts):
-                e = d - s
-                if e < 0:
-                    continue
-                leads = per_pos[pos]
-                total += sum(1 for m in monomials_of_degree(n, e)
-                             if not any(_divides(lm, m) for lm in leads))
-            out[d] = total
+        out = dict.fromkeys(degrees, 0)
+        if out:
+            for s, levels in self._position_levels(max(out)):
+                for e, level in levels:
+                    if e + s in out:
+                        out[e + s] += len(level)
         return out
 
     def hilbert_numerator(self):
@@ -522,29 +484,12 @@ class Module:
             return 0
         if self.dim() > 0:
             return None
-        shifts, rels = self.minimal_presentation()
-        gb = module_groebner(list(rels), len(shifts), self.ring)
-        n = self.ring.nvars
         total = 0
-        for pos in range(len(shifts)):
-            leads = [m for (q, m) in gb.leads if q == pos]
-            # dim 0 forces a pure power of every variable into each position.
-            count, level, deg = 1, [(0,) * n], 0
-            while True:
-                nxt = set()
-                for m in level:
-                    for i in range(n):
-                        cand = m[:i] + (m[i] + 1,) + m[i + 1:]
-                        if not any(_divides(lm, cand) for lm in leads):
-                            nxt.add(cand)
-                if not nxt:
-                    break
-                count += len(nxt)
-                level = sorted(nxt)
-                deg += 1
-                if deg > 512:
+        for _, levels in self._position_levels():
+            for e, level in levels:
+                if e > 512:
                     raise PreconditionError("length enumeration diverged")
-            total += count
+                total += len(level)
         return total
 
     def __repr__(self):

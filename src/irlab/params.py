@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (MethodDisagreement, PreconditionError, SearchExhausted,
                      ZeroModuleError)
 from .groebner import Ideal
-from .linalg import nullity_mod_p
+from .linalg import nullity_mod_p, rank_mod_p, rref_mod_p
 from .modules import Module
 from .ring import Poly, monomials_of_degree
 
@@ -244,9 +244,6 @@ def _socle_by_degreewise_spans(gens, ring_):
     read off matrix ranks.  Homogeneous generators and an Artinian quotient
     are required (the loop stops at the first empty slice of S/J).
     """
-    from .linalg import rref_mod_p
-    from .ring import monomials_of_degree
-
     p = ring_.field.p
     n = ring_.nvars
     gens = [g for g in gens if not g.is_zero()]
@@ -310,7 +307,6 @@ def _socle_by_degreewise_spans(gens, ring_):
         shifted = [reduce_mod(shift_matrix(identity, monos_e, monos_next, v),
                               next_rows, next_pivots) for v in range(n)]
         condition = np.hstack(shifted)  # rows: monomial basis of S_e
-        from .linalg import rank_mod_p
         kernel_dim = dim_e - rank_mod_p(condition, p)
         total_socle += kernel_dim - len(j_pivots)
         monos_e = monos_next

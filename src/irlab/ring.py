@@ -240,11 +240,6 @@ class Poly:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def constant_value(self):
-        if not self.terms:
-            return 0
-        return self.terms[(0,) * self.ring.nvars]
-
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -206,10 +206,11 @@ def test_ring_spec_needs_fields():
         load_ring_spec({"variables": ["x", "y"], "ideal": ["x + x*y"]})
 
 
-@pytest.mark.parametrize("char", [4294967311, 18446744073709551629, "abc"])
+@pytest.mark.parametrize("char", [4294967311, 18446744073709551629, "abc", 32003.7, True])
 def test_characteristic_outside_range_is_input_error(char, tmp_path, capsys):
     # 4294967311 gave silently wrong Betti numbers (int64 overflow); the 2^64
-    # one hung the loader in trial division.  Both now stop at load, exit 1.
+    # one hung the loader in trial division; 32003.7 was truncated to 32003
+    # and true read as 1.  All now stop at load, exit 1.
     path = tmp_path / "big.json"
     path.write_text(json.dumps(PLANE_LINE | {"characteristic": char}))
     code, out, err = run(capsys, "analyze", str(path))

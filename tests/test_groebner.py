@@ -2,10 +2,10 @@ import pytest
 from oracles import membership_bruteforce, quotient_dimension_bruteforce
 
 from irlab.errors import NotArtinianError, ResourceBudgetExceeded
-from irlab.groebner import (Ideal, buchberger, module_groebner, syzygies,
-                            unit_ideal)
+from irlab.groebner import (Ideal, _divides, buchberger, module_groebner,
+                            standard_levels, syzygies, unit_ideal)
 from irlab.params import Rng
-from irlab.ring import GREVLEX, LEX, Elimination, ring
+from irlab.ring import GREVLEX, LEX, Elimination, monomials_of_degree, ring
 
 
 def random_homogeneous(R, rng, degree):
@@ -295,6 +295,35 @@ def test_standard_monomials_with_bound(R2):
     x, _ = R2.gens()
     got = Ideal(R2, [x]).standard_monomials(degree_bound=2)
     assert got == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_standard_monomials_degree_bound_zero(R2):
+    x, y = R2.gens()
+    assert Ideal(R2, [x]).standard_monomials(degree_bound=0) == [(0, 0)]
+    assert Ideal(R2, [x, y]).standard_monomials(degree_bound=0) == [(0, 0)]
+    assert Ideal(R2, [R2.one()]).standard_monomials(degree_bound=0) == []
+
+
+@pytest.mark.parametrize("artinian", [False, True], ids=["top=5", "top=None"])
+def test_standard_levels_match_degreewise_filter(artinian):
+    rng = Rng(23)
+    for trial in range(40):
+        n = 1 + rng.below(4)
+        leads = [tuple(rng.below(4) for _ in range(n)) for _ in range(rng.below(5))]
+        leads = [m for m in leads if any(m)]
+        if artinian:
+            leads += [tuple(1 + rng.below(4) if j == i else 0 for j in range(n))
+                      for i in range(n)]
+        top = None if artinian else 5
+        got = dict(standard_levels(leads, n, top))
+        bound = 4 * n if artinian else top
+        want = {}
+        for d in range(bound + 1):
+            outside = {m for m in monomials_of_degree(n, d)
+                       if not any(_divides(lm, m) for lm in leads)}
+            if outside:
+                want[d] = outside
+        assert got == want, (n, leads)
 
 
 # -- syzygies ----------------------------------------------------------------------------

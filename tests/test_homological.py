@@ -244,6 +244,26 @@ def test_hilbert_function_of_artinian_length(R2):
     assert M.hilbert_function(range(0, 4)) == {0: 1, 1: 2, 2: 0, 3: 0}
 
 
+def test_hilbert_function_with_shifted_generators(R2):
+    # S/(x,y)^2 e_0 + S/(x, y^2) e_1(-1): degree 0 holds e_0, degree 1 holds
+    # x e_0, y e_0 and e_1, degree 2 only y e_1.
+    rels = [{(0, (2, 0)): 1}, {(0, (1, 1)): 1}, {(0, (0, 2)): 1},
+            {(1, (1, 0)): 1}, {(1, (0, 2)): 1}]
+    M = Module(R2, (0, 1), rels)
+    assert M.hilbert_function(range(-1, 5)) == {-1: 0, 0: 1, 1: 3, 2: 1, 3: 0, 4: 0}
+    assert M.length() == 5
+
+
+def test_minimal_presentation_cancels_unit_entry(R2):
+    # x e_0 + e_1 = 0 makes e_1 = -x e_0, so the module is free on e_0.
+    unit_rel = {(0, (1, 0)): 1, (1, (0, 0)): 1}
+    assert Module(R2, (0, 1), [unit_rel]).minimal_presentation() == ((0,), ())
+    # A second relation y e_1 becomes -x*y e_0 after the cancellation.
+    M = Module(R2, (0, 1), [unit_rel, {(1, (0, 1)): 1}])
+    p = R2.field.p
+    assert M.minimal_presentation() == ((0,), ({(0, (1, 1)): p - 1},))
+
+
 # -- subquotients ------------------------------------------------------------------------
 
 def test_subquotient_example(plane_and_line):
