@@ -1,4 +1,10 @@
-"""Dense linear algebra over a prime field, on top of numpy int64 arrays."""
+"""Dense linear algebra over a prime field, on top of numpy int64 arrays.
+
+Overflow contract: entries are int64 residues in [0, p), and every product of
+two residues is reduced mod p before the next addition, so no intermediate
+value leaves (-p^2, p^2 + p).  That fits int64 for p < 2^31, the range
+`ring.check_characteristic` enforces for every field.
+"""
 
 from __future__ import annotations
 

@@ -10,9 +10,11 @@ make the surrogate auditable.
 The index of reducibility of a parameter ideal is the socle dimension of the
 Artinian quotient.  Two algorithms with no shared machinery compute it and
 must agree: a degreewise span computation straight from the raw generators
-(plain linear algebra, no bases computed), and the common kernel of the
-variable multiplication maps on the reduced monomial basis (which leans on
-the Groebner engine).  Their lengths are cross-checked too; any disagreement
+(plain linear algebra, no bases computed; each degree works on the standard
+representatives of S/J that the echelon form of J's slice leaves), and the
+common kernel of the variable multiplication maps on the reduced monomial
+basis (which leans on the Groebner engine, one normal form per distinct
+non-standard shift).  Their lengths are cross-checked too; any disagreement
 aborts loudly.
 """
 
@@ -237,12 +239,16 @@ def _socle_by_degreewise_spans(gens, ring_):
 
     Never touches the Groebner engine: in each degree e the slice J_e is
     spanned by variable shifts of J_{e-1} plus the new generators, held in
-    reduced row echelon form, and the degree-e socle is
+    reduced row echelon form.  The non-pivot columns of that form are the
+    monomials standing for (S/J)_e, q_e of them, and a monomial of degree e
+    reduces modulo J_e to minus the standard part of its pivot row, or to
+    itself when its column is not a pivot.  So the degree-e socle is
 
-        dim{f in S_e : x_v f in J_{e+1} for all v}  -  dim J_e,
+        q_e  -  rank of the standard residues of x_v m (all v, standard m),
 
-    read off matrix ranks.  Homogeneous generators and an Artinian quotient
-    are required (the loop stops at the first empty slice of S/J).
+    a q_e x (n q_{e+1}) matrix gathered without any product.  Homogeneous
+    generators and an Artinian quotient are required (the loop stops at the
+    first empty slice of S/J); a nonzero constant gives the unit ideal, (0, 0).
     """
     p = ring_.field.p
     n = ring_.nvars
@@ -253,93 +259,82 @@ def _socle_by_degreewise_spans(gens, ring_):
     by_degree: dict = {}
     for g in gens:
         by_degree.setdefault(g.degree(), []).append(g)
-
-    def densify(polys, monos):
-        index = {m: i for i, m in enumerate(monos)}
-        A = np.zeros((len(polys), len(monos)), dtype=np.int64)
-        for r, g in enumerate(polys):
-            for m, c in g.terms.items():
-                A[r, index[m]] = c
-        return A
-
-    def shift_matrix(rows, monos_lo, monos_hi, v):
-        index_hi = {m: i for i, m in enumerate(monos_hi)}
-        cols = [index_hi[m[:v] + (m[v] + 1,) + m[v + 1:]] for m in monos_lo]
-        out = np.zeros((rows.shape[0], len(monos_hi)), dtype=np.int64)
-        out[:, cols] = rows
-        return out
-
-    def reduce_mod(batch, rref_rows, pivots):
-        if not pivots or batch.size == 0:
-            return batch % p
-        return (batch - (batch[:, pivots] % p) @ rref_rows) % p
+    if 0 in by_degree:
+        return 0, 0
 
     total_socle = 0
     total_length = 0
-    # slice e = 0
     monos_e = monomials_of_degree(n, 0)
     j_rows = np.zeros((0, 1), dtype=np.int64)
-    j_pivots: list = []
+    std_e = np.arange(1)  # columns of the standard monomials of degree e
     e = 0
-    while True:
+    while std_e.size:
         if e > 600:
             raise PreconditionError("degreewise socle diverged; quotient not Artinian?")
-        dim_e = len(monos_e)
-        q_e = dim_e - len(j_pivots)
-        if q_e == 0:
-            break
-        total_length += q_e
-        # build the next slice J_{e+1}
+        total_length += std_e.size
+        # build the next slice J_{e+1}; shifts[v][i] is the column of x_v m_i
         monos_next = monomials_of_degree(n, e + 1)
-        blocks = [shift_matrix(j_rows, monos_e, monos_next, v) for v in range(n)] \
-            if j_rows.size else []
-        if by_degree.get(e + 1):
-            blocks.append(densify(by_degree[e + 1], monos_next))
-        if blocks:
-            stacked = np.vstack(blocks)
-            next_rows, next_pivots = rref_mod_p(stacked, p)
-            next_rows = next_rows[:len(next_pivots)]
-        else:
-            next_rows = np.zeros((0, len(monos_next)), dtype=np.int64)
-            next_pivots = []
-        # socle in degree e: f with every shift landing in J_{e+1}
-        identity = np.eye(dim_e, dtype=np.int64)
-        shifted = [reduce_mod(shift_matrix(identity, monos_e, monos_next, v),
-                              next_rows, next_pivots) for v in range(n)]
-        condition = np.hstack(shifted)  # rows: monomial basis of S_e
-        kernel_dim = dim_e - rank_mod_p(condition, p)
-        total_socle += kernel_dim - len(j_pivots)
-        monos_e = monos_next
-        j_rows, j_pivots = next_rows, list(next_pivots)
+        index = {m: i for i, m in enumerate(monos_next)}
+        shifts = [np.array([index[m[:v] + (m[v] + 1,) + m[v + 1:]] for m in monos_e],
+                           dtype=np.intp) for v in range(n)]
+        k = j_rows.shape[0]
+        new_gens = by_degree.get(e + 1, [])
+        stacked = np.zeros((n * k + len(new_gens), len(monos_next)), dtype=np.int64)
+        for v, cols in enumerate(shifts):
+            stacked[v * k:(v + 1) * k, cols] = j_rows
+        for r, g in enumerate(new_gens, n * k):
+            for m, c in g.terms.items():
+                stacked[r, index[m]] = c
+        next_rows, next_pivots = rref_mod_p(stacked, p) if stacked.size else (stacked, [])
+        next_rows = next_rows[:len(next_pivots)]
+        std_next = np.setdiff1d(np.arange(len(monos_next)), next_pivots)
+        # residue of every degree-(e+1) monomial in the standard basis
+        residue = np.zeros((len(monos_next), std_next.size), dtype=np.int64)
+        residue[next_pivots] = (-next_rows[:, std_next]) % p
+        residue[std_next, np.arange(std_next.size)] = 1
+        condition = np.hstack([residue[cols[std_e]] for cols in shifts])
+        total_socle += std_e.size - rank_mod_p(condition, p)
+        monos_e, j_rows, std_e = monos_next, next_rows, std_next
         e += 1
     return total_socle, total_length
 
 
-def socle_dimension_artinian(artinian: Ideal) -> IrResult:
-    """Socle dimension of S/J for Artinian J, by two machinery-disjoint routes."""
+def _socle_by_kernels(artinian: Ideal):
+    """(socle dimension, length) of S/J through the Groebner engine: the common
+    kernel of the multiplication-by-variable maps on the reduced monomial basis.
+
+    A shifted basis monomial is its own normal form; every other shifted
+    monomial is reduced once, whichever basis monomial and variable reach it.
+    """
     R = artinian.ring
-    p = R.field.p
     basis = artinian.standard_monomials()
     length = len(basis)
-    if length == 0:
-        raise PreconditionError("the unit ideal has no socle")
-    # Route one: degreewise spans straight from the raw generators.
-    by_spans, span_length = _socle_by_degreewise_spans(artinian.gens, R)
-    # Route two: common kernel of the multiplication-by-variable maps on the
-    # reduced monomial basis.
     index = {m: i for i, m in enumerate(basis)}
     gb = artinian.groebner()
+    forms: dict = {}
     rows = []
     for v in range(R.nvars):
         mat = np.zeros((length, length), dtype=np.int64)
         for j, m in enumerate(basis):
-            shifted = tuple(e + (1 if t == v else 0) for t, e in enumerate(m))
-            nf = gb.normal_form(R.monomial(shifted))
-            for mono, c in nf.terms.items():
+            shifted = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if shifted in index:
+                mat[index[shifted], j] = 1
+                continue
+            if shifted not in forms:
+                forms[shifted] = gb.normal_form(R.monomial(shifted))
+            for mono, c in forms[shifted].terms.items():
                 mat[index[mono], j] = c
         rows.append(mat)
     stacked = np.vstack(rows) if rows else np.zeros((0, length), dtype=np.int64)
-    by_kernel = nullity_mod_p(stacked, p)
+    return nullity_mod_p(stacked, R.field.p), length
+
+
+def socle_dimension_artinian(artinian: Ideal) -> IrResult:
+    """Socle dimension of S/J for Artinian J, by two machinery-disjoint routes."""
+    by_kernel, length = _socle_by_kernels(artinian)
+    if length == 0:
+        raise PreconditionError("the unit ideal has no socle")
+    by_spans, span_length = _socle_by_degreewise_spans(artinian.gens, artinian.ring)
     if by_spans != by_kernel or span_length != length:
         raise MethodDisagreement(
             f"socle via spans = {by_spans} (length {span_length}), "

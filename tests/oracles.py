@@ -65,3 +65,28 @@ def quotient_dimension_bruteforce(gens, ring_, degree_bound):
                 if tracker.add(row):
                     count += 1
     return len(monos) - count
+
+
+def rref_exact(rows, p):
+    """Reduced row echelon form over Z/p by Gaussian elimination in Python ints.
+
+    Returns (nonzero rows as int lists, pivot columns); no fixed-width arithmetic.
+    """
+    A = [[int(x) % p for x in row] for row in rows]
+    ncols = len(A[0]) if A else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [a * inv % p for a in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots

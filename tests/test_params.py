@@ -1,12 +1,15 @@
 import pytest
 
+from irlab import groebner
 from irlab.cohomology import socle_dimensions
 from irlab.errors import PreconditionError, SearchExhausted
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
 from irlab.modules import Module
-from irlab.params import (Rng, construct_c_sop, find_parameter_element,
+from irlab.params import (Rng, _socle_by_degreewise_spans, _socle_by_kernels,
+                          construct_c_sop, find_parameter_element,
                           index_of_reducibility, is_d_sequence,
                           is_system_of_parameters, power_perturbation)
+from irlab.ring import monomials_of_degree, ring
 
 
 # -- rng ----------------------------------------------------------------------
@@ -158,6 +161,78 @@ def test_ir_bounded_by_length(plane_and_line):
     system = construct_c_sop(plane_and_line, 2, seed=1)
     result = index_of_reducibility(list(system), plane_and_line)
     assert 1 <= result.value <= result.length
+
+
+# -- the two socle routes ---------------------------------------------------------------
+
+@pytest.mark.parametrize("variables, gens, expected", [
+    (("x", "y"), ["x^2", "y^2"], (1, 4)),
+    (("x", "y"), ["x^2", "x*y", "y^2"], (2, 3)),
+    (("x", "y", "z"), ["x^2", "y^2", "z^2"], (1, 8)),
+])
+def test_socle_routes_hand_counts(variables, gens, expected):
+    R = ring(variables)
+    polys = [R.parse(g) for g in gens]
+    assert _socle_by_degreewise_spans(polys, R) == expected
+    assert _socle_by_kernels(Ideal(R, polys)) == expected
+
+
+def test_span_route_never_reaches_the_groebner_engine(monkeypatch, R3):
+    x, y, z = R3.gens()
+    mixed = [x * x + y * z, y * y, z * z * 3 + x * y, x * z * z]
+    mixed_expected = _socle_by_kernels(Ideal(R3, mixed))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the span route called the Groebner engine")
+
+    monkeypatch.setattr(groebner, "module_buchberger_raw", refuse)
+    monkeypatch.setattr(groebner.Ideal, "groebner", refuse)
+    assert _socle_by_degreewise_spans([x * x, y * y, z * z], R3) == (1, 8)
+    assert _socle_by_degreewise_spans(mixed, R3) == mixed_expected
+
+
+def test_span_route_unit_ideal(R2):
+    x, y = R2.gens()
+    assert _socle_by_degreewise_spans([R2.one()], R2) == (0, 0)
+    assert _socle_by_degreewise_spans([x * x, R2.constant(5), y], R2) == (0, 0)
+
+
+def _random_monomial_artinian(R, rng):
+    """Pure powers of the variables plus one to three random monomials of
+    degree 2-3, and the same ideal after a random triangular change of
+    coordinates (so non-monomial, with the same socle and length)."""
+    n, p = R.nvars, R.field.p
+    expos = [tuple(1 + rng.below(3) if j == i else 0 for j in range(n))
+             for i in range(n)]
+    for _ in range(1 + rng.below(3)):
+        monos = monomials_of_degree(n, 2 + rng.below(2))
+        expos.append(monos[rng.below(len(monos))])
+    xs = R.gens()
+    forms = []
+    for i in range(n):
+        form = xs[i]
+        for j in range(i + 1, n):
+            form = form + xs[j] * rng.below(p)
+        forms.append(form)
+    moved = []
+    for expo in expos:
+        f = R.one()
+        for form, k in zip(forms, expo):
+            f = f * form ** k
+        moved.append(f)
+    return [R.monomial(e) for e in expos], moved
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_socle_routes_agree_on_random_artinian_quotients(p):
+    rng = Rng(p)
+    for trial in range(12):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        monomial, moved = _random_monomial_artinian(R, rng)
+        expected = _socle_by_kernels(Ideal(R, monomial))
+        assert _socle_by_degreewise_spans(monomial, R) == expected
+        assert _socle_by_degreewise_spans(moved, R) == expected
+        assert _socle_by_kernels(Ideal(R, moved)) == expected
 
 
 # -- d-sequences ---------------------------------------------------------------------------
