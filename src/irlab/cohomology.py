@@ -98,10 +98,14 @@ def annihilator_data(M: Module) -> AnnihilatorData:
             # Ann H^0 = (I : saturation of I): the finite-length part is
             # sat(I)/I, so no Ext computation is needed for this slot.  The
             # duality route Ann Ext^n must agree, and is cross-checked in tests.
-            from .groebner import maximal_ideal
+            # Most stage quotients have depth >= 1; one grevlex basis certifies
+            # that exactly (see Ideal.saturation_at_maximal), and then H^0 = 0.
+            # Otherwise the colon runs against sat's minimal generators, not
+            # the long generator list the colon iteration leaves behind.
             I = M.cyclic_ideal
-            sat = I.saturation(maximal_ideal(M.ring))
-            anns.append(unit_ideal(M.ring) if sat == I else I.colon(sat))
+            sat = I.saturation_at_maximal()
+            anns.append(unit_ideal(M.ring) if sat == I
+                        else I.colon(Ideal(M.ring, sat.minimal_generators())))
             continue
         E = M.ext(n - i)
         anns.append(unit_ideal(M.ring) if E.is_zero() else E.annihilator())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cohomology import is_generalized_cm
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
-from .groebner import Ideal, _divides, _mono_lcm, maximal_ideal
+from .groebner import Ideal, _divides, _mono_lcm
 from .modules import Module, subquotient_presentation
 
 
@@ -113,7 +113,7 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
     if d == 0:
         return DimensionFiltration(ideal, (), (), 0)
     ann = annihilator_data(M)
-    chain = [ideal.saturation(maximal_ideal(ideal.ring))]
+    chain = [ideal.saturation_at_maximal()]  # cached by annihilator_data
     for s in range(1, d):
         chain.append(chain[-1].saturation(ann[s]))
     kept = [chain[0]]
@@ -208,22 +208,6 @@ def monomial_primary_decomposition(ideal: Ideal):
     if set(inter) != set(gens):
         raise InternalInvariantError("decomposition does not intersect back to the input")
     return [Ideal(R, [R.monomial(m) for m in c]) for c in comps]
-
-
-def top_dimensional_intersection(ideal: Ideal) -> Ideal:
-    """Intersection of the maximal-dimension components of a monomial ideal.
-
-    Oracle counterpart of `unmixed_component` on monomial input.
-    """
-    comps = monomial_primary_decomposition(ideal)
-    top = max(c.krull_dimension() for c in comps)
-    gens = None
-    for c in comps:
-        if c.krull_dimension() == top:
-            cg = _monomial_gens(c)
-            gens = cg if gens is None else _mono_intersect(gens, cg)
-    R = ideal.ring
-    return Ideal(R, [R.monomial(m) for m in gens])
 
 
 # ---------------------------------------------------------------------------

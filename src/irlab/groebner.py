@@ -12,6 +12,16 @@ a single per-exponent key cache across every S-pair and tail reduction.
 Every basis returned is reduced, monic and sorted, hence canonical for the
 (ideal, order) pair.
 
+Saturation at the maximal ideal m first tries to certify depth S/I >= 1
+(`Ideal.saturation_at_maximal`).  After x_n -> x_n - x_1 - ... - x_{n-1} the
+form l = x_1 + ... + x_n becomes x_n, and for a homogeneous ideal J in grevlex
+with x_n last, in(J : x_n) = in(J) : x_n (Bayer & Stillman 1987).  So one
+basis decides exactly whether l is a nonzerodivisor: J : x_n = J when no lead
+involves x_n.  A nonzerodivisor means I is saturated, and I itself is
+returned; otherwise the colon iteration runs.  The test is one-sided for
+depth (l may lie in an associated prime though depth >= 1, notably over small
+fields), never wrong.
+
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
 variable or the `budget=` keyword).
@@ -25,7 +35,7 @@ from itertools import combinations
 from operator import add
 
 from .errors import NotArtinianError, ResourceBudgetExceeded, RingMismatchError
-from .ring import Elimination, Poly, Ring
+from .ring import GREVLEX, Elimination, Poly, Ring
 
 DEFAULT_SPAIR_BUDGET = 200_000
 
@@ -376,7 +386,7 @@ class Ideal:
     bases, dimensions and generator prunings are cached on the instance.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_dim", "_mingens", "__weakref__")
+    __slots__ = ("ring", "gens", "_gb", "_dim", "_mingens", "_msat", "__weakref__")
 
     def __init__(self, ring_: Ring, gens):
         self.ring = ring_
@@ -392,6 +402,7 @@ class Ideal:
         self._gb = {}
         self._dim = None
         self._mingens = None
+        self._msat = None
 
     # -- basics ---------------------------------------------------------------
     def groebner(self, order=None) -> GroebnerBasis:
@@ -535,6 +546,51 @@ class Ideal:
                 return current
             current = nxt
 
+    def saturation_at_maximal(self) -> "Ideal":
+        """(I : m^infinity), or I itself once depth S/I >= 1 is certified; cached.
+
+        The certificate is one-sided: when it declines, the full saturation
+        runs, so the answer is the object `saturation(maximal_ideal)` returns.
+        """
+        sat = self._msat
+        if sat is None:
+            if self._sum_of_variables_is_regular():
+                sat = self
+            else:
+                sat = self.saturation(maximal_ideal(self.ring))
+            # Mark "saturated" without a reference cycle through the slot.
+            self._msat = _SATURATED if sat is self else sat
+        return self if sat is _SATURATED else sat
+
+    def _sum_of_variables_is_regular(self) -> bool:
+        """Whether l = x_1 + ... + x_n is a nonzerodivisor on S/I, I homogeneous.
+
+        The substitution x_n -> x_n - x_1 - ... - x_{n-1} sends l to x_n.  For
+        homogeneous J and grevlex with x_n last, in(J : x_n) = in(J) : x_n
+        (Bayer-Stillman), so J : x_n = J exactly when no reduced-basis lead
+        involves x_n.  False for inhomogeneous input, which it does not decide.
+        """
+        R = self.ring
+        n = R.nvars
+        if n == 0 or not all(g.is_homogeneous() for g in self.gens):
+            return False
+        if not self.gens:
+            return True  # S is a domain
+        xs = R.gens()
+        shifted = xs[-1]
+        for x in xs[:-1]:
+            shifted = shifted - x
+        powers = [R.one()]  # powers of the image of x_n
+        moved = []
+        for g in self.gens:
+            f = R.zero()
+            for m, c in g.terms.items():
+                while len(powers) <= m[-1]:
+                    powers.append(powers[-1] * shifted)
+                f = f + powers[m[-1]].term_mul(m[:-1] + (0,), c)
+            moved.append(f)
+        return not any(m[-1] for m in buchberger(moved, order=GREVLEX).leads)
+
     # -- combinatorics of the initial ideal ------------------------------------
     def krull_dimension(self) -> int:
         """dim S/I via maximal independent variable sets modulo the initial ideal.
@@ -622,6 +678,9 @@ class Ideal:
 
     def normal_form(self, f: Poly) -> Poly:
         return self.groebner().normal_form(f)
+
+
+_SATURATED = object()  # Ideal._msat of an ideal equal to its saturation at m
 
 
 def maximal_ideal(ring_: Ring) -> Ideal:

@@ -142,24 +142,6 @@ class FreeResolution:
     def betti_numbers(self):
         return tuple(len(s) for s in self.shifts)
 
-    def check_complex(self):
-        """Assert that consecutive differentials compose to zero."""
-        p = self.ring.field.p
-        for k in range(len(self.diffs) - 1):
-            lower = self.diffs[k]
-            for col in self.diffs[k + 1]:
-                acc: dict = {}
-                for (pos, m), c in col.items():
-                    piece = poly_times_vec({m: c}, lower[pos], p)
-                    acc = vec_sub(acc, {kk: (p - v) % p for kk, v in piece.items()}, p)
-                if acc:
-                    raise InternalInvariantError(f"d_{k + 1} o d_{k + 2} != 0")
-        return True
-
-    def has_unit_entries(self) -> bool:
-        zero = (0,) * self.ring.nvars
-        return any(m == zero for cols in self.diffs for col in cols for (_, m) in col)
-
 
 def minimalize_complex(res: FreeResolution) -> FreeResolution:
     """Cancel trivial summands (unit entries) until none remain.

@@ -532,10 +532,3 @@ def monomials_of_degree(nvars: int, d: int):
         out.append(tuple(expo))
     out.sort(key=_grevlex_key)
     return out
-
-
-def monomials_up_to_degree(nvars: int, d: int):
-    out = []
-    for k in range(d + 1):
-        out.extend(monomials_of_degree(nvars, k))
-    return out

@@ -2,8 +2,19 @@
 
 import numpy as np
 
+from irlab.filtration import (_mono_intersect, _monomial_gens,
+                              monomial_primary_decomposition)
+from irlab.groebner import Ideal
 from irlab.linalg import SpanTracker
-from irlab.ring import monomials_of_degree, monomials_up_to_degree
+from irlab.modules import poly_times_vec, vec_sub
+from irlab.ring import monomials_of_degree
+
+
+def monomials_up_to_degree(nvars, d):
+    out = []
+    for k in range(d + 1):
+        out.extend(monomials_of_degree(nvars, k))
+    return out
 
 
 def membership_bruteforce(f, gens, degree_bound):
@@ -90,3 +101,70 @@ def rref_exact(rows, p):
         pivots.append(c)
         r += 1
     return A[:r], pivots
+
+
+def check_complex(res):
+    """Assert that consecutive differentials of a FreeResolution compose to zero."""
+    p = res.ring.field.p
+    for k in range(len(res.diffs) - 1):
+        lower = res.diffs[k]
+        for col in res.diffs[k + 1]:
+            acc = {}
+            for (pos, m), c in col.items():
+                piece = poly_times_vec({m: c}, lower[pos], p)
+                acc = vec_sub(acc, {kk: (p - v) % p for kk, v in piece.items()}, p)
+            assert not acc, f"d_{k + 1} o d_{k + 2} != 0"
+
+
+def has_unit_entries(res):
+    """Whether some differential of a FreeResolution has a constant entry."""
+    zero = (0,) * res.ring.nvars
+    return any(m == zero for cols in res.diffs for col in cols for (_, m) in col)
+
+
+def top_dimensional_intersection(ideal):
+    """Intersection of the maximal-dimension components of a monomial ideal.
+
+    Oracle counterpart of `unmixed_component` on monomial input.
+    """
+    comps = monomial_primary_decomposition(ideal)
+    top = max(c.krull_dimension() for c in comps)
+    gens = None
+    for c in comps:
+        if c.krull_dimension() == top:
+            cg = _monomial_gens(c)
+            gens = cg if gens is None else _mono_intersect(gens, cg)
+    R = ideal.ring
+    return Ideal(R, [R.monomial(m) for m in gens])
+
+
+def triangular_change(R, rng, expos):
+    """The monomials x^e for e in `expos` after a random triangular change of
+    coordinates x_i -> x_i + sum_{j>i} c_j x_j: no longer monomial, but the
+    ideal keeps its depth, dimension, socle and length."""
+    n, p = R.nvars, R.field.p
+    xs = R.gens()
+    forms = []
+    for i in range(n):
+        form = xs[i]
+        for j in range(i + 1, n):
+            form = form + xs[j] * rng.below(p)
+        forms.append(form)
+    moved = []
+    for expo in expos:
+        f = R.one()
+        for form, k in zip(forms, expo):
+            f = f * form ** k
+        moved.append(f)
+    return moved
+
+
+def random_monomial_ideal(R, rng):
+    """One to n+1 random monomials of degree 1-3, and the same ideal after a
+    random triangular change of coordinates."""
+    n = R.nvars
+    expos = []
+    for _ in range(1 + rng.below(n + 1)):
+        monos = monomials_of_degree(n, 1 + rng.below(3))
+        expos.append(monos[rng.below(len(monos))])
+    return [R.monomial(e) for e in expos], triangular_change(R, rng, expos)

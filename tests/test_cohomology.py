@@ -1,11 +1,15 @@
 import pytest
+from oracles import random_monomial_ideal
 
+from irlab import modules
+from irlab.cli import load_corpus_spec
 from irlab.cohomology import (SimplicialComplex, annihilator_data, cm_flags,
                               hochster_hilbert, local_cohomology_hilbert,
                               local_cohomology_length, socle_dimensions)
 from irlab.errors import PreconditionError
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
 from irlab.modules import Module
+from irlab.params import Rng
 from irlab.ring import ring
 
 
@@ -82,6 +86,38 @@ def test_h0_annihilator_agrees_with_duality_route(plane_and_line, two_planes_3d)
         E = M.ext(n)
         via_ext = unit_ideal(M.ring) if E.is_zero() else E.annihilator()
         assert annihilator_data(M)[0] == via_ext
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_h0_annihilator_agrees_with_duality_route_on_random_ideals(p):
+    # the inputs of the depth-certificate sweep: monomial ideals and their
+    # images under a triangular change of coordinates
+    rng = Rng(p + 11)
+    checked = 0
+    for trial in range(16):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        for gens in random_monomial_ideal(R, rng):
+            M = Module.cyclic(Ideal(R, gens))
+            if M.dim() < 1:
+                continue
+            E = M.ext(R.nvars)
+            via_ext = unit_ideal(R) if E.is_zero() else E.annihilator()
+            assert annihilator_data(M)[0] == via_ext
+            checked += 1
+    assert checked
+
+
+def test_h0_slot_runs_no_colon_on_depth_one_inputs(monkeypatch):
+    # depth >= 1 is certified by one grevlex basis: no saturation, no colon
+    def refuse(*args, **kwargs):
+        raise AssertionError("the H^0 slot ran a colon on a depth >= 1 input")
+
+    monkeypatch.setattr(modules, "_CYCLIC_CACHE", {})
+    monkeypatch.setattr(Ideal, "saturation", refuse)
+    monkeypatch.setattr(Ideal, "colon", refuse)
+    for name in ("cm_plane.json", "sqfree_15.json"):
+        M = Module.cyclic(load_corpus_spec(name).ideal())
+        assert annihilator_data(M)[0].is_unit()
 
 
 def test_product_sits_inside_every_factor(two_planes_3d, plane_and_line,

@@ -1,10 +1,10 @@
 import pytest
+from oracles import top_dimensional_intersection
 
 from irlab.errors import PreconditionError
 from irlab.filtration import (classify_sequential, dimension_filtration,
                               is_good_sop, module_is_unmixed,
-                              monomial_primary_decomposition,
-                              top_dimensional_intersection, unmixed_component)
+                              monomial_primary_decomposition, unmixed_component)
 from irlab.groebner import Ideal
 from irlab.modules import Module
 

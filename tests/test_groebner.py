@@ -1,9 +1,11 @@
 import pytest
-from oracles import membership_bruteforce, quotient_dimension_bruteforce
+from oracles import (membership_bruteforce, quotient_dimension_bruteforce,
+                     random_monomial_ideal)
 
 from irlab.errors import NotArtinianError, ResourceBudgetExceeded
-from irlab.groebner import (Ideal, _divides, buchberger, module_groebner,
-                            standard_levels, syzygies, unit_ideal)
+from irlab.groebner import (Ideal, _divides, buchberger, maximal_ideal,
+                            module_groebner, standard_levels, syzygies,
+                            unit_ideal)
 from irlab.params import Rng
 from irlab.ring import GREVLEX, LEX, Elimination, monomials_of_degree, ring
 
@@ -241,6 +243,56 @@ def test_saturation_stabilizes(R3):
     I = Ideal(R3, [x * x * y, x * x * z])
     sat = I.saturation(x)
     assert sat == Ideal(R3, [y, z])
+
+
+def _sum_of_variables(R):
+    ell = R.zero()
+    for x in R.gens():
+        ell = ell + x
+    return ell
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_depth_certificate_matches_full_saturation(p):
+    # The certificate decides exactly whether l = x_1 + ... + x_n is regular
+    # on S/I; when it fires the ideal itself comes back, and otherwise the
+    # full saturation does, so saturation_at_maximal equals saturation(m).
+    rng = Rng(p + 11)
+    fired = declined = 0
+    for trial in range(16):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        ell = _sum_of_variables(R)
+        for gens in random_monomial_ideal(R, rng):
+            I = Ideal(R, gens)
+            regular = I._sum_of_variables_is_regular()
+            assert regular == (I.colon_element(ell) == I)
+            sat = I.saturation_at_maximal()
+            assert sat == Ideal(R, gens).saturation(maximal_ideal(R))
+            assert I.saturation_at_maximal() is sat
+            if regular:
+                assert sat is I
+            fired += regular
+            declined += not regular
+    assert fired and declined
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_depth_certificate_hand_cases(p):
+    R = ring(("x", "y"), p)
+    x, y = R.gens()
+    # depth S/(x + y) = 1, but l = x + y lies in the associated prime: the
+    # certificate must decline, and the saturation returns the ideal itself
+    line = Ideal(R, [x + y])
+    assert not line._sum_of_variables_is_regular()
+    assert line.saturation_at_maximal() is line
+    # depth 0: the saturation of (x^2, xy) is (x)
+    fat = Ideal(R, [x * x, x * y])
+    assert not fat._sum_of_variables_is_regular()
+    assert fat.saturation_at_maximal() == Ideal(R, [x])
+    # the zero ideal and a regular linear section are certified
+    for I in (Ideal(R, []), Ideal(R, [x])):
+        assert I._sum_of_variables_is_regular()
+        assert I.saturation_at_maximal() is I
 
 
 # -- dimension ----------------------------------------------------------------------

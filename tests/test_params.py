@@ -1,4 +1,5 @@
 import pytest
+from oracles import triangular_change
 
 from irlab import groebner
 from irlab.cohomology import socle_dimensions
@@ -201,26 +202,13 @@ def _random_monomial_artinian(R, rng):
     """Pure powers of the variables plus one to three random monomials of
     degree 2-3, and the same ideal after a random triangular change of
     coordinates (so non-monomial, with the same socle and length)."""
-    n, p = R.nvars, R.field.p
+    n = R.nvars
     expos = [tuple(1 + rng.below(3) if j == i else 0 for j in range(n))
              for i in range(n)]
     for _ in range(1 + rng.below(3)):
         monos = monomials_of_degree(n, 2 + rng.below(2))
         expos.append(monos[rng.below(len(monos))])
-    xs = R.gens()
-    forms = []
-    for i in range(n):
-        form = xs[i]
-        for j in range(i + 1, n):
-            form = form + xs[j] * rng.below(p)
-        forms.append(form)
-    moved = []
-    for expo in expos:
-        f = R.one()
-        for form, k in zip(forms, expo):
-            f = f * form ** k
-        moved.append(f)
-    return [R.monomial(e) for e in expos], moved
+    return [R.monomial(e) for e in expos], triangular_change(R, rng, expos)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])

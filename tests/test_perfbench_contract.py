@@ -1,8 +1,14 @@
-"""The benchmark tracer wraps irlab names by lookup; each must still exist."""
+"""What the benchmark relies on: the names its tracer wraps, and its reports."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
+
+from irlab import cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -27,3 +33,33 @@ def test_every_traced_name_resolves():
             elif not hasattr(module, dotted):
                 missing.append(f"{layer}.{dotted}")
     assert not missing, f"traced names gone from irlab: {missing}"
+
+
+# -- report digests -------------------------------------------------------------
+# The benchmark checks every report against a recorded SHA-256 digest; these
+# run a fast subset in process, so a changed report fails here as well.
+
+ROOT = TRACER.parent.parent
+REFERENCE = ROOT / "perfbench" / "reference.json"
+CORPUS = ROOT / "src" / "irlab" / "corpus"
+
+
+DIGEST_OPS = [("stable", "two_planes_origin", 32003), ("stable", "sqfree_15", 32003)]
+DIGEST_OPS += [("analyze", name[:-len(".json")], 2)
+               for group in ("golden", "cm_controls", "random_squarefree")
+               for name in cli.corpus_index()[group]]
+
+
+@pytest.mark.parametrize("command,spec,p", DIGEST_OPS,
+                         ids=[f"{c} {s} p={p}" for c, s, p in DIGEST_OPS])
+def test_report_digest_matches_reference(command, spec, p, tmp_path, capsys):
+    data = json.loads((CORPUS / f"{spec}.json").read_text())
+    data["characteristic"] = p
+    data.setdefault("label", spec)
+    path = tmp_path / f"{spec}_p{p}.json"
+    path.write_text(json.dumps(data, sort_keys=True, indent=1))
+    capsys.readouterr()
+    assert cli.main([command, str(path), "--seed", "0"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    reference = json.loads(REFERENCE.read_text())
+    assert digest == reference[f"{command} {spec} p={p}"]
