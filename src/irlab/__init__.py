@@ -23,8 +23,8 @@ from .modules import (FreeResolution, Module, minimalize_complex,
 from .params import (IrResult, ParameterSystem, Rng, construct_c_sop,
                      find_parameter_element, index_of_reducibility,
                      is_d_sequence, is_system_of_parameters)
-from .ring import (GREVLEX, LEX, Elimination, Poly, PrimeField, Ring,
-                   monomials_of_degree, parse_polynomial, ring)
+from .ring import (Poly, PrimeField, Ring, grevlex_key, monomials_of_degree,
+                   parse_polynomial, ring)
 from .stable import (LimitProfile, StableValueReport, formula_dim3,
                      formula_gcm, formula_seq, goto_suzuki_bound,
                      limit_profile, stability_suite, stable_value)

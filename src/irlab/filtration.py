@@ -38,12 +38,7 @@ def unmixed_component(ideal: Ideal, seed: int = 0, report: dict | None = None) -
     constraint = annihilator_data(M).product
     x = find_parameter_element(ideal, constraint, 1, Rng(seed))
     one_colon = ideal.colon_element(x)
-    K = one_colon
-    while True:
-        nxt = K.colon_element(x)
-        if nxt == K:
-            break
-        K = nxt
+    K = one_colon.saturation(x)
     if report is not None:
         report["element"] = str(x)
         report["single_colon_sufficed"] = one_colon == K

@@ -3,14 +3,17 @@
 One Buchberger, with normal selection and the classical pair criteria (no
 F4/F5), serves ideals and submodules of free modules alike: an ideal runs as
 rank-1 input, every polynomial lifted to position 0.  The chain criterion
-always applies; the product criterion only at rank 1, where it is sound.  The
-module order is position-over-term (position 0 highest), which doubles as the
-elimination device behind syzygies, intersections and colons.
+always applies; the product criterion only at rank 1, where it is sound.
+There is one monomial order, grevlex (`ring.grevlex_key`); the module order
+is position-over-term over it (position 0 highest), which doubles as the
+elimination device behind syzygies.  Every colon, intersection and
+annihilator is one `syzygy_projection`: the syzygies of [v | relations]
+read off in the coordinates of v.
 Reduction keeps its working terms in a heap on (position, descending key), so
 each step pops the next leading term instead of scanning, and one run shares
 a single per-exponent key cache across every S-pair and tail reduction.
 Every basis returned is reduced, monic and sorted, hence canonical for the
-(ideal, order) pair.
+ideal.
 
 Saturation at the maximal ideal m first tries to certify depth S/I >= 1
 (`Ideal.saturation_at_maximal`).  After x_n -> x_n - x_1 - ... - x_{n-1} the
@@ -24,7 +27,7 @@ fields), never wrong.
 
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
-variable or the `budget=` keyword).
+variable, a positive integer).
 """
 
 from __future__ import annotations
@@ -34,20 +37,25 @@ import os
 from itertools import combinations
 from operator import add
 
-from .errors import NotArtinianError, ResourceBudgetExceeded, RingMismatchError
-from .ring import GREVLEX, Elimination, Poly, Ring
+from .errors import (NotArtinianError, PreconditionError, ResourceBudgetExceeded,
+                     RingMismatchError)
+from .ring import Poly, Ring, grevlex_key
 
 DEFAULT_SPAIR_BUDGET = 200_000
 
 
 def spair_budget():
+    """S-pairs one Buchberger run may reduce: IRLAB_BUDGET when set, else the default."""
     raw = os.environ.get("IRLAB_BUDGET")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_SPAIR_BUDGET
+    if not raw:
+        return DEFAULT_SPAIR_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise PreconditionError(f"IRLAB_BUDGET must be a positive integer, not {raw!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +79,14 @@ def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _vkey_factory(key):
-    def vkey(pm):
-        return (-pm[0], key(pm[1]))
-    return vkey
+def _vkey(pm):
+    """Position-over-term key of a (position, exponent) term; position 0 highest."""
+    return (-pm[0], grevlex_key(pm[1]))
 
 
-def _desc(k):
-    """Order key k with every int negated: ascending _desc is descending order."""
-    return tuple(-x if isinstance(x, int) else _desc(x) for x in k)
+def _desc(m):
+    """Grevlex key of m with every int negated: ascending is descending grevlex."""
+    return (-sum(m), m[::-1])
 
 
 def _v_divides(a, b):
@@ -103,22 +110,21 @@ def _add_reducer(by_pos, lt, g):
     by_pos.setdefault(lt[0], []).append((lt[1], tail))
 
 
-def _v_normal_form(f, by_pos, key, dkeys, p):
+def _v_normal_form(f, by_pos, dkeys, p):
     """Fully reduced remainder of raw vector f, its terms in descending order.
 
     `by_pos` maps a position to its reducers (lead exponent, tail) in basis
     order; only reducers leading in a term's own position can divide it.
     Terms wait in a min-heap on (position, descending key); a term that
     cancels leaves `work` and its heap entry is skipped when popped.  `dkeys`
-    caches the descending key per exponent and may be shared between calls
-    under one order.
+    caches the descending key per exponent and may be shared between calls.
     """
     work = dict(f)
     heap = []
     for pos, m in work:
         d = dkeys.get(m)
         if d is None:
-            d = dkeys[m] = _desc(key(m))
+            d = dkeys[m] = _desc(m)
         heap.append((pos, d, m))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -140,7 +146,7 @@ def _v_normal_form(f, by_pos, key, dkeys, p):
                         work[kk] = (-c * gc) % p
                         d = dkeys.get(m2)
                         if d is None:
-                            d = dkeys[m2] = _desc(key(m2))
+                            d = dkeys[m2] = _desc(m2)
                         push(heap, (gp, d, m2))
                     else:
                         v = (old - c * gc) % p
@@ -162,7 +168,7 @@ def _v_monic(f, lt, p):
     return {t: (v * inv) % p for t, v in f.items()}
 
 
-def module_buchberger_raw(vecs, key, p, budget):
+def module_buchberger_raw(vecs, p):
     """Reduced Groebner basis of raw vectors under position-over-term.
 
     Only same-position pairs are formed.  The chain criterion always applies;
@@ -170,20 +176,20 @@ def module_buchberger_raw(vecs, key, p, budget):
     is unsound for modules of higher rank).  One descending-key cache serves
     every reduction of the run.
     """
-    vkey = _vkey_factory(key)
+    budget = spair_budget()
     G = [dict(v) for v in vecs if v]
     if not G:
         return []
     # Fast path: single-term vectors are a Groebner basis after minimalization.
     if all(len(g) == 1 for g in G):
         kept = []
-        for t in sorted({next(iter(g)) for g in G}, key=vkey):
+        for t in sorted({next(iter(g)) for g in G}, key=_vkey):
             if not any(_v_divides(k, t) for k in kept):
                 kept.append(t)
         return [{t: 1} for t in kept]
 
     rank1 = all(pos == 0 for g in G for pos, _ in g)
-    leads = [max(g, key=vkey) for g in G]
+    leads = [max(g, key=_vkey) for g in G]
     G = [_v_monic(g, lt, p) for g, lt in zip(G, leads)]
     by_pos: dict = {}
     for lt, g in zip(leads, G):
@@ -221,7 +227,7 @@ def module_buchberger_raw(vecs, key, p, budget):
         s = {}
         _v_sub_scaled(s, G[i], _mono_sub(lcm, li[1]), p - 1, p)
         _v_sub_scaled(s, G[j], _mono_sub(lcm, lj[1]), 1, p)
-        rem = _v_normal_form(s, by_pos, key, dkeys, p)
+        rem = _v_normal_form(s, by_pos, dkeys, p)
         if rem:
             lt = next(iter(rem))
             rem = _v_monic(rem, lt, p)
@@ -234,7 +240,7 @@ def module_buchberger_raw(vecs, key, p, budget):
                     heapq.heappush(heap, (sum(_mono_lcm(leads[t][1], lt[1])), new, t))
 
     # Minimalize: drop elements whose lead is divisible by another lead.
-    order_idx = sorted(range(len(G)), key=lambda i: vkey(leads[i]))
+    order_idx = sorted(range(len(G)), key=lambda i: _vkey(leads[i]))
     kept = []
     for i in order_idx:
         if not any(_v_divides(leads[k], leads[i]) for k in kept):
@@ -249,30 +255,27 @@ def module_buchberger_raw(vecs, key, p, budget):
     for i in kept:
         lt = leads[i]
         tail = {t: c for t, c in G[i].items() if t != lt}
-        reduced.append({lt: 1, **_v_normal_form(tail, by_pos, key, dkeys, p)})
-    reduced.sort(key=lambda g: vkey(next(iter(g))))
+        reduced.append({lt: 1, **_v_normal_form(tail, by_pos, dkeys, p)})
+    reduced.sort(key=lambda g: _vkey(next(iter(g))))
     return reduced
 
 
 class ModuleGB:
     """Reduced Groebner basis of a submodule of a rank-r free module."""
 
-    __slots__ = ("ring", "rank", "order", "elements", "leads", "_by_pos")
+    __slots__ = ("ring", "rank", "elements", "leads", "_by_pos")
 
-    def __init__(self, ring_: Ring, rank: int, order, raw_elements):
+    def __init__(self, ring_: Ring, rank: int, raw_elements):
         self.ring = ring_
         self.rank = rank
-        self.order = order
         self.elements = tuple(raw_elements)
-        vkey = _vkey_factory(order.key)
-        self.leads = tuple(max(g, key=vkey) for g in raw_elements)
+        self.leads = tuple(max(g, key=_vkey) for g in raw_elements)
         self._by_pos: dict = {}
         for lt, g in zip(self.leads, self.elements):
             _add_reducer(self._by_pos, lt, g)
 
     def normal_form(self, raw_vec):
-        return _v_normal_form(raw_vec, self._by_pos, self.order.key, {},
-                              self.ring.field.p)
+        return _v_normal_form(raw_vec, self._by_pos, {}, self.ring.field.p)
 
     def contains(self, raw_vec) -> bool:
         return not self.normal_form(raw_vec)
@@ -281,10 +284,8 @@ class ModuleGB:
         return len(self.elements)
 
 
-def module_groebner(vecs, rank, ring_: Ring, order=None, budget=None) -> ModuleGB:
-    order = order or ring_.order
-    raw = module_buchberger_raw(vecs, order.key, ring_.field.p, budget or spair_budget())
-    return ModuleGB(ring_, rank, order, raw)
+def module_groebner(vecs, rank, ring_: Ring) -> ModuleGB:
+    return ModuleGB(ring_, rank, module_buchberger_raw(vecs, ring_.field.p))
 
 
 def _lift(f: Poly):
@@ -293,18 +294,17 @@ def _lift(f: Poly):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of an ideal, bound to a ring and an order.
+    """Reduced Groebner basis of an ideal, bound to a ring.
 
     A view of the rank-1 module basis: `elements` are Polys, `leads` their
     lead exponents.
     """
 
-    __slots__ = ("ring", "order", "elements", "leads", "_module")
+    __slots__ = ("ring", "elements", "leads", "_module")
 
-    def __init__(self, ring_: Ring, order, raw_vecs):
+    def __init__(self, ring_: Ring, raw_vecs):
         self.ring = ring_
-        self.order = order
-        self._module = ModuleGB(ring_, 1, order, raw_vecs)
+        self._module = ModuleGB(ring_, 1, raw_vecs)
         self.elements = tuple(Poly(ring_, {m: c for (_, m), c in v.items()})
                               for v in raw_vecs)
         self.leads = tuple(lt[1] for lt in self._module.leads)
@@ -329,7 +329,7 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def buchberger(gens, order=None, budget=None) -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`."""
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -339,28 +339,23 @@ def buchberger(gens, order=None, budget=None) -> GroebnerBasis:
     for g in polys:
         if g.ring is not R:
             raise RingMismatchError("generators over different rings")
-    order = order or R.order
-    raw = module_buchberger_raw([_lift(g) for g in polys], order.key, R.field.p,
-                                budget or spair_budget())
-    return GroebnerBasis(R, order, raw)
+    return GroebnerBasis(R, module_buchberger_raw([_lift(g) for g in polys], R.field.p))
 
 
-def syzygies_raw(vecs, rank, ring_: Ring, order=None):
+def syzygies_raw(vecs, rank, ring_: Ring):
     """Generators of the syzygy module of `vecs` (raw vectors of rank `rank`).
 
     Works in rank + len(vecs): the graph vectors (v_i, e_i) are fed to a
     position-over-term basis computation, and the basis elements supported
     entirely on the tag positions are exactly the syzygies.
     """
-    order = order or ring_.order
-    r = len(vecs)
     zero_expo = (0,) * ring_.nvars
     graph = []
     for i, v in enumerate(vecs):
         g = dict(v)
         g[(rank + i, zero_expo)] = 1
         graph.append(g)
-    gb = module_buchberger_raw(graph, order.key, ring_.field.p, spair_budget())
+    gb = module_buchberger_raw(graph, ring_.field.p)
     out = []
     for g in gb:
         if all(pos >= rank for pos, _ in g):
@@ -368,13 +363,36 @@ def syzygies_raw(vecs, rank, ring_: Ring, order=None):
     return out
 
 
-def syzygies(polys, order=None):
+def syzygies(polys):
     """Syzygy module of a list of polynomials, as raw vectors of rank len(polys)."""
     polys = list(polys)
     if not polys:
         return []
     R = polys[0].ring
-    return syzygies_raw([_lift(f) for f in polys], 1, R, order)
+    return syzygies_raw([_lift(f) for f in polys], 1, R)
+
+
+def syzygy_projection(vs, relations, rank, ring_: Ring):
+    """Coordinates on `vs` of the syzygies of [vs | relations], zero ones dropped.
+
+    These generate {c : sum_i c_i vs_i lies in span(relations)}, the colon of
+    span(relations) by the vs.  Position-over-term puts the vs' tag positions
+    first, so the syzygies that touch them lead there and project to a Groebner
+    basis of that colon; for a single v it is the reduced basis, in order.
+    """
+    t = len(vs)
+    out = []
+    for s in syzygies_raw(list(vs) + list(relations), rank, ring_):
+        proj = {(pos, m): c for (pos, m), c in s.items() if pos < t}
+        if proj:
+            out.append(proj)
+    return out
+
+
+def vector_colon(v, relations, rank, ring_: Ring) -> "Ideal":
+    """{f : f v lies in span(relations)} for one raw vector v of rank `rank`."""
+    return Ideal(ring_, [Poly(ring_, {m: c for (_, m), c in s.items()})
+                         for s in syzygy_projection([v], relations, rank, ring_)])
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +417,16 @@ class Ideal:
             if not g.is_zero() and g not in seen:
                 seen.append(g)
         self.gens = tuple(seen)
-        self._gb = {}
+        self._gb = None
         self._dim = None
         self._mingens = None
         self._msat = None
 
     # -- basics ---------------------------------------------------------------
-    def groebner(self, order=None) -> GroebnerBasis:
-        order = order or self.ring.order
-        ck = (order.kind, getattr(order, "block", None))
-        gb = self._gb.get(ck)
-        if gb is None:
-            if not self.gens:
-                gb = GroebnerBasis(self.ring, order, [])
-            else:
-                gb = buchberger(self.gens, order)
-            self._gb[ck] = gb
-        return gb
+    def groebner(self) -> GroebnerBasis:
+        if self._gb is None:
+            self._gb = buchberger(self.gens) if self.gens else GroebnerBasis(self.ring, [])
+        return self._gb
 
     def contains(self, f: Poly) -> bool:
         return self.groebner().contains(f)
@@ -476,40 +487,16 @@ class Ideal:
         return out
 
     def intersect(self, other):
-        """Intersection via a single auxiliary elimination variable."""
+        """The intersection, as the scalar colon of I e_0 (+) J e_1 by e_0 + e_1."""
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, [])
-        R = self.ring
-        E = R.extended(("#t",))
-        t = E.variable(0)
-        one = E.one()
-
-        def lift(f):
-            return E.from_terms({(0,) + m: c for m, c in f.terms.items()})
-
-        gens = [t * lift(f) for f in self.gens]
-        gens += [(one - t) * lift(g) for g in other.gens]
-        gb = buchberger(gens, order=Elimination(1))
-        kept = []
-        for g in gb.elements:
-            if all(m[0] == 0 for m in g.terms):
-                kept.append(R.from_terms({m[1:]: c for m, c in g.terms.items()}))
-        return Ideal(R, kept)
+        zero = (0,) * self.ring.nvars
+        rels = [_lift(f) for f in self.gens]
+        rels += [{(1, m): c for m, c in g.terms.items()} for g in other.gens]
+        return vector_colon({(0, zero): 1, (1, zero): 1}, rels, 2, self.ring)
 
     def colon_element(self, f: Poly):
-        """(I : f) by the syzygy method: relations of [f | gens] in the first slot."""
-        if f.is_zero():
-            return Ideal(self.ring, [self.ring.one()])
-        if self.is_zero():
-            return Ideal(self.ring, [])
-        syz = syzygies([f] + list(self.gens))
-        out = []
-        for s in syz:
-            coeff = {m: c for (pos, m), c in s.items() if pos == 0}
-            if coeff:
-                out.append(Poly(self.ring, coeff))
-        return Ideal(self.ring, out)
+        """(I : f), the colon by the principal ideal (f)."""
+        return self.colon(f)
 
     def colon(self, other):
         """(I : J) in one syzygy run: f with f*g in I for every generator g of J.
@@ -519,23 +506,11 @@ class Ideal:
         """
         other = self._coerce(other)
         if not other.gens:
-            return Ideal(self.ring, [self.ring.one()])
-        if len(other.gens) == 1:
-            return self.colon_element(other.gens[0])
-        k = len(other.gens)
-        diag = {}
-        for t, g in enumerate(other.gens):
-            for m, c in g.terms.items():
-                diag[(t, m)] = c
+            return unit_ideal(self.ring)
+        diag = {(t, m): c for t, g in enumerate(other.gens) for m, c in g.terms.items()}
         rels = [{(t, m): c for m, c in g.terms.items()}
-                for t in range(k) for g in self.gens]
-        syz = syzygies_raw([diag] + rels, k, self.ring)
-        out = []
-        for s in syz:
-            comp = {m: c for (pos, m), c in s.items() if pos == 0}
-            if comp:
-                out.append(Poly(self.ring, comp))
-        return Ideal(self.ring, out)
+                for t in range(len(other.gens)) for g in self.gens]
+        return vector_colon(diag, rels, len(other.gens), self.ring)
 
     def saturation(self, other):
         """(I : other^infinity), by iterating the colon to a fixpoint."""
@@ -589,7 +564,7 @@ class Ideal:
                     powers.append(powers[-1] * shifted)
                 f = f + powers[m[-1]].term_mul(m[:-1] + (0,), c)
             moved.append(f)
-        return not any(m[-1] for m in buchberger(moved, order=GREVLEX).leads)
+        return not any(m[-1] for m in buchberger(moved).leads)
 
     # -- combinatorics of the initial ideal ------------------------------------
     def krull_dimension(self) -> int:
@@ -639,7 +614,7 @@ class Ideal:
         return True
 
     def standard_monomials(self, degree_bound=None):
-        """Monomials outside the initial ideal, ascending in the active order.
+        """Monomials outside the initial ideal, ascending in grevlex.
 
         With no bound the quotient must be Artinian (NotArtinianError otherwise);
         the result is then the full finite monomial basis of S/I.
@@ -647,7 +622,7 @@ class Ideal:
         if degree_bound is None and not self.is_artinian_quotient():
             raise NotArtinianError("quotient is not Artinian; pass a degree bound")
         levels = standard_levels(self.groebner().leads, self.ring.nvars, degree_bound)
-        return sorted((m for _, level in levels for m in level), key=self.ring.order.key)
+        return sorted((m for _, level in levels for m in level), key=grevlex_key)
 
     def minimal_generators(self):
         """A minimal generating set, by greedy redundancy pruning (homogeneous input).
@@ -656,7 +631,7 @@ class Ideal:
         """
         if self._mingens is not None:
             return self._mingens
-        gens = sorted(self.gens, key=lambda g: (g.degree(), self.ring.order.key(g.lead_monomial())))
+        gens = sorted(self.gens, key=lambda g: (g.degree(), grevlex_key(g.lead_monomial())))
         if self.is_monomial():
             monos = [next(iter(g.terms)) for g in gens]
             kept = []

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import (Ideal, _divides, module_groebner, standard_levels,
-                       syzygies_raw, unit_ideal)
+                       syzygies_raw, syzygy_projection, unit_ideal, vector_colon)
 from .linalg import SpanTracker
-from .ring import Poly, Ring, monomials_of_degree
+from .ring import Ring, monomials_of_degree
 
 _CYCLIC_CACHE: dict = {}
 
@@ -62,6 +62,15 @@ def vec_sub(a, b, p):
 
 def vec_component(vec, pos):
     return {m: c for (q, m), c in vec.items() if q == pos}
+
+
+def transpose(columns, rank):
+    """Rows of the matrix whose columns are the raw vectors `columns` (rank `rank`)."""
+    rows = [{} for _ in range(rank)]
+    for cidx, column in enumerate(columns):
+        for (pos, m), c in column.items():
+            rows[pos][(cidx, m)] = c
+    return rows
 
 
 def vec_drop_position(vec, pos):
@@ -338,36 +347,18 @@ class Module:
             return out
         dual_shifts = tuple(-s for s in res.shifts[j])
         rank_j = len(res.shifts[j])
-        # Kernel of the dualized outgoing map (transpose of d_{j+1}).
+        # Kernel of the dualized outgoing map (transpose of d_{j+1}); syzygy
+        # coordinates line up with the basis of F_j*.
         if j < length:
-            cols_out = res.diffs[j]  # columns of F_{j+1} -> F_j
-            rank_next = len(res.shifts[j + 1])
-            transpose_cols = []
-            for r in range(rank_j):
-                col = {}
-                for cidx, column in enumerate(cols_out):
-                    for (pos, m), c in column.items():
-                        if pos == r:
-                            col[(cidx, m)] = c
-                transpose_cols.append(col)
-            kernel = syzygies_raw(transpose_cols, rank_next, self.ring)
-            # syzygy coordinates line up with F_j* basis vectors
+            kernel = syzygies_raw(transpose(res.diffs[j], rank_j),
+                                  len(res.shifts[j + 1]), self.ring)
         else:
             zero = (0,) * n
             kernel = [{(r, zero): 1} for r in range(rank_j)]
-        # Image of the dualized incoming map (transpose of d_j).
+        # Image of the dualized incoming map (transpose of d_j), empty columns dropped.
         image = []
         if j >= 1:
-            cols_in = res.diffs[j - 1]  # columns of F_j -> F_{j-1}
-            rank_prev = len(res.shifts[j - 1])
-            for r in range(rank_prev):
-                col = {}
-                for cidx, column in enumerate(cols_in):
-                    for (pos, m), c in column.items():
-                        if pos == r:
-                            col[(cidx, m)] = c
-                if col:
-                    image.append(col)
+            image = [c for c in transpose(res.diffs[j - 1], len(res.shifts[j - 1])) if c]
         out = module_subquotient(kernel, image, rank_j, dual_shifts, self.ring)
         self._ext[j] = out
         return out
@@ -384,14 +375,7 @@ class Module:
         zero = (0,) * self.ring.nvars
         ann = None
         for i in range(len(shifts)):
-            basis_vec = {(i, zero): 1}
-            syz = syzygies_raw([basis_vec] + list(rels), len(shifts), self.ring)
-            coeffs = []
-            for s in syz:
-                comp = vec_component(s, 0)
-                if comp:
-                    coeffs.append(Poly(self.ring, comp))
-            colon = Ideal(self.ring, coeffs)
+            colon = vector_colon({(i, zero): 1}, rels, len(shifts), self.ring)
             ann = colon if ann is None else ann.intersect(colon)
             if ann.is_zero():
                 break
@@ -489,14 +473,7 @@ def module_subquotient(gens, image, ambient_rank, ambient_shifts, ring_: Ring) -
     if not gens:
         return Module(ring_, (), [], check=False)
     degs = [vec_degree(g, ambient_shifts) for g in gens]
-    combined = list(gens) + list(image)
-    syz = syzygies_raw(combined, ambient_rank, ring_)
-    t = len(gens)
-    rels = []
-    for s in syz:
-        proj = {(pos, m): c for (pos, m), c in s.items() if pos < t}
-        if proj:
-            rels.append(proj)
+    rels = syzygy_projection(gens, image, ambient_rank, ring_)
     M = Module(ring_, tuple(degs), rels)
     shifts, min_rels = M.minimal_presentation()
     return Module(ring_, shifts, min_rels, check=False)

@@ -1,4 +1,4 @@
-"""Prime fields, monomial orders, multivariate polynomials, parsing and printing.
+"""Prime fields, the grevlex order, multivariate polynomials, parsing and printing.
 
 Monomials are dense exponent tuples (one slot per ambient variable).  A
 polynomial is a map from exponent tuples to nonzero field elements; the zero
@@ -51,18 +51,6 @@ class PrimeField:
         check_characteristic(p)
         self.p = p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in prime field")
@@ -79,83 +67,30 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Monomial orders.  Each order vends a sort key: bigger key == bigger monomial.
-# All three are global orders (1 is minimal) and multiplicative.
+# The one monomial order: graded reverse lexicographic, variables in ring
+# order (x_1 > ... > x_n).  Bigger key == bigger monomial.
 
-def _grevlex_key(expo):
+def grevlex_key(expo):
     return (sum(expo), tuple(-e for e in reversed(expo)))
 
-
-class GrevLex:
-    """Graded reverse lexicographic order (the default everywhere)."""
-
-    kind = "grevlex"
-    __slots__ = ()
-
-    def key(self, expo):
-        return _grevlex_key(expo)
-
-    def __repr__(self):
-        return "grevlex"
-
-
-class Lex:
-    kind = "lex"
-    __slots__ = ()
-
-    def key(self, expo):
-        return tuple(expo)
-
-    def __repr__(self):
-        return "lex"
-
-
-class Elimination:
-    """Block order splitting off the first `block` variables (each block grevlex).
-
-    Any monomial involving a block variable is larger than any monomial free of
-    them, so discarding basis elements whose lead involves the block eliminates
-    those variables.
-    """
-
-    kind = "elimination"
-    __slots__ = ("block",)
-
-    def __init__(self, block: int):
-        self.block = block
-
-    def key(self, expo):
-        b = self.block
-        return (_grevlex_key(expo[:b]), _grevlex_key(expo[b:]))
-
-    def __repr__(self):
-        return f"elimination({self.block})"
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
-
-
-# ---------------------------------------------------------------------------
 
 _RING_CACHE: dict = {}
 
 
 class Ring:
-    """Ambient polynomial ring: a prime field, ordered variable names, an order.
+    """Ambient polynomial ring: a prime field and ordered variable names.
 
     Instances are interned: `ring(...)` with equal arguments returns the same
     object, so identity comparison is safe.
     """
 
-    __slots__ = ("field", "variables", "order", "nvars", "_var_index")
+    __slots__ = ("field", "variables", "nvars", "_var_index")
 
-    def __init__(self, variables, field, order):
+    def __init__(self, variables, field):
         self.field = field
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
-        self.order = order
         self.nvars = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
 
@@ -196,20 +131,15 @@ class Ring:
     def parse(self, text):
         return parse_polynomial(text, self)
 
-    # -- derived rings -------------------------------------------------------
-    def extended(self, extra_front):
-        """Ring with `extra_front` fresh variables prepended (for elimination)."""
-        return ring(tuple(extra_front) + self.variables, self.field.p, self.order)
-
     def __repr__(self):
         return f"F{self.field.p}[{','.join(self.variables)}]"
 
 
-def ring(variables, p: int = DEFAULT_CHARACTERISTIC, order=GREVLEX) -> Ring:
-    key = (tuple(variables), p, order.kind, getattr(order, "block", None))
+def ring(variables, p: int = DEFAULT_CHARACTERISTIC) -> Ring:
+    key = (tuple(variables), p)
     R = _RING_CACHE.get(key)
     if R is None:
-        R = Ring(variables, PrimeField(p), order)
+        R = Ring(variables, PrimeField(p))
         _RING_CACHE[key] = R
     return R
 
@@ -252,22 +182,8 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) == 1
 
-    def lead_monomial(self, order=None):
-        order = order or self.ring.order
-        return max(self.terms, key=order.key)
-
-    def lead_coefficient(self, order=None):
-        return self.terms[self.lead_monomial(order)]
-
-    def monic(self, order=None):
-        if not self.terms:
-            return self
-        c = self.lead_coefficient(order)
-        if c == 1:
-            return self
-        inv = self.ring.field.inv(c)
-        p = self.ring.field.p
-        return Poly(self.ring, {m: (v * inv) % p for m, v in self.terms.items()})
+    def lead_monomial(self):
+        return max(self.terms, key=grevlex_key)
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other):
@@ -363,8 +279,8 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Canonical printing: terms in descending order under the ring's active order,
-# explicit `*` products, `^` powers, balanced coefficient representatives.
+# Canonical printing: terms in descending grevlex order, explicit `*` products,
+# `^` powers, balanced coefficient representatives.
 
 def _monomial_str(expo, variables):
     parts = []
@@ -381,9 +297,8 @@ def format_polynomial(f: Poly) -> str:
         return "0"
     ringv = f.ring.variables
     half = f.ring.field.p // 2
-    key = f.ring.order.key
     pieces = []
-    for expo in sorted(f.terms, key=key, reverse=True):
+    for expo in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[expo]
         signed = c if c <= half else c - f.ring.field.p
         mono = _monomial_str(expo, ringv)
@@ -530,5 +445,5 @@ def monomials_of_degree(nvars: int, d: int):
         for i in combo:
             expo[i] += 1
         out.append(tuple(expo))
-    out.sort(key=_grevlex_key)
+    out.sort(key=grevlex_key)
     return out

@@ -219,5 +219,16 @@ def test_characteristic_outside_range_is_input_error(char, tmp_path, capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
+def test_malformed_budget_is_input_error(spec_file, capsys, monkeypatch, raw):
+    # "abc" and "1.5" used to fall back to the default budget, "0" and "-3"
+    # to clamp to 1; each now stops the command at its first Groebner run.
+    monkeypatch.setenv("IRLAB_BUDGET", raw)
+    code, out, err = run(capsys, "analyze", spec_file)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: IRLAB_BUDGET") and err.count("\n") == 1
+
+
 def test_largest_supported_characteristic_loads():
     assert load_ring_spec(PLANE_LINE | {"characteristic": 2**31 - 1}).characteristic == 2**31 - 1

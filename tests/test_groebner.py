@@ -6,8 +6,9 @@ from irlab.errors import NotArtinianError, ResourceBudgetExceeded
 from irlab.groebner import (Ideal, _divides, buchberger, maximal_ideal,
                             module_groebner, standard_levels, syzygies,
                             unit_ideal)
+from irlab.modules import Module
 from irlab.params import Rng
-from irlab.ring import GREVLEX, LEX, Elimination, monomials_of_degree, ring
+from irlab.ring import grevlex_key, monomials_of_degree, ring
 
 
 def random_homogeneous(R, rng, degree):
@@ -91,14 +92,15 @@ def test_reduced_basis_unique_under_permutation(R3):
 def test_budget_guard(R3, monkeypatch):
     x, y, z = R3.gens()
     gens = [x ** 3 - y * z * z, y ** 3 - x * z * z, z ** 3 - x * y * y]
-    with pytest.raises(ResourceBudgetExceeded):
-        buchberger(gens, budget=1)
     vecs = [{(0, m): c for m, c in g.terms.items()} | {(1, (0, 0, 0)): 1} for g in gens]
-    with pytest.raises(ResourceBudgetExceeded):
-        module_groebner(vecs, 2, R3, budget=1)
     monkeypatch.setenv("IRLAB_BUDGET", "1")
     with pytest.raises(ResourceBudgetExceeded):
+        buchberger(gens)
+    with pytest.raises(ResourceBudgetExceeded):
+        module_groebner(vecs, 2, R3)
+    with pytest.raises(ResourceBudgetExceeded):
         Ideal(R3, gens).groebner()
+
 
 
 # -- normal form ------------------------------------------------------------------
@@ -133,11 +135,11 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX, Elimination(1)], ids=repr)
-def test_normal_form_on_every_order(R3, order):
+def test_normal_form_is_reduced_and_canonical(R3):
     x, y, z = R3.gens()
     gens = [x * x - y * z, y * y - x * z]
-    gb = buchberger(gens, order=order)
+    gb = buchberger(gens)
+    assert gb.leads == tuple(max(g.terms, key=grevlex_key) for g in gb.elements)
     rng = Rng(5)
     for _ in range(8):
         deg = 2 + rng.below(3)
@@ -165,7 +167,7 @@ def test_module_normal_form_rank_two(R3):
              for _ in range(5)}
         nf = gb.normal_form(f)
         # Terms come out descending in position-over-term, lead first.
-        assert list(nf) == sorted(nf, key=lambda t: (-t[0], R3.order.key(t[1])),
+        assert list(nf) == sorted(nf, key=lambda t: (-t[0], grevlex_key(t[1])),
                                   reverse=True)
         assert not any(q == pos and _divides(lm, m)
                        for q, lm in gb.leads for pos, m in nf)
@@ -236,6 +238,49 @@ def test_intersection_contains_product_and_sits_in_both(R3):
             assert A.contains(g) and B.contains(g)
         for g in A.product(B).gens:
             assert inter.contains(g)
+
+
+def test_intersection_dimension_inclusion_exclusion(R3):
+    # dim (S/(A n B))_d = dim (S/A)_d + dim (S/B)_d - dim (S/(A+B))_d, with every
+    # dimension counted by linear algebra in degrees <= 4, no Groebner basis.
+    rng = Rng(43)
+    checked = 0
+    while checked < 6:
+        A = Ideal(R3, [random_homogeneous(R3, rng, 1 + rng.below(2)) for _ in range(2)])
+        B = Ideal(R3, [random_homogeneous(R3, rng, 1 + rng.below(2)) for _ in range(2)])
+        if A.is_zero() or B.is_zero():
+            continue
+        inter = A.intersect(B)
+        for g in inter.gens:
+            assert A.contains(g) and B.contains(g)
+        for d in range(5):
+            want = (quotient_dimension_bruteforce(A.gens, R3, d)
+                    + quotient_dimension_bruteforce(B.gens, R3, d)
+                    - quotient_dimension_bruteforce(A.gens + B.gens, R3, d))
+            assert quotient_dimension_bruteforce(inter.gens, R3, d) == want
+        checked += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_colons_and_intersections_come_out_as_reduced_bases(p):
+    # Each route projects a position-over-term basis onto its leading
+    # coordinate, which leaves the reduced grevlex basis of the result, in the
+    # order and with the term order that `groebner()` produces.
+    rng = Rng(p + 5)
+    R = ring(("x", "y", "z"), p)
+
+    def rand_vec(degree):
+        return {(pos, m): c for pos in range(2)
+                for m, c in random_homogeneous(R, rng, degree).terms.items()}
+
+    for _ in range(6):
+        I = Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(3)) for _ in range(3)])
+        J = Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(2)) for _ in range(2)])
+        f = random_homogeneous(R, rng, 1 + rng.below(2))
+        M = Module(R, (0, 0), [rand_vec(1 + rng.below(2)) for _ in range(3)])
+        for X in (I.colon(J), I.colon_element(f), I.intersect(J), M.annihilator()):
+            assert [list(g.terms.items()) for g in X.gens] \
+                == [list(g.terms.items()) for g in X.groebner().elements]
 
 
 def test_saturation_stabilizes(R3):
