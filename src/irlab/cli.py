@@ -236,7 +236,7 @@ def cmd_ir(args) -> int:
         }
     else:
         system = construct_c_sop(ideal, args.min_degree, args.seed)
-        result = index_of_reducibility(list(system), ideal)
+        result = index_of_reducibility(system, ideal)
         report["diagnostics"]["ir"] = {
             "certificate": system.to_payload(),
             **result.to_payload(),

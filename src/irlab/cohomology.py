@@ -85,7 +85,36 @@ def _least_power_inside(target: Ideal, cap: int = 64) -> int | None:
     return None
 
 
+def _ann_h0(I: Ideal) -> Ideal:
+    """Ann H^0 of S/I, which is (I : sat I) for sat I the saturation at m.
+
+    The finite-length part is sat(I)/I, so no Ext computation is needed; the
+    duality route Ann Ext^n must agree, and is cross-checked in tests.  First
+    K = I : l^infinity, l the sum of the variables, is read off one grevlex
+    basis (Ideal._sum_of_variables_saturation).  K contains sat I, and equals
+    it exactly when A = I : K is m-primary or the unit ideal (then K/I has
+    finite length); A is then the answer, and K = I gives the unit ideal
+    with no colon at all.  Otherwise l lies in an associated prime other
+    than m, and the colon runs against the minimal generators of the full
+    saturation.
+    """
+    K = I._sum_of_variables_saturation()
+    if K is I:
+        return unit_ideal(I.ring)
+    if K is not None:
+        A = I.colon(K)
+        if A.is_unit() or A.krull_dimension() == 0:
+            return A
+    sat = I.saturation_at_maximal()
+    if sat == I:
+        return unit_ideal(I.ring)
+    return I.colon(Ideal(I.ring, sat.minimal_generators()))
+
+
 def annihilator_data(M: Module) -> AnnihilatorData:
+    """Annihilators of H^0..H^{d-1} and their product; cached on the module."""
+    if M._ann_data is not None:
+        return M._ann_data
     if M.is_zero():
         raise ZeroModuleError("annihilator data of the zero module")
     d = M.dim()
@@ -95,17 +124,7 @@ def annihilator_data(M: Module) -> AnnihilatorData:
     anns = []
     for i in range(d):
         if i == 0 and M.cyclic_ideal is not None:
-            # Ann H^0 = (I : saturation of I): the finite-length part is
-            # sat(I)/I, so no Ext computation is needed for this slot.  The
-            # duality route Ann Ext^n must agree, and is cross-checked in tests.
-            # Most stage quotients have depth >= 1; one grevlex basis certifies
-            # that exactly (see Ideal.saturation_at_maximal), and then H^0 = 0.
-            # Otherwise the colon runs against sat's minimal generators, not
-            # the long generator list the colon iteration leaves behind.
-            I = M.cyclic_ideal
-            sat = I.saturation_at_maximal()
-            anns.append(unit_ideal(M.ring) if sat == I
-                        else I.colon(Ideal(M.ring, sat.minimal_generators())))
+            anns.append(_ann_h0(M.cyclic_ideal))
             continue
         E = M.ext(n - i)
         anns.append(unit_ideal(M.ring) if E.is_zero() else E.annihilator())
@@ -125,7 +144,8 @@ def annihilator_data(M: Module) -> AnnihilatorData:
                 break
             candidates.append(k)
         n0 = max(candidates) if candidates is not None else None
-    return AnnihilatorData(tuple(anns), product, n0)
+    M._ann_data = AnnihilatorData(tuple(anns), product, n0)
+    return M._ann_data
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,9 @@ def is_generalized_cm(M: Module) -> bool:
 
 
 def cm_flags(M: Module) -> CmFlags:
-    """Cohen-Macaulay, generalized-CM, and unmixedness of a nonzero module."""
+    """Cohen-Macaulay, generalized-CM, and unmixedness of a nonzero module; cached."""
+    if M._flags is not None:
+        return M._flags
     if M.is_zero():
         raise ZeroModuleError("flags of the zero module")
     d = M.dim()
@@ -161,7 +183,8 @@ def cm_flags(M: Module) -> CmFlags:
     else:
         from .filtration import module_is_unmixed
         unmixed = module_is_unmixed(M)
-    return CmFlags(is_cm, gcm, unmixed)
+    M._flags = CmFlags(is_cm, gcm, unmixed)
+    return M._flags
 
 
 # ---------------------------------------------------------------------------

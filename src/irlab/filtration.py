@@ -108,7 +108,7 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
     if d == 0:
         return DimensionFiltration(ideal, (), (), 0)
     ann = annihilator_data(M)
-    chain = [ideal.saturation_at_maximal()]  # cached by annihilator_data
+    chain = [ideal.saturation_at_maximal()]  # reuses the H^0 slot's certificate basis
     for s in range(1, d):
         chain.append(chain[-1].saturation(ann[s]))
     kept = [chain[0]]

@@ -8,22 +8,28 @@ There is one monomial order, grevlex (`ring.grevlex_key`); the module order
 is position-over-term over it (position 0 highest), which doubles as the
 elimination device behind syzygies.  Every colon, intersection and
 annihilator is one `syzygy_projection`: the syzygies of [v | relations]
-read off in the coordinates of v.
+read off in the coordinates of v.  That projection is the reduced basis of
+the result, so the result carries it and Buchberger never runs on it again.
+`Ideal.colon` gives no block to a generator that I already contains, since
+I : g = S for g in I.
 Reduction keeps its working terms in a heap on (position, descending key), so
 each step pops the next leading term instead of scanning, and one run shares
 a single per-exponent key cache across every S-pair and tail reduction.
 Every basis returned is reduced, monic and sorted, hence canonical for the
 ideal.
 
-Saturation at the maximal ideal m first tries to certify depth S/I >= 1
-(`Ideal.saturation_at_maximal`).  After x_n -> x_n - x_1 - ... - x_{n-1} the
-form l = x_1 + ... + x_n becomes x_n, and for a homogeneous ideal J in grevlex
-with x_n last, in(J : x_n) = in(J) : x_n (Bayer & Stillman 1987).  So one
-basis decides exactly whether l is a nonzerodivisor: J : x_n = J when no lead
-involves x_n.  A nonzerodivisor means I is saturated, and I itself is
-returned; otherwise the colon iteration runs.  The test is one-sided for
-depth (l may lie in an associated prime though depth >= 1, notably over small
-fields), never wrong.
+One grevlex basis gives K = I : l^infinity for l = x_1 + ... + x_n
+(`Ideal._sum_of_variables_saturation`, cached).  After x_n -> x_n - x_1 -
+... - x_{n-1} the form l becomes x_n, and for a homogeneous ideal J in grevlex
+with x_n last, dividing each reduced-basis element by its highest power of
+x_n gives a basis of J : x_n^infinity (Bayer & Stillman 1987); moving back
+gives K.  K = I exactly when l is a nonzerodivisor, which certifies depth
+S/I >= 1: then `Ideal.saturation_at_maximal` returns I itself without any
+colon, and otherwise runs the colon iteration.  K always contains the
+saturation at m, and equals it exactly when I : K is m-primary or the unit
+ideal, which is how the H^0 slot of `cohomology.annihilator_data` reads
+I : sat from K and falls back to the saturation only when l lies in an
+associated prime other than m (notably over small fields).
 
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
@@ -390,9 +396,15 @@ def syzygy_projection(vs, relations, rank, ring_: Ring):
 
 
 def vector_colon(v, relations, rank, ring_: Ring) -> "Ideal":
-    """{f : f v lies in span(relations)} for one raw vector v of rank `rank`."""
-    return Ideal(ring_, [Poly(ring_, {m: c for (_, m), c in s.items()})
-                         for s in syzygy_projection([v], relations, rank, ring_)])
+    """{f : f v lies in span(relations)} for one raw vector v of rank `rank`.
+
+    The projection is the reduced basis of the result, in order, so the ideal
+    carries it as its basis and never runs Buchberger on it again.
+    """
+    gb = GroebnerBasis(ring_, syzygy_projection([v], relations, rank, ring_))
+    out = Ideal(ring_, gb.elements)
+    out._gb = gb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +416,7 @@ class Ideal:
     bases, dimensions and generator prunings are cached on the instance.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_dim", "_mingens", "_msat", "__weakref__")
+    __slots__ = ("ring", "gens", "_gb", "_dim", "_mingens", "_msat", "_lsat", "__weakref__")
 
     def __init__(self, ring_: Ring, gens):
         self.ring = ring_
@@ -421,6 +433,7 @@ class Ideal:
         self._dim = None
         self._mingens = None
         self._msat = None
+        self._lsat = None
 
     # -- basics ---------------------------------------------------------------
     def groebner(self) -> GroebnerBasis:
@@ -503,14 +516,17 @@ class Ideal:
 
         Realized as the scalar colon of the block module (+)_t I e_t by the
         diagonal vector (g_1, ..., g_k); no auxiliary intersections needed.
+        A generator g that I contains gives I : g = S, so it gets no block.
         """
         other = self._coerce(other)
-        if not other.gens:
+        gb = self.groebner()
+        gens = [g for g in other.gens if not gb.contains(g)]
+        if not gens:
             return unit_ideal(self.ring)
-        diag = {(t, m): c for t, g in enumerate(other.gens) for m, c in g.terms.items()}
+        diag = {(t, m): c for t, g in enumerate(gens) for m, c in g.terms.items()}
         rels = [{(t, m): c for m, c in g.terms.items()}
-                for t in range(len(other.gens)) for g in self.gens]
-        return vector_colon(diag, rels, len(other.gens), self.ring)
+                for t in range(len(gens)) for g in self.gens]
+        return vector_colon(diag, rels, len(gens), self.ring)
 
     def saturation(self, other):
         """(I : other^infinity), by iterating the colon to a fixpoint."""
@@ -540,31 +556,44 @@ class Ideal:
     def _sum_of_variables_is_regular(self) -> bool:
         """Whether l = x_1 + ... + x_n is a nonzerodivisor on S/I, I homogeneous.
 
+        False for inhomogeneous input, which it does not decide.
+        """
+        return self._sum_of_variables_saturation() is self
+
+    def _sum_of_variables_saturation(self):
+        """(I : l^infinity) for l = x_1 + ... + x_n and homogeneous I; cached.
+
         The substitution x_n -> x_n - x_1 - ... - x_{n-1} sends l to x_n.  For
-        homogeneous J and grevlex with x_n last, in(J : x_n) = in(J) : x_n
-        (Bayer-Stillman), so J : x_n = J exactly when no reduced-basis lead
-        involves x_n.  False for inhomogeneous input, which it does not decide.
+        homogeneous J and grevlex with x_n last, dividing each reduced-basis
+        element by its highest power of x_n gives a basis of J : x_n^infinity
+        (Bayer-Stillman); the elements x_n does not divide lie in J.  So I
+        itself comes back exactly when no lead involves x_n, and otherwise I
+        plus the quotients, moved back.  None for inhomogeneous input or no
+        variables.
         """
         R = self.ring
         n = R.nvars
         if n == 0 or not all(g.is_homogeneous() for g in self.gens):
-            return False
-        if not self.gens:
-            return True  # S is a domain
-        xs = R.gens()
-        shifted = xs[-1]
-        for x in xs[:-1]:
-            shifted = shifted - x
-        powers = [R.one()]  # powers of the image of x_n
-        moved = []
-        for g in self.gens:
-            f = R.zero()
-            for m, c in g.terms.items():
-                while len(powers) <= m[-1]:
-                    powers.append(powers[-1] * shifted)
-                f = f + powers[m[-1]].term_mul(m[:-1] + (0,), c)
-            moved.append(f)
-        return not any(m[-1] for m in buchberger(moved).leads)
+            return None
+        K = self._lsat
+        if K is None:
+            K = self
+            if self.gens:
+                xs = R.gens()
+                there = back = xs[-1]
+                for x in xs[:-1]:
+                    there, back = there - x, back + x
+                gb = buchberger(_substitute_last(self.gens, there))
+                # In grevlex the lead of a homogeneous g carries the least
+                # power of x_n among its terms, so that power divides g.
+                quotients = [Poly(R, {m[:-1] + (m[-1] - lm[-1],): c
+                                      for m, c in g.terms.items()})
+                             for g, lm in zip(gb.elements, gb.leads) if lm[-1]]
+                if quotients:
+                    K = self + _substitute_last(quotients, back)
+            # Mark "saturated" without a reference cycle through the slot.
+            self._lsat = _SATURATED if K is self else K
+        return self if K is _SATURATED else K
 
     # -- combinatorics of the initial ideal ------------------------------------
     def krull_dimension(self) -> int:
@@ -655,7 +684,22 @@ class Ideal:
         return self.groebner().normal_form(f)
 
 
-_SATURATED = object()  # Ideal._msat of an ideal equal to its saturation at m
+_SATURATED = object()  # Ideal._msat or _lsat of an ideal equal to that saturation
+
+
+def _substitute_last(polys, form):
+    """The polys with their last variable replaced by the polynomial `form`."""
+    R = form.ring
+    powers = [R.one()]
+    out = []
+    for g in polys:
+        f = R.zero()
+        for m, c in g.terms.items():
+            while len(powers) <= m[-1]:
+                powers.append(powers[-1] * form)
+            f = f + powers[m[-1]].term_mul(m[:-1] + (0,), c)
+        out.append(f)
+    return out
 
 
 def maximal_ideal(ring_: Ring) -> Ideal:
@@ -663,7 +707,9 @@ def maximal_ideal(ring_: Ring) -> Ideal:
 
 
 def unit_ideal(ring_: Ring) -> Ideal:
-    return Ideal(ring_, [ring_.one()])
+    out = Ideal(ring_, [ring_.one()])
+    out._gb = GroebnerBasis(ring_, [_lift(ring_.one())])
+    return out
 
 
 def standard_levels(leads, n, top=None):

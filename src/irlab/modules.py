@@ -237,7 +237,10 @@ class Module:
         self._ann: Ideal | None = None
         self._dim = None
         self._depth = None
-        self._socle = None  # filled by the cohomology layer
+        # Filled by the cohomology layer: socle vector, flags, annihilator data.
+        self._socle = None
+        self._flags = None
+        self._ann_data = None
 
     # -- constructors ---------------------------------------------------------
     @staticmethod

@@ -16,11 +16,15 @@ common kernel of the variable multiplication maps on the reduced monomial
 basis (which leans on the Groebner engine, one normal form per distinct
 non-standard shift).  Their lengths are cross-checked too; any disagreement
 aborts loudly.
+
+Nothing is built twice: each stage continues from the cut ideal I + (x) the
+search just tested, and a finished system hands its Artinian quotient to
+`index_of_reducibility`, which checks it and runs both routes on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +82,9 @@ class ParameterSystem:
     min_degree: int
     seed: int
     method: str = "ann-product-cube"
+    # (I, elements, I + (elements)) as the construction left them, so that
+    # index_of_reducibility need not rebuild the Artinian quotient.
+    cut: tuple | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -104,8 +111,22 @@ class ParameterSystem:
         }
 
 
+class ParameterList(list):
+    """Elements of a system of parameters on S/I that carry, as `cut`, the
+    triple (I, elements, I + (elements)) a ParameterSystem carries."""
+
+    def __init__(self, elements, ideal: Ideal, quotient: Ideal):
+        super().__init__(elements)
+        self.cut = (ideal, tuple(self), quotient)
+
+
 def is_system_of_parameters(elements, ideal: Ideal) -> bool:
-    """True when the elements cut the dimension of S/I down to zero, one by one."""
+    """True when the elements cut the dimension of S/I down to zero, one by one.
+
+    A homogeneous element lowers the dimension by at most one, so d homogeneous
+    elements reaching dimension 0 lower it one by one, and a single check of
+    I + (elements) decides; other elements are checked stepwise.
+    """
     M = Module.cyclic(ideal)
     if M.is_zero():
         raise ZeroModuleError("parameter systems of the zero module")
@@ -113,14 +134,24 @@ def is_system_of_parameters(elements, ideal: Ideal) -> bool:
     elems = list(elements)
     if len(elems) != d:
         return False
+    if all(x.is_homogeneous() for x in elems):
+        J = _quotient(elems, ideal, getattr(elements, "cut", None))
+        return J.krull_dimension() == 0
     current = ideal
-    expected = d
-    for x in elems:
+    for k, x in enumerate(elems, 1):
         current = current + x
-        expected -= 1
-        if current.krull_dimension() != expected:
+        if current.krull_dimension() != d - k:
             return False
     return True
+
+
+def _quotient(elems: list, ideal: Ideal, cut) -> Ideal:
+    """I + (elems): the quotient in `cut` (the `cut` of a ParameterSystem or
+    ParameterList) when it was built over this very `ideal` object with
+    these elements, else a new ideal."""
+    if cut is not None and cut[0] is ideal and cut[1] == tuple(elems):
+        return cut[2]
+    return ideal + elems
 
 
 def find_parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int,
@@ -134,6 +165,13 @@ def find_parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int,
     degree.  The degree escalates from the least achievable value; exhaustion
     raises SearchExhausted with the attempted degrees.
     """
+    return _parameter_element(ideal, constraint, min_degree, rng, tries_per_degree,
+                              extra_degrees)[0]
+
+
+def _parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int, rng: Rng,
+                       tries_per_degree: int = 12, extra_degrees: int = 8):
+    """find_parameter_element's (element x, cut I + (x)), the cut as tested."""
     R = ideal.ring
     p = R.field.p
     if constraint.is_zero():
@@ -173,8 +211,9 @@ def find_parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int,
                 cand = cand + pool[idx].scale(1 + rng.below(p - 1))
             if cand.is_zero():
                 continue
-            if (ideal + cand).krull_dimension() == d - 1:
-                return cand
+            cut = ideal + cand
+            if cut.krull_dimension() == d - 1:
+                return cand, cut
         attempted.append(degree)
     raise SearchExhausted(
         f"no parameter element found in the constraint ideal "
@@ -207,18 +246,18 @@ def construct_c_sop(ideal: Ideal, min_degree: int = 1, seed: int = 0) -> Paramet
         cube = Ideal(ideal.ring, cube.minimal_generators())
         stage_rng = rng.spawn(i)
         try:
-            x = find_parameter_element(current, cube, min_degree, stage_rng)
+            x, current = _parameter_element(current, cube, min_degree, stage_rng)
         except SearchExhausted as exc:
             raise SearchExhausted(f"stage {i}: {exc}", exc.attempted_degrees) from exc
         dim_before = M_cur.dim()
-        current = current + x
         dim_after = current.krull_dimension()
         elements[i - 1] = x
         stages.append(StageCertificate(
             index=i, degree=x.degree(), seed=stage_rng.state,
             dim_before=dim_before, dim_after=dim_after,
             constraint_gens=tuple(str(g) for g in cube.gens)))
-    return ParameterSystem(tuple(elements), tuple(reversed(stages)), min_degree, seed)
+    return ParameterSystem(tuple(elements), tuple(reversed(stages)), min_degree, seed,
+                           cut=(ideal, tuple(elements), current))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +383,16 @@ def socle_dimension_artinian(artinian: Ideal) -> IrResult:
 
 
 def index_of_reducibility(elements, ideal: Ideal, verify: bool = True) -> IrResult:
-    """ir of the parameter ideal generated by `elements` on S/I."""
+    """ir of the parameter ideal generated by `elements` on S/I.
+
+    The Artinian quotient I + (elements) is built once, or taken from a
+    ParameterSystem or ParameterList built over `ideal`, and serves both the
+    check and the two socle routes, so its basis is computed at most once.
+    """
     elems = list(elements)
-    if verify and not is_system_of_parameters(elems, ideal):
+    J = _quotient(elems, ideal, getattr(elements, "cut", None))
+    if verify and not is_system_of_parameters(ParameterList(elems, ideal, J), ideal):
         raise PreconditionError("the supplied elements are not a system of parameters")
-    J = ideal + elems
     return socle_dimension_artinian(J)
 
 

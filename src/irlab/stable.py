@@ -30,7 +30,7 @@ from .errors import InternalInvariantError, PreconditionError, SearchExhausted
 from .filtration import classify_sequential, unmixed_component
 from .groebner import Ideal
 from .modules import Module
-from .params import (IrResult, ParameterSystem, Rng, construct_c_sop,
+from .params import (IrResult, ParameterList, ParameterSystem, Rng, construct_c_sop,
                      index_of_reducibility)
 from .ring import monomials_of_degree
 
@@ -216,7 +216,7 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     closed formula evaluated against it."""
     M = Module.cyclic(ideal)
     witness = construct_c_sop(ideal, 1, seed)
-    ir = index_of_reducibility(list(witness), ideal)
+    ir = index_of_reducibility(witness, ideal)
     N = ir.value
     s = socle_dimensions(M)
     flags = cm_flags(M)
@@ -281,7 +281,7 @@ def stability_suite(ideal: Ideal, trials: int = 5, seed: int = 0,
         n = min_degrees[t % len(min_degrees)]
         sub = rng.spawn(t)
         system = construct_c_sop(ideal, n, sub.state)
-        out.append(index_of_reducibility(list(system), ideal).value)
+        out.append(index_of_reducibility(system, ideal).value)
     return out
 
 
@@ -340,7 +340,8 @@ class LimitProfile:
 
 def random_sop(ideal: Ideal, degree: int, rng: Rng, retries: int = 40):
     """A random system of parameters with all elements homogeneous of the
-    given degree; None when the per-element retry budget runs out."""
+    given degree, as a ParameterList; None when the per-element retry budget
+    runs out."""
     R = ideal.ring
     p = R.field.p
     d = ideal.krull_dimension()
@@ -358,14 +359,15 @@ def random_sop(ideal: Ideal, degree: int, rng: Rng, retries: int = 40):
                     cand = cand + R.monomial(m, c)
             if cand.is_zero():
                 continue
-            if (current + cand).krull_dimension() == target:
+            cut = current + cand
+            if cut.krull_dimension() == target:
                 found = cand
                 break
         if found is None:
             return None
         elems.append(found)
-        current = current + found
-    return elems
+        current = cut
+    return ParameterList(elems, ideal, current)
 
 
 def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
@@ -382,8 +384,8 @@ def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
     M = Module.cyclic(ideal)
     s = socle_dimensions(M)
     rng = Rng(seed)
-    stable = index_of_reducibility(
-        list(construct_c_sop(ideal, 1, rng.spawn(0).state)), ideal).value
+    witness = construct_c_sop(ideal, 1, rng.spawn(0).state)
+    stable = index_of_reducibility(witness, ideal).value
     levels = []
     for n in range(1, n_max + 1):
         level_rng = rng.spawn(n)
@@ -402,7 +404,7 @@ def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
             min_ir = value if min_ir is None else min(min_ir, value)
         try:
             deep = construct_c_sop(ideal, n, level_rng.spawn(10**6).state)
-            deep_ir = index_of_reducibility(list(deep), ideal).value
+            deep_ir = index_of_reducibility(deep, ideal).value
         except SearchExhausted:
             deep_ir = None
             failures += 1

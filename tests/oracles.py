@@ -168,3 +168,16 @@ def random_monomial_ideal(R, rng):
         monos = monomials_of_degree(n, 1 + rng.below(3))
         expos.append(monos[rng.below(len(monos))])
     return [R.monomial(e) for e in expos], triangular_change(R, rng, expos)
+
+
+def is_sop_stepwise(elements, ideal):
+    """Whether the elements cut dim S/I down by exactly one each, ending at 0."""
+    d = ideal.krull_dimension()
+    if len(elements) != d:
+        return False
+    current = ideal
+    for k, x in enumerate(elements, 1):
+        current = current + x
+        if current.krull_dimension() != d - k:
+            return False
+    return True

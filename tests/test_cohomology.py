@@ -1,5 +1,5 @@
 import pytest
-from oracles import random_monomial_ideal
+from oracles import random_monomial_ideal, triangular_change
 
 from irlab import modules
 from irlab.cli import load_corpus_spec
@@ -118,6 +118,39 @@ def test_h0_slot_runs_no_colon_on_depth_one_inputs(monkeypatch):
     for name in ("cm_plane.json", "sqfree_15.json"):
         M = Module.cyclic(load_corpus_spec(name).ideal())
         assert annihilator_data(M)[0].is_unit()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_h0_slot_equals_colon_by_the_saturation_on_depth_zero_ideals(p):
+    # depth 0 by construction: a random monomial ideal cut with a power of m,
+    # then moved by a triangular change of coordinates
+    rng = Rng(p + 29)
+    checked = 0
+    for trial in range(12):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        m = maximal_ideal(R)
+        monos, _ = random_monomial_ideal(R, rng)
+        base = Ideal(R, monos).intersect(m.power(2 + rng.below(2)))
+        gens = triangular_change(R, rng, [next(iter(g.terms)) for g in base.gens])
+        I = Ideal(R, gens)
+        sat = I.saturation(m)
+        if I.krull_dimension() < 1 or sat == I:
+            continue
+        assert annihilator_data(Module.cyclic(Ideal(R, gens)))[0] == I.colon(sat)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_h0_slot_falls_back_when_the_sum_of_variables_saturates_to_s(p):
+    # I = l (x, y, z) with l = x + y + z: I : l^infinity = S, so the colon
+    # I : S = I is not m-primary and the slot takes the full saturation (l)
+    R = ring(("x", "y", "z"), p)
+    x, y, z = R.gens()
+    ell = x + y + z
+    I = Ideal(R, [ell * v for v in (x, y, z)])
+    assert I._sum_of_variables_saturation().is_unit()
+    assert annihilator_data(Module.cyclic(I))[0] == maximal_ideal(R)
 
 
 def test_product_sits_inside_every_factor(two_planes_3d, plane_and_line,

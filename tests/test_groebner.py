@@ -283,6 +283,55 @@ def test_colons_and_intersections_come_out_as_reduced_bases(p):
                 == [list(g.terms.items()) for g in X.groebner().elements]
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_colon_skips_generators_the_ideal_contains(p):
+    # I : g = S for g in I, so I : J = I : (J + I) = the intersection of the
+    # element colons, and I : I is the unit ideal
+    rng = Rng(p + 23)
+    R = ring(("x", "y", "z"), p)
+    for _ in range(6):
+        I = Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(3)) for _ in range(3)])
+        J = Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(2)) for _ in range(2)])
+        if I.is_zero() or J.is_zero():
+            continue
+        got = I.colon(J)
+        assert got == I.colon(J + I)
+        stepwise = None
+        for g in J.gens:
+            q = I.colon_element(g)
+            stepwise = q if stepwise is None else stepwise.intersect(q)
+        assert got == stepwise
+        assert I.colon(I).is_unit()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_colon_results_carry_their_reduced_basis(p):
+    # the basis a colon, an intersection or an annihilator is born with is the
+    # one a fresh Buchberger run on its generators produces, term for term
+    rng = Rng(p + 7)
+    R = ring(("x", "y", "z"), p)
+
+    def rand_vec(degree):
+        return {(pos, m): c for pos in range(2)
+                for m, c in random_homogeneous(R, rng, degree).terms.items()}
+
+    def terms(gb):
+        return [list(g.terms.items()) for g in gb.elements]
+
+    for _ in range(6):
+        I = Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(3)) for _ in range(3)])
+        J = Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(2)) for _ in range(2)])
+        f = random_homogeneous(R, rng, 1 + rng.below(2))
+        M = Module(R, (0, 0), [rand_vec(1 + rng.below(2)) for _ in range(3)])
+        for X in (I.colon(J), I.colon_element(f), I.intersect(J), M.annihilator()):
+            assert X._gb is not None
+            if X.gens:
+                fresh = buchberger(X.gens)
+                assert terms(X._gb) == terms(fresh) and X._gb.leads == fresh.leads
+            else:
+                assert not X._gb.elements
+
+
 def test_saturation_stabilizes(R3):
     x, y, z = R3.gens()
     I = Ideal(R3, [x * x * y, x * x * z])

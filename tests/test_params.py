@@ -1,7 +1,9 @@
-import pytest
-from oracles import triangular_change
+from collections import Counter
 
-from irlab import groebner
+import pytest
+from oracles import is_sop_stepwise, random_monomial_ideal, triangular_change
+
+from irlab import groebner, modules
 from irlab.cohomology import socle_dimensions
 from irlab.errors import PreconditionError, SearchExhausted
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
@@ -48,6 +50,45 @@ def test_sop_of_plane_line(plane_and_line):
 def test_wrong_length_is_not_a_sop(plane_and_line):
     R = plane_and_line.ring
     assert not is_system_of_parameters([R.parse("y - x")], plane_and_line)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_one_shot_sop_check_matches_the_stepwise_oracle(p):
+    rng = Rng(p + 37)
+
+    def form(R):
+        f = R.zero()
+        for m in monomials_of_degree(R.nvars, 1 + rng.below(2)):
+            if rng.below(2):
+                f = f + R.monomial(m, rng.below(p))
+        return f
+
+    verdicts = Counter()
+    for trial in range(9):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        for gens in random_monomial_ideal(R, rng):
+            I = Ideal(R, gens)
+            d = I.krull_dimension()
+            if d < 1:
+                continue
+            system = [form(R) for _ in range(d)]
+            stuck = list(system)
+            stuck[rng.below(d)] = gens[0] * form(R)  # an element of I cuts nothing
+            for elems in (system, system + [form(R)], system[:-1], stuck):
+                want = is_sop_stepwise(elems, I)
+                assert is_system_of_parameters(elems, I) == want
+                verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_inhomogeneous_elements_are_checked_stepwise(plane_and_line):
+    # x - 1 misses the plane x = 0 and cuts the line y = z = 0 to a point, so
+    # the dimension drops from 2 to 0 at once: (x - 1, y) reaches dimension 0
+    # with two elements but is no system of parameters
+    R = plane_and_line.ring
+    elems = [R.parse("x - 1"), R.variable("y")]
+    assert (plane_and_line + elems).krull_dimension() == 0
+    assert not is_system_of_parameters(elems, plane_and_line)
 
 
 # -- parameter element search ------------------------------------------------------
@@ -128,6 +169,7 @@ def test_regular_sequence_is_irreducible(R2):
     result = index_of_reducibility([x, y], Ideal(R2, []))
     assert result.value == 1
     assert result.length == 1
+    assert index_of_reducibility(iter([x, y]), Ideal(R2, [])) == result
 
 
 def test_shallow_sop_can_dip_below_the_stable_value(plane_and_line):
@@ -256,6 +298,29 @@ def test_power_perturbation_keeps_ir(plane_and_line):
         perturbed = power_perturbation(system, powers)
         assert is_system_of_parameters(perturbed, plane_and_line)
         assert index_of_reducibility(perturbed, plane_and_line).value == base
+
+
+def test_deep_and_sampled_systems_compute_no_basis_twice(two_planes_origin, monkeypatch):
+    # each cut ideal and Artinian quotient is handed on with its basis, so
+    # within one run no generator set of a proper ideal goes through
+    # Buchberger a second time
+    from irlab.stable import limit_profile, stability_suite
+
+    original = groebner.buchberger
+    for run in (stability_suite, lambda I: limit_profile(I, n_max=2, samples_per_n=5)):
+        runs = Counter()
+
+        def counting(gens):
+            gb = original(gens)
+            if not gb.is_unit_ideal():
+                runs[frozenset(gens)] += 1
+            return gb
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(modules, "_CYCLIC_CACHE", {})
+        run(Ideal(two_planes_origin.ring, two_planes_origin.gens))  # no cached bases
+        assert runs
+        assert [sorted(map(str, gens)) for gens, n in runs.items() if n > 1] == []
 
 
 def test_drop_last_element_recursion(two_planes_origin):

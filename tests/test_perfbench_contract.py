@@ -44,22 +44,24 @@ REFERENCE = ROOT / "perfbench" / "reference.json"
 CORPUS = ROOT / "src" / "irlab" / "corpus"
 
 
-DIGEST_OPS = [("stable", "two_planes_origin", 32003), ("stable", "sqfree_15", 32003)]
-DIGEST_OPS += [("analyze", name[:-len(".json")], 2)
+DIGEST_OPS = [("stable", s, 32003, ())
+              for s in ("two_planes_origin", "sqfree_13", "sqfree_15")]
+DIGEST_OPS += [("limit", "two_planes_origin", 32003, ("--nmax", "4", "--samples", "25"))]
+DIGEST_OPS += [("analyze", name[:-len(".json")], 2, ())
                for group in ("golden", "cm_controls", "random_squarefree")
                for name in cli.corpus_index()[group]]
+DIGEST_KEYS = [" ".join((c, s, f"p={p}") + extra) for c, s, p, extra in DIGEST_OPS]
 
 
-@pytest.mark.parametrize("command,spec,p", DIGEST_OPS,
-                         ids=[f"{c} {s} p={p}" for c, s, p in DIGEST_OPS])
-def test_report_digest_matches_reference(command, spec, p, tmp_path, capsys):
+@pytest.mark.parametrize("command,spec,p,extra", DIGEST_OPS, ids=DIGEST_KEYS)
+def test_report_digest_matches_reference(command, spec, p, extra, tmp_path, capsys):
     data = json.loads((CORPUS / f"{spec}.json").read_text())
     data["characteristic"] = p
     data.setdefault("label", spec)
     path = tmp_path / f"{spec}_p{p}.json"
     path.write_text(json.dumps(data, sort_keys=True, indent=1))
     capsys.readouterr()
-    assert cli.main([command, str(path), "--seed", "0"]) == 0
+    assert cli.main([command, str(path), "--seed", "0", *extra]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     reference = json.loads(REFERENCE.read_text())
-    assert digest == reference[f"{command} {spec} p={p}"]
+    assert digest == reference[" ".join((command, spec, f"p={p}") + extra)]

@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per CLI report, to check that a change leaves every report
+byte-identical.
+
+Runs `irlab analyze|ir|stable <spec> --seed 0` on each of the 27 bundled
+corpus specs, and `irlab reproduce-examples` with its timing column masked,
+each in a fresh interpreter on the source tree next to this script.  Every
+line reads `<sha256>  <command> <spec>`; diff the output of two checkouts:
+
+    python3 tools/report_digests.py > before.txt   # in the first checkout
+    python3 tools/report_digests.py > after.txt    # in the second
+    diff before.txt after.txt
+
+A nonzero exit code from a command is printed in place of its digest.
+"""
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+CORPUS = SRC / "irlab" / "corpus"
+COMMANDS = ("analyze", "ir", "stable")
+GROUPS = ("golden", "cm_controls", "random_squarefree")
+TIMING = re.compile(r"  (pass|FAIL)  +\d+\.\ds  ")
+
+
+def irlab(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "irlab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def line(proc, label, out=None):
+    if proc.returncode:
+        return f"exit {proc.returncode}  {label}"
+    text = proc.stdout if out is None else out
+    return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {label}"
+
+
+def main() -> int:
+    index = json.loads((CORPUS / "index.json").read_text())
+    names = [name[:-len(".json")] for group in GROUPS for name in index[group]]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            # The label is fixed here, so no report depends on a file path.
+            data = json.loads((CORPUS / f"{name}.json").read_text())
+            data.setdefault("label", name)
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(data, sort_keys=True, indent=1))
+            for command in COMMANDS:
+                print(line(irlab(command, str(path), "--seed", "0"), f"{command} {name}"),
+                      flush=True)
+    proc = irlab("reproduce-examples")
+    masked = "".join(TIMING.sub(r"  \1  <time>  ", row, count=1)
+                     for row in proc.stdout.splitlines(keepends=True))
+    print(line(proc, "reproduce-examples", masked))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
