@@ -654,9 +654,16 @@ class Ideal:
         return sorted((m for _, level in levels for m in level), key=grevlex_key)
 
     def minimal_generators(self):
-        """A minimal generating set, by greedy redundancy pruning (homogeneous input).
+        """A minimal generating set of a homogeneous ideal; cached.
 
-        Monomial input is pruned by divisibility alone, which is exact there.
+        The generators are sorted by (degree, grevlex lead).  Monomial input is
+        pruned by divisibility alone, which is exact there.  Otherwise g is
+        kept exactly when it lies outside the ideal of the kept earlier
+        generators and all later ones.  In degree d that ideal is the span of
+        the multiples of the lower-degree generators and the later degree-d
+        ones, so the rule is `modules.minimal_vec_generators` on the
+        generators in reverse order.  Kept generators come back in sorted
+        order.  Raises PreconditionError on an inhomogeneous generator.
         """
         if self._mingens is not None:
             return self._mingens
@@ -669,15 +676,12 @@ class Ideal:
                     kept.append(g)
             self._mingens = tuple(kept)
             return self._mingens
-        kept = []
-        for i, g in enumerate(gens):
-            rest = kept + gens[i + 1:]
-            if not rest:
-                kept.append(g)
-                continue
-            if not Ideal(self.ring, rest).contains(g):
-                kept.append(g)
-        self._mingens = tuple(kept)
+        if not all(g.is_homogeneous() for g in gens):
+            raise PreconditionError("minimal generators need homogeneous generators")
+        from .modules import minimal_vec_generators
+        vecs = [_lift(g) for g in gens]
+        kept_ids = {id(v) for v in minimal_vec_generators(vecs[::-1], [0], self.ring)}
+        self._mingens = tuple(g for g, v in zip(gens, vecs) if id(v) in kept_ids)
         return self._mingens
 
     def normal_form(self, f: Poly) -> Poly:

@@ -12,8 +12,11 @@ import numpy as np
 
 
 def rref_mod_p(A: np.ndarray, p: int):
-    """Row-reduce A in place over Z/p; returns (matrix, pivot column list)."""
-    A = np.mod(A.astype(np.int64), p)
+    """Reduced row echelon form of A over Z/p: (new int64 matrix, pivot columns).
+
+    A itself is left unchanged, whatever its dtype.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
     rows, cols = A.shape
     pivots = []
     r = 0

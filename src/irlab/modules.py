@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import (Ideal, _divides, module_groebner, standard_levels,
                        syzygies_raw, syzygy_projection, unit_ideal, vector_colon)
-from .linalg import SpanTracker
+from .linalg import rref_mod_p
 from .ring import Ring, monomials_of_degree
 
 _CYCLIC_CACHE: dict = {}
@@ -86,9 +86,13 @@ def vec_drop_position(vec, pos):
 def minimal_vec_generators(vecs, shifts, ring_: Ring):
     """Select a minimal generating set from homogeneous vectors, degreewise.
 
-    Graded Nakayama, run as linear algebra: a candidate of degree d is
-    redundant exactly when it lies in the span of (monomial multiples of)
-    already-kept generators in degree d.
+    Graded Nakayama, run as linear algebra: degree d is one `rref_mod_p` call
+    on the matrix whose columns are the monomial multiples of the kept
+    lower-degree generators followed by the degree-d candidates, and a
+    candidate is kept exactly when its column is a pivot, that is, outside
+    the span of the columns before it.  Returns the kept vectors themselves,
+    in degree order and input order within a degree.  Raises
+    PreconditionError on an inhomogeneous vector (`vec_degree`).
     """
     p = ring_.field.p
     n = ring_.nvars
@@ -99,32 +103,22 @@ def minimal_vec_generators(vecs, shifts, ring_: Ring):
     i = 0
     while i < len(items):
         d = items[i][0]
-        batch = []
+        columns = [poly_times_vec({mono: 1}, w, p)
+                   for w, e in zip(kept, kept_degs)
+                   for mono in monomials_of_degree(n, d - e)]
+        first = len(columns)
         while i < len(items) and items[i][0] == d:
-            batch.append(items[i][1])
+            columns.append(items[i][1])
             i += 1
-        # Span of earlier generators in degree d.
-        span_vecs = []
-        for w, e in zip(kept, kept_degs):
-            if e >= d:
-                continue
-            for mono in monomials_of_degree(n, d - e):
-                span_vecs.append(poly_times_vec({mono: 1}, w, p))
-        keys = sorted({k for v in span_vecs for k in v} | {k for v in batch for k in v})
-        index = {k: j for j, k in enumerate(keys)}
-        tracker = SpanTracker(len(keys), p)
-
-        def densify(v):
-            row = np.zeros(len(keys), dtype=np.int64)
+        # Row order does not change which columns are pivots.
+        index = {k: r for r, k in enumerate({k for v in columns for k in v})}
+        A = np.zeros((len(index), len(columns)), dtype=np.int64)
+        for j, v in enumerate(columns):
             for k, c in v.items():
-                row[index[k]] = c
-            return row
-
-        for v in span_vecs:
-            tracker.add(densify(v))
-        for v in batch:
-            if tracker.add(densify(v)):
-                kept.append(v)
+                A[index[k], j] = c
+        for j in rref_mod_p(A, p)[1]:
+            if j >= first:
+                kept.append(columns[j])
                 kept_degs.append(d)
     return kept
 
@@ -487,10 +481,9 @@ def subquotient_presentation(A: Ideal, B: Ideal) -> Module:
     if not A.contains_ideal(B):
         raise PreconditionError("subquotient requires B contained in A")
     R = A.ring
+    if not all(g.is_homogeneous() for g in A.gens):
+        raise PreconditionError("subquotient requires homogeneous generators")
     gens_a = A.minimal_generators()
-    for g in gens_a:
-        if not g.is_homogeneous():
-            raise PreconditionError("subquotient requires homogeneous generators")
     gens = [{(0, m): c for m, c in g.terms.items()} for g in gens_a]
     image = [{(0, m): c for m, c in g.terms.items()} for g in B.gens]
     return module_subquotient(gens, image, 1, (0,), R)

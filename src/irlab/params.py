@@ -179,10 +179,9 @@ def _parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int, rng: Rn
     d = ideal.krull_dimension()
     if d < 1:
         raise PreconditionError("parameter elements need positive dimension")
-    gens = [g for g in constraint.minimal_generators()]
-    for g in gens:
-        if not g.is_homogeneous():
-            raise PreconditionError("constraint generators must be homogeneous")
+    if not all(g.is_homogeneous() for g in constraint.gens):
+        raise PreconditionError("constraint generators must be homogeneous")
+    gens = list(constraint.minimal_generators())
     least = min(g.degree() for g in gens)
     start = max(min_degree, least, 1)
     attempted = []

@@ -48,6 +48,41 @@ def membership_bruteforce(f, gens, degree_bound):
     return tracker.contains(densify(f))
 
 
+def minimal_vec_generators_greedy(vecs, shifts, ring_):
+    """Graded-Nakayama selection one vector at a time through a SpanTracker.
+
+    In degree order (input order within a degree), keep a vector exactly when
+    it lies outside the span of the monomial multiples of the kept
+    lower-degree vectors and the degree-d vectors before it.
+    """
+    p, n = ring_.field.p, ring_.nvars
+
+    def degree(vec):
+        pos, mono = next(iter(vec))
+        return sum(mono) + shifts[pos]
+
+    items = [(degree(v), v) for v in vecs if v]
+    kept = []
+    for d in sorted({e for e, _ in items}):
+        batch = [v for e, v in items if e == d]
+        span = [poly_times_vec({mono: 1}, w, p) for e, w in kept
+                for mono in monomials_of_degree(n, d - e)]
+        keys = sorted({k for v in span + batch for k in v})
+        index = {k: i for i, k in enumerate(keys)}
+        tracker = SpanTracker(len(keys), p)
+
+        def densify(vec):
+            row = np.zeros(len(keys), dtype=np.int64)
+            for k, c in vec.items():
+                row[index[k]] = c
+            return row
+
+        for v in span:
+            tracker.add(densify(v))
+        kept.extend((d, v) for v in batch if tracker.add(densify(v)))
+    return [v for _, v in kept]
+
+
 def multiply_bruteforce(a, b):
     """Schoolbook product, term by term, without the Poly.__mul__ fast path."""
     R = a.ring

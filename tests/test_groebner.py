@@ -2,7 +2,7 @@ import pytest
 from oracles import (membership_bruteforce, quotient_dimension_bruteforce,
                      random_monomial_ideal)
 
-from irlab.errors import NotArtinianError, ResourceBudgetExceeded
+from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
 from irlab.groebner import (Ideal, _divides, buchberger, maximal_ideal,
                             module_groebner, standard_levels, syzygies,
                             unit_ideal)
@@ -555,4 +555,40 @@ def test_equal_ideals_hash_equal(R3):
 def test_minimal_generators_prunes(R3):
     x, y, z = R3.gens()
     I = Ideal(R3, [x, y, x + y, x * z])
-    assert len(I.minimal_generators()) == 2
+    assert I.minimal_generators() == (x, x + y)
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_minimal_generators_match_their_definition(p):
+    """g is kept exactly when it lies outside the ideal of the kept earlier
+    generators and all later ones, decided by brute-force linear algebra."""
+    R = ring(("x", "y", "z"), p)
+    x, y, z = R.gens()
+    rng = Rng(p + 7)
+    for trial in range(8):
+        base = [random_homogeneous(R, rng, 1 + rng.below(3)) for _ in range(3)]
+        base = [g for g in base if not g.is_zero()] + [x + y]
+        # Planted redundant generators: a scalar multiple, monomial multiples
+        # and combinations of multiples, in the top degree of a and b and above.
+        a, b = base[rng.below(len(base))], base[rng.below(len(base))]
+        planted = [a.scale(1 + rng.below(p - 1)), a * z]
+        for top in (max(a.degree(), b.degree()), max(a.degree(), b.degree()) + 1):
+            ma = monomials_of_degree(3, top - a.degree())
+            mb = monomials_of_degree(3, top - b.degree())
+            planted.append(a.term_mul(ma[rng.below(len(ma))], 1 + rng.below(p - 1))
+                           + b.term_mul(mb[rng.below(len(mb))], 1 + rng.below(p - 1)))
+        I = Ideal(R, base + planted)
+        gens = sorted(I.gens, key=lambda g: (g.degree(), grevlex_key(g.lead_monomial())))
+        want = []
+        for i, g in enumerate(gens):
+            rest = want + gens[i + 1:]
+            if not membership_bruteforce(g, rest, g.degree()):
+                want.append(g)
+        assert I.minimal_generators() == tuple(want)
+        assert len(want) < len(gens)
+
+
+def test_minimal_generators_reject_inhomogeneous_input(R3):
+    x, y, _ = R3.gens()
+    with pytest.raises(PreconditionError, match="minimal generators"):
+        Ideal(R3, [x + R3.one(), y, x * y]).minimal_generators()

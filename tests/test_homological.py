@@ -1,14 +1,16 @@
 from math import comb
 
 import pytest
-from oracles import check_complex, has_unit_entries, quotient_dimension_bruteforce
+from oracles import (check_complex, has_unit_entries, minimal_vec_generators_greedy,
+                     quotient_dimension_bruteforce)
 
 from irlab.errors import PreconditionError, ZeroModuleError
 from irlab.groebner import Ideal
-from irlab.modules import (Module, minimalize_complex, module_invariants,
-                           subquotient_presentation, taylor_resolution)
+from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
+                           module_invariants, poly_times_vec, subquotient_presentation,
+                           taylor_resolution)
 from irlab.params import Rng
-from irlab.ring import Poly
+from irlab.ring import Poly, monomials_of_degree, ring
 
 
 def hilbert_from_numerator(numer, nvars, degrees):
@@ -22,6 +24,52 @@ def hilbert_from_numerator(numer, nvars, degrees):
                 total += c * comb(k + nvars - 1, nvars - 1)
         out[d] = total
     return out
+
+
+# -- minimal generators of submodules --------------------------------------------
+
+def random_raw_vector(R, rng, shifts, degree):
+    """A random homogeneous raw vector of the given degree with at least one term."""
+    p = R.field.p
+    terms = [(pos, mono) for pos, shift in enumerate(shifts) if degree >= shift
+             for mono in monomials_of_degree(R.nvars, degree - shift)]
+    vec = {t: 1 + rng.below(p - 1) for t in terms if rng.below(3) == 0}
+    return vec or {terms[rng.below(len(terms))]: 1}
+
+
+@pytest.mark.parametrize("p", [2, 32003, 2**31 - 1])
+def test_minimal_vec_generators_matches_greedy_span_tracker(p):
+    R = ring(("x", "y", "z"), p)
+    rng = Rng(p)
+    for trial in range(12):
+        shifts = [rng.below(2) for _ in range(1 + trial % 3)]
+        degs = [1 + rng.below(3) for _ in range(3 + rng.below(4))]
+        vecs = [random_raw_vector(R, rng, shifts, d) for d in degs]
+        # Planted dependents: sums, scalar multiples and monomial multiples.
+        for _ in range(4):
+            i, j = rng.below(len(degs)), rng.below(len(degs))
+            a, b, scale = vecs[i], vecs[j], 1 + rng.below(p - 1)
+            if degs[i] == degs[j] and i != j:
+                total = {k: (a.get(k, 0) + scale * b.get(k, 0)) % p for k in set(a) | set(b)}
+                vecs.append({k: c for k, c in total.items() if c})
+                degs.append(degs[i])
+            elif rng.below(2):
+                vecs.append({k: c * scale % p for k, c in a.items()})
+                degs.append(degs[i])
+            else:
+                var = rng.below(3)
+                mono = tuple(int(v == var) for v in range(3))
+                vecs.append(poly_times_vec({mono: scale}, a, p))
+                degs.append(degs[i] + 1)
+        order = list(range(len(vecs)))
+        for t in range(len(order) - 1, 0, -1):
+            k = rng.below(t + 1)
+            order[t], order[k] = order[k], order[t]
+        vecs = [vecs[k] for k in order]
+        got = minimal_vec_generators(vecs, shifts, R)
+        want = minimal_vec_generators_greedy(vecs, shifts, R)
+        assert [id(v) for v in got] == [id(v) for v in want]
+        assert len(got) < len(vecs)
 
 
 # -- free resolutions -------------------------------------------------------------
@@ -284,6 +332,12 @@ def test_subquotient_maximal_ideal_betti(R2):
     x, y = R2.gens()
     SQ = subquotient_presentation(Ideal(R2, [x, y]), Ideal(R2, []))
     assert SQ.resolution().betti_numbers() == (2, 1)
+
+
+def test_subquotient_rejects_inhomogeneous_generators(R3):
+    x, y, _ = R3.gens()
+    with pytest.raises(PreconditionError, match="subquotient requires homogeneous"):
+        subquotient_presentation(Ideal(R3, [x + R3.one(), y]), Ideal(R3, [y]))
 
 
 def test_subquotient_requires_containment(R3):

@@ -21,3 +21,17 @@ def test_kernel_exact_at_largest_characteristic(shape):
         assert R[:len(pivots)].tolist() == rows
         assert not R[len(pivots):].any()
         assert rank_mod_p(A, P) == len(pivots)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_rref_leaves_its_input_unchanged(dtype):
+    """`cohomology` hands the kernel float arrays (np.ones), the rest int64."""
+    gen = np.random.default_rng(7)
+    A = gen.integers(0, 50, size=(5, 7)).astype(dtype)
+    A[3] = 2 * A[1]
+    before = A.copy()
+    R, pivots = rref_mod_p(A, 32003)
+    assert A.dtype == dtype and np.array_equal(A, before)
+    R_int, pivots_int = rref_mod_p(before.astype(np.int64), 32003)
+    assert pivots == pivots_int and np.array_equal(R, R_int)
+    assert R.dtype == np.int64

@@ -111,6 +111,13 @@ def test_find_respects_min_degree(plane_and_line):
     assert x.degree() >= 3
 
 
+def test_find_parameter_element_rejects_inhomogeneous_constraint(plane_and_line):
+    R = plane_and_line.ring
+    x, y, _ = R.gens()
+    with pytest.raises(PreconditionError, match="constraint generators must be homogeneous"):
+        find_parameter_element(plane_and_line, Ideal(R, [x + R.one(), y]), 1, Rng(0))
+
+
 def test_search_exhausts_inside_top_component(plane_and_line):
     # everything in (x) contains the plane, so the dimension never drops
     R = plane_and_line.ring

@@ -2,7 +2,8 @@
 """Print one SHA-256 per CLI report, to check that a change leaves every report
 byte-identical.
 
-Runs `irlab analyze|ir|stable <spec> --seed 0` on each of the 27 bundled
+Runs `irlab analyze|ir|stable <spec> --seed 0` and
+`irlab limit <spec> --nmax 2 --samples 5 --seed 0` on each of the 27 bundled
 corpus specs, and `irlab reproduce-examples` with its timing column masked,
 each in a fresh interpreter on the source tree next to this script.  Every
 line reads `<sha256>  <command> <spec>`; diff the output of two checkouts:
@@ -26,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CORPUS = SRC / "irlab" / "corpus"
-COMMANDS = ("analyze", "ir", "stable")
+COMMANDS = (("analyze",), ("ir",), ("stable",), ("limit", "--nmax", "2", "--samples", "5"))
 GROUPS = ("golden", "cm_controls", "random_squarefree")
 TIMING = re.compile(r"  (pass|FAIL)  +\d+\.\ds  ")
 
@@ -54,9 +55,9 @@ def main() -> int:
             data.setdefault("label", name)
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(data, sort_keys=True, indent=1))
-            for command in COMMANDS:
-                print(line(irlab(command, str(path), "--seed", "0"), f"{command} {name}"),
-                      flush=True)
+            for command, *options in COMMANDS:
+                proc = irlab(command, str(path), *options, "--seed", "0")
+                print(line(proc, f"{command} {name}"), flush=True)
     proc = irlab("reproduce-examples")
     masked = "".join(TIMING.sub(r"  \1  <time>  ", row, count=1)
                      for row in proc.stdout.splitlines(keepends=True))
