@@ -10,12 +10,13 @@ make the surrogate auditable.
 The index of reducibility of a parameter ideal is the socle dimension of the
 Artinian quotient.  Two algorithms with no shared machinery compute it and
 must agree: a degreewise span computation straight from the raw generators
-(plain linear algebra, no bases computed; each degree works on the standard
-representatives of S/J that the echelon form of J's slice leaves), and the
-common kernel of the variable multiplication maps on the reduced monomial
-basis (which leans on the Groebner engine, one normal form per distinct
-non-standard shift).  Their lengths are cross-checked too; any disagreement
-aborts loudly.
+(plain linear algebra, no bases computed; degree e + 1 eliminates only on the
+border monomials x_v s, s standard of degree e, at most n q_e columns where
+the full slice J_{e+1} has dim S_{e+1}, so the pivots of all degrees are at
+most n times the length), and the common kernel of the variable
+multiplication maps on the reduced monomial basis (which leans on the
+Groebner engine, one normal form per distinct non-standard shift).  Their
+lengths are cross-checked too; any disagreement aborts loudly.
 
 Nothing is built twice: each stage continues from the cut ideal I + (x) the
 search just tested, and a finished system hands its Artinian quotient to
@@ -25,13 +26,14 @@ search just tested, and a finished system hands its Artinian quotient to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (MethodDisagreement, PreconditionError, SearchExhausted,
                      ZeroModuleError)
 from .groebner import Ideal
-from .linalg import nullity_mod_p, rank_mod_p, rref_mod_p
+from .linalg import nullity_mod_p, rref_mod_p
 from .modules import Module
 from .ring import Poly, monomials_of_degree
 
@@ -272,21 +274,61 @@ class IrResult:
                 "methods": dict(self.methods), "agree": True}
 
 
+# Cells of a temporary product table in the span route (8 MB of int64).
+_PRODUCT_CELLS = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _shift_table(n: int, e: int):
+    """(shifts, rep_v, rep_m, index) for degree e in n variables.
+
+    shifts[v, i] is the position of x_v m_i in monomials_of_degree(n, e + 1),
+    for m_i the i-th monomial of degree e; rep_v and rep_m give v and i at each
+    position of shifts.ravel(); index maps each degree-(e + 1) monomial to its
+    position.  Arrays are read-only, since every call shares them.
+    """
+    index = {m: i for i, m in enumerate(monomials_of_degree(n, e + 1))}
+    monos = monomials_of_degree(n, e)
+    shifts = np.array([[index[m[:v] + (m[v] + 1,) + m[v + 1:]] for m in monos]
+                       for v in range(n)], dtype=np.intp).reshape(n, len(monos))
+    rep_v = np.repeat(np.arange(n), len(monos))
+    rep_m = np.tile(np.arange(len(monos)), n)
+    for a in (shifts, rep_v, rep_m):
+        a.setflags(write=False)
+    return shifts, rep_v, rep_m, index
+
+
 def _socle_by_degreewise_spans(gens, ring_):
     """(socle dimension, length) of S/(gens) by raw degreewise linear algebra.
 
-    Never touches the Groebner engine: in each degree e the slice J_e is
-    spanned by variable shifts of J_{e-1} plus the new generators, held in
-    reduced row echelon form.  The non-pivot columns of that form are the
-    monomials standing for (S/J)_e, q_e of them, and a monomial of degree e
-    reduces modulo J_e to minus the standard part of its pivot row, or to
-    itself when its column is not a pivot.  So the degree-e socle is
+    Never touches the Groebner engine.  Degree by degree it carries the residue
+    of every degree-e monomial in the coordinates of the q_e standard monomials
+    s of degree e, which are linearly independent modulo J_e and span S_e
+    modulo J_e.  Then (S/J)_{e+1} is spanned by the border monomials
+    T_e = {x_v s}, at most n q_e of them, and is k^{T_e} modulo two kinds of
+    relations:
 
-        q_e  -  rank of the standard residues of x_v m (all v, standard m),
+    * each way of writing a monomial u = x_v m maps into k^{T_e} by putting
+      the residue of m on the columns x_v s; one of them is taken as the image
+      Phi(u), and the differences of the others from it are the images of x J_e;
+    * Phi of every new generator of degree e + 1.
 
-    a q_e x (n q_{e+1}) matrix gathered without any product.  Homogeneous
-    generators and an Artinian quotient are required (the loop stops at the
-    first empty slice of S/J); a nonzero constant gives the unit ideal, (0, 0).
+    One `rref_mod_p` call on the nonzero relations has only the |T_e| <= n q_e
+    border columns, and its non-pivot columns are the standard monomials of
+    degree e + 1, so the pivots of all degrees add up to at most n times the
+    length.  (The full slice J_{e+1} has dim S_{e+1} columns.)  The residue of
+    a border monomial is minus the standard part of its pivot row, or a unit
+    vector when its column is no pivot; the residue of any other degree-(e + 1)
+    monomial u is Phi(u) times those.  The degree-e socle is the nullity of
+
+        the (n q_{e+1}) x q_e matrix of the maps s -> x_v s (all v),
+
+    gathered from the border residues without any product.  Every product of
+    two residues is reduced mod p before it is summed, and no sum has more
+    terms than q_e or than one generator has, both far below 2^32, so every
+    intermediate fits int64 for p < 2^31.  Homogeneous generators and an
+    Artinian quotient are required (the loop stops at the first empty degree
+    of S/J); a nonzero constant gives the unit ideal, (0, 0).
     """
     p = ring_.field.p
     n = ring_.nvars
@@ -302,37 +344,65 @@ def _socle_by_degreewise_spans(gens, ring_):
 
     total_socle = 0
     total_length = 0
-    monos_e = monomials_of_degree(n, 0)
-    j_rows = np.zeros((0, 1), dtype=np.int64)
-    std_e = np.arange(1)  # columns of the standard monomials of degree e
+    residue = np.ones((1, 1), dtype=np.int64)  # degree-e monomials in standard coordinates
+    std = np.zeros(1, dtype=np.intp)  # positions of the standard monomials of degree e
     e = 0
-    while std_e.size:
+    while std.size:
         if e > 600:
             raise PreconditionError("degreewise socle diverged; quotient not Artinian?")
-        total_length += std_e.size
-        # build the next slice J_{e+1}; shifts[v][i] is the column of x_v m_i
-        monos_next = monomials_of_degree(n, e + 1)
-        index = {m: i for i, m in enumerate(monos_next)}
-        shifts = [np.array([index[m[:v] + (m[v] + 1,) + m[v + 1:]] for m in monos_e],
-                           dtype=np.intp) for v in range(n)]
-        k = j_rows.shape[0]
+        q = std.size
+        total_length += q
+        shifts, rep_v, rep_m, index = _shift_table(n, e)
+        # border columns, in monomial order; col[v, j] is the column of x_v s_j
+        border, col = np.unique(shifts[:, std], return_inverse=True)
+        col = col.reshape(n, q)
+        slot = np.full(len(residue), -1)
+        slot[std] = np.arange(q)
+        zero = ~residue.any(axis=1)
+        # the representations u = x_v m, one per entry of shifts; Phi(u) takes
+        # a standard m (a unit column) first, then one in J_e (the zero image)
+        rep_u = shifts.ravel()
+        priority = np.where(slot >= 0, 0, np.where(zero, 1, 2))[rep_m]
+        order = np.lexsort((priority, rep_u))
+        first = np.ones(rep_u.size, dtype=bool)
+        first[1:] = rep_u[order[1:]] != rep_u[order[:-1]]
+        phi = order[first]  # the representation chosen for each u
+        rest = order[~first]
+        base = phi[rep_u[rest]]
         new_gens = by_degree.get(e + 1, [])
-        stacked = np.zeros((n * k + len(new_gens), len(monos_next)), dtype=np.int64)
-        for v, cols in enumerate(shifts):
-            stacked[v * k:(v + 1) * k, cols] = j_rows
-        for r, g in enumerate(new_gens, n * k):
-            for m, c in g.terms.items():
-                stacked[r, index[m]] = c
-        next_rows, next_pivots = rref_mod_p(stacked, p) if stacked.size else (stacked, [])
-        next_rows = next_rows[:len(next_pivots)]
-        std_next = np.setdiff1d(np.arange(len(monos_next)), next_pivots)
-        # residue of every degree-(e+1) monomial in the standard basis
-        residue = np.zeros((len(monos_next), std_next.size), dtype=np.int64)
-        residue[next_pivots] = (-next_rows[:, std_next]) % p
-        residue[std_next, np.arange(std_next.size)] = 1
-        condition = np.hstack([residue[cols[std_e]] for cols in shifts])
-        total_socle += std_e.size - rank_mod_p(condition, p)
-        monos_e, j_rows, std_e = monos_next, next_rows, std_next
+        relations = np.zeros((rest.size + len(new_gens), border.size), dtype=np.int64)
+        rows = np.arange(rest.size)[:, None]
+        relations[rows, col[rep_v[rest]]] = residue[rep_m[rest]]
+        relations[rows, col[rep_v[base]]] -= residue[rep_m[base]]
+        for r, g in enumerate(new_gens, rest.size):
+            reps = phi[[index[m] for m in g.terms]]
+            coeffs = np.array(list(g.terms.values()), dtype=np.int64)
+            np.add.at(relations[r], col[rep_v[reps]],
+                      (coeffs[:, None] * residue[rep_m[reps]]) % p)
+        relations %= p
+        reduced, pivots = rref_mod_p(relations[relations.any(axis=1)], p)
+        is_free = np.ones(border.size, dtype=bool)
+        is_free[pivots] = False
+        free = np.nonzero(is_free)[0]
+        q_next = free.size
+        # residues of the border monomials in the standard basis of degree e + 1
+        res_border = np.zeros((border.size, q_next), dtype=np.int64)
+        res_border[pivots] = (-reduced[:len(pivots)][:, free]) % p
+        res_border[free, np.arange(q_next)] = 1
+        multiplication = res_border[col].transpose(0, 2, 1).reshape(n * q_next, q)
+        total_socle += nullity_mod_p(multiplication, p)
+        # residue of every degree-(e + 1) monomial: Phi(u) times res_border
+        phi_v, phi_m = rep_v[phi], rep_m[phi]
+        res_next = np.zeros((len(phi), q_next), dtype=np.int64)
+        unit = slot[phi_m] >= 0
+        res_next[unit] = res_border[col[phi_v[unit], slot[phi_m[unit]]]]
+        dense = np.nonzero(~unit & ~zero[phi_m])[0]
+        step = max(1, _PRODUCT_CELLS // max(1, q * q_next))
+        for at in range(0, dense.size, step):
+            us = dense[at:at + step]
+            products = residue[phi_m[us]][:, :, None] * res_border[col[phi_v[us]]]
+            res_next[us] = (products % p).sum(axis=1) % p
+        residue, std = res_next, border[free]
         e += 1
     return total_socle, total_length
 

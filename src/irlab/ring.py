@@ -8,6 +8,7 @@ safe to share.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import PolynomialParseError, RingMismatchError
@@ -430,15 +431,17 @@ def parse_polynomial(text: str, ring_: Ring) -> Poly:
 
 # ---------------------------------------------------------------------------
 
-def monomials_of_degree(nvars: int, d: int):
+@lru_cache(maxsize=None)
+def monomials_of_degree(nvars: int, d: int) -> tuple:
     """All exponent tuples of total degree exactly d, ascending in grevlex.
 
-    Count is C(d + nvars - 1, nvars - 1).
+    Count is C(d + nvars - 1, nvars - 1).  The tuple is built and sorted once
+    per (nvars, d) and shared by every caller.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
     if nvars == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     out = []
     for combo in combinations_with_replacement(range(nvars), d):
         expo = [0] * nvars
@@ -446,4 +449,4 @@ def monomials_of_degree(nvars: int, d: int):
             expo[i] += 1
         out.append(tuple(expo))
     out.sort(key=grevlex_key)
-    return out
+    return tuple(out)

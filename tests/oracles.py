@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from irlab.errors import PreconditionError
 from irlab.filtration import (_mono_intersect, _monomial_gens,
                               monomial_primary_decomposition)
 from irlab.groebner import Ideal
-from irlab.linalg import SpanTracker
+from irlab.linalg import SpanTracker, rank_mod_p, rref_mod_p
 from irlab.modules import poly_times_vec, vec_sub
 from irlab.ring import monomials_of_degree
 
@@ -216,3 +217,71 @@ def is_sop_stepwise(elements, ideal):
         if current.krull_dimension() != d - k:
             return False
     return True
+
+
+def socle_by_full_slices(gens, ring_):
+    """(socle dimension, length) of S/(gens) by row-reducing every full slice J_e.
+
+    The reference for `params._socle_by_degreewise_spans`, which eliminates
+    on the border columns only.
+
+    Never touches the Groebner engine: in each degree e the slice J_e is
+    spanned by variable shifts of J_{e-1} plus the new generators, held in
+    reduced row echelon form.  The non-pivot columns of that form are the
+    monomials standing for (S/J)_e, q_e of them, and a monomial of degree e
+    reduces modulo J_e to minus the standard part of its pivot row, or to
+    itself when its column is not a pivot.  So the degree-e socle is
+
+        q_e  -  rank of the standard residues of x_v m (all v, standard m),
+
+    a q_e x (n q_{e+1}) matrix gathered without any product.  Homogeneous
+    generators and an Artinian quotient are required (the loop stops at the
+    first empty slice of S/J); a nonzero constant gives the unit ideal, (0, 0).
+    """
+    p = ring_.field.p
+    n = ring_.nvars
+    gens = [g for g in gens if not g.is_zero()]
+    for g in gens:
+        if not g.is_homogeneous():
+            raise PreconditionError("degreewise socle needs homogeneous generators")
+    by_degree: dict = {}
+    for g in gens:
+        by_degree.setdefault(g.degree(), []).append(g)
+    if 0 in by_degree:
+        return 0, 0
+
+    total_socle = 0
+    total_length = 0
+    monos_e = monomials_of_degree(n, 0)
+    j_rows = np.zeros((0, 1), dtype=np.int64)
+    std_e = np.arange(1)  # columns of the standard monomials of degree e
+    e = 0
+    while std_e.size:
+        if e > 600:
+            raise PreconditionError("degreewise socle diverged; quotient not Artinian?")
+        total_length += std_e.size
+        # build the next slice J_{e+1}; shifts[v][i] is the column of x_v m_i
+        monos_next = monomials_of_degree(n, e + 1)
+        index = {m: i for i, m in enumerate(monos_next)}
+        shifts = [np.array([index[m[:v] + (m[v] + 1,) + m[v + 1:]] for m in monos_e],
+                           dtype=np.intp) for v in range(n)]
+        k = j_rows.shape[0]
+        new_gens = by_degree.get(e + 1, [])
+        stacked = np.zeros((n * k + len(new_gens), len(monos_next)), dtype=np.int64)
+        for v, cols in enumerate(shifts):
+            stacked[v * k:(v + 1) * k, cols] = j_rows
+        for r, g in enumerate(new_gens, n * k):
+            for m, c in g.terms.items():
+                stacked[r, index[m]] = c
+        next_rows, next_pivots = rref_mod_p(stacked, p) if stacked.size else (stacked, [])
+        next_rows = next_rows[:len(next_pivots)]
+        std_next = np.setdiff1d(np.arange(len(monos_next)), next_pivots)
+        # residue of every degree-(e+1) monomial in the standard basis
+        residue = np.zeros((len(monos_next), std_next.size), dtype=np.int64)
+        residue[next_pivots] = (-next_rows[:, std_next]) % p
+        residue[std_next, np.arange(std_next.size)] = 1
+        condition = np.hstack([residue[cols[std_e]] for cols in shifts])
+        total_socle += std_e.size - rank_mod_p(condition, p)
+        monos_e, j_rows, std_e = monos_next, next_rows, std_next
+        e += 1
+    return total_socle, total_length

@@ -1,9 +1,10 @@
 from collections import Counter
 
 import pytest
-from oracles import is_sop_stepwise, random_monomial_ideal, triangular_change
+from oracles import (is_sop_stepwise, random_monomial_ideal, socle_by_full_slices,
+                     triangular_change)
 
-from irlab import groebner, modules
+from irlab import groebner, modules, params
 from irlab.cohomology import socle_dimensions
 from irlab.errors import PreconditionError, SearchExhausted
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
@@ -219,12 +220,20 @@ def test_ir_bounded_by_length(plane_and_line):
     (("x", "y"), ["x^2", "y^2"], (1, 4)),
     (("x", "y"), ["x^2", "x*y", "y^2"], (2, 3)),
     (("x", "y", "z"), ["x^2", "y^2", "z^2"], (1, 8)),
+    # generators arriving in a later degree
+    (("x", "y"), ["x^2", "y^3"], (1, 6)),
+    (("x", "y", "z"), ["x", "y^2", "z^3"], (1, 6)),
+    # a linear generator that is no variable
+    (("x", "y", "z"), ["x + y", "x^2", "z^2"], (1, 4)),
+    # non-monomial: a complete intersection of two quadrics
+    (("x", "y"), ["x^2 - y^2", "x*y"], (1, 4)),
 ])
 def test_socle_routes_hand_counts(variables, gens, expected):
     R = ring(variables)
     polys = [R.parse(g) for g in gens]
     assert _socle_by_degreewise_spans(polys, R) == expected
     assert _socle_by_kernels(Ideal(R, polys)) == expected
+    assert socle_by_full_slices(polys, R) == expected
 
 
 def test_span_route_never_reaches_the_groebner_engine(monkeypatch, R3):
@@ -261,7 +270,13 @@ def _random_monomial_artinian(R, rng):
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
-def test_socle_routes_agree_on_random_artinian_quotients(p):
+def test_socle_routes_agree_on_random_artinian_quotients(p, monkeypatch):
+    # y = z = w = -x in S/J, so the quadric's three terms put three products
+    # of residues near p^2 on the border column x*y when p = 2^31 - 1: exact
+    # only when each product is reduced before they are summed
+    R = ring(("x", "y", "z", "w"), p)
+    crafted = [R.parse(g) for g in ("x + y", "x + z", "x + w", "3*x^2 - y^2 - y*z - y*w", "x^3")]
+    assert _socle_by_degreewise_spans(crafted, R) == socle_by_full_slices(crafted, R) == (1, 3)
     rng = Rng(p)
     for trial in range(12):
         R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
@@ -270,6 +285,41 @@ def test_socle_routes_agree_on_random_artinian_quotients(p):
         assert _socle_by_degreewise_spans(monomial, R) == expected
         assert _socle_by_degreewise_spans(moved, R) == expected
         assert _socle_by_kernels(Ideal(R, moved)) == expected
+        assert socle_by_full_slices(monomial, R) == expected
+        assert socle_by_full_slices(moved, R) == expected
+        with monkeypatch.context() as patched:
+            patched.setattr(params, "_PRODUCT_CELLS", 1)  # one monomial per product chunk
+            assert _socle_by_degreewise_spans(moved, R) == expected
+
+
+def test_span_route_eliminates_on_border_columns_only(monkeypatch, two_planes_origin):
+    # degree e eliminates on the monomials x_v s, s standard of degree e: at
+    # most n q_e columns, and the pivots of all degrees add up to at most
+    # n times the length (the full slice J_{e+1} has dim S_{e+1} columns)
+    quotients = [construct_c_sop(two_planes_origin, k, seed=0).cut[2] for k in (1, 2)]
+    rng = Rng(7)
+    for trial in range(4):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3])
+        quotients.append(Ideal(R, _random_monomial_artinian(R, rng)[1]))
+    shapes = []
+    rref = params.rref_mod_p
+
+    def recording(A, p):
+        reduced, pivots = rref(A, p)
+        shapes.append((A.shape[1], len(pivots)))
+        return reduced, pivots
+
+    monkeypatch.setattr(params, "rref_mod_p", recording)
+    for J in quotients:
+        n = J.ring.nvars
+        hilbert = Counter(sum(m) for m in J.standard_monomials())
+        shapes.clear()
+        _, length = _socle_by_degreewise_spans(J.gens, J.ring)
+        assert length == sum(hilbert.values())
+        assert sum(pivots for _, pivots in shapes) <= n * length
+        for e, (columns, _) in enumerate(shapes):
+            assert columns <= n * hilbert[e], (e, columns, hilbert)
+        assert len(shapes) == len(hilbert)  # one elimination per degree of S/J
 
 
 # -- d-sequences ---------------------------------------------------------------------------
