@@ -472,6 +472,9 @@ def main(argv=None) -> int:
     except (ResourceBudgetExceeded, SearchExhausted) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("budget exhausted: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except (MethodDisagreement, InternalInvariantError) as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK

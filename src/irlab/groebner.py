@@ -660,10 +660,11 @@ class Ideal:
         pruned by divisibility alone, which is exact there.  Otherwise g is
         kept exactly when it lies outside the ideal of the kept earlier
         generators and all later ones.  In degree d that ideal is the span of
-        the multiples of the lower-degree generators and the later degree-d
-        ones, so the rule is `modules.minimal_vec_generators` on the
-        generators in reverse order.  Kept generators come back in sorted
-        order.  Raises PreconditionError on an inhomogeneous generator.
+        the monomial multiples of the kept lower-degree generators and the
+        later degree-d ones, so the rule is `modules.minimal_vec_generators`
+        (sparse column reduction mod p, no Groebner basis) on the generators
+        in reverse order.  Kept generators come back in sorted order.  Raises
+        PreconditionError on an inhomogeneous generator.
         """
         if self._mingens is not None:
             return self._mingens

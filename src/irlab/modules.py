@@ -14,12 +14,10 @@ is finite data, so the dual is what we compute.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import (Ideal, _divides, module_groebner, standard_levels,
                        syzygies_raw, syzygy_projection, unit_ideal, vector_colon)
-from .linalg import rref_mod_p
+from .linalg import reduce_sparse_mod_p
 from .ring import Ring, monomials_of_degree
 
 _CYCLIC_CACHE: dict = {}
@@ -86,13 +84,14 @@ def vec_drop_position(vec, pos):
 def minimal_vec_generators(vecs, shifts, ring_: Ring):
     """Select a minimal generating set from homogeneous vectors, degreewise.
 
-    Graded Nakayama, run as linear algebra: degree d is one `rref_mod_p` call
-    on the matrix whose columns are the monomial multiples of the kept
-    lower-degree generators followed by the degree-d candidates, and a
-    candidate is kept exactly when its column is a pivot, that is, outside
-    the span of the columns before it.  Returns the kept vectors themselves,
-    in degree order and input order within a degree.  Raises
-    PreconditionError on an inhomogeneous vector (`vec_degree`).
+    Graded Nakayama, run as sparse exact elimination (`reduce_sparse_mod_p`):
+    degree d reduces the monomial multiples of the kept lower-degree
+    generators one at a time, each made on the fly and dropped once reduced,
+    then the degree-d candidates in input order.  A candidate is kept
+    exactly when its residue is nonzero, that is, when it lies outside the
+    span of the columns before it.  Returns the kept vectors themselves, in
+    degree order and input order within a degree.  Raises PreconditionError
+    on an inhomogeneous vector (`vec_degree`).
     """
     p = ring_.field.p
     n = ring_.nvars
@@ -103,23 +102,17 @@ def minimal_vec_generators(vecs, shifts, ring_: Ring):
     i = 0
     while i < len(items):
         d = items[i][0]
-        columns = [poly_times_vec({mono: 1}, w, p)
-                   for w, e in zip(kept, kept_degs)
-                   for mono in monomials_of_degree(n, d - e)]
-        first = len(columns)
+        pivots: dict = {}
+        multiples = (poly_times_vec({mono: 1}, w, p)
+                     for w, e in zip(kept, kept_degs)
+                     for mono in monomials_of_degree(n, d - e))
+        for v in multiples:
+            reduce_sparse_mod_p(pivots, v, p)
         while i < len(items) and items[i][0] == d:
-            columns.append(items[i][1])
-            i += 1
-        # Row order does not change which columns are pivots.
-        index = {k: r for r, k in enumerate({k for v in columns for k in v})}
-        A = np.zeros((len(index), len(columns)), dtype=np.int64)
-        for j, v in enumerate(columns):
-            for k, c in v.items():
-                A[index[k], j] = c
-        for j in rref_mod_p(A, p)[1]:
-            if j >= first:
-                kept.append(columns[j])
+            if reduce_sparse_mod_p(pivots, items[i][1], p):
+                kept.append(items[i][1])
                 kept_degs.append(d)
+            i += 1
     return kept
 
 

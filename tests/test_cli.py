@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from irlab.cli import (EXIT_CROSSCHECK, EXIT_INPUT, EXIT_NOT_SOP, EXIT_OK,
+from irlab.cli import (EXIT_BUDGET, EXIT_CROSSCHECK, EXIT_INPUT, EXIT_NOT_SOP, EXIT_OK,
                        corpus_index, load_corpus_spec, load_ring_spec, main)
 
 PLANE_LINE = {
@@ -152,6 +152,22 @@ def test_internal_invariant_exits_3(spec_file, capsys, monkeypatch):
     code, _, err = run(capsys, "stable", spec_file, "--trials", "1")
     assert code == EXIT_CROSSCHECK
     assert err.startswith("internal cross-check failure: filtration formula")
+    assert err.count("\n") == 1
+
+
+def test_out_of_memory_exits_2(spec_file, capsys, monkeypatch):
+    # numpy's allocation failure is a MemoryError too; either way the run
+    # fails closed with one line, not a traceback.
+    import irlab.cli as cli_mod
+
+    def exhausted(M):
+        raise MemoryError("Unable to allocate 3.27 GiB")
+
+    monkeypatch.setattr(cli_mod, "socle_dimensions", exhausted)
+    code, out, err = run(capsys, "analyze", spec_file)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("budget exhausted:")
     assert err.count("\n") == 1
 
 

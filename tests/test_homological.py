@@ -8,7 +8,7 @@ from irlab.errors import PreconditionError, ZeroModuleError
 from irlab.groebner import Ideal
 from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
                            module_invariants, poly_times_vec, subquotient_presentation,
-                           taylor_resolution)
+                           taylor_resolution, vec_degree, vec_sub)
 from irlab.params import Rng
 from irlab.ring import Poly, monomials_of_degree, ring
 
@@ -37,30 +37,74 @@ def random_raw_vector(R, rng, shifts, degree):
     return vec or {terms[rng.below(len(terms))]: 1}
 
 
-@pytest.mark.parametrize("p", [2, 32003, 2**31 - 1])
-def test_minimal_vec_generators_matches_greedy_span_tracker(p):
-    R = ring(("x", "y", "z"), p)
+def planted_vectors(R, rng, trial):
+    """A few dense random vectors over rank <= 3, plus planted dependents."""
+    p = R.field.p
+    shifts = [rng.below(2) for _ in range(1 + trial % 3)]
+    degs = [1 + rng.below(3) for _ in range(3 + rng.below(4))]
+    vecs = [random_raw_vector(R, rng, shifts, d) for d in degs]
+    # Planted dependents: sums, scalar multiples and monomial multiples.
+    for _ in range(4):
+        i, j = rng.below(len(degs)), rng.below(len(degs))
+        a, b, scale = vecs[i], vecs[j], 1 + rng.below(p - 1)
+        if degs[i] == degs[j] and i != j:
+            total = {k: (a.get(k, 0) + scale * b.get(k, 0)) % p for k in set(a) | set(b)}
+            vecs.append({k: c for k, c in total.items() if c})
+            degs.append(degs[i])
+        elif rng.below(2):
+            vecs.append({k: c * scale % p for k, c in a.items()})
+            degs.append(degs[i])
+        else:
+            var = rng.below(3)
+            mono = tuple(int(v == var) for v in range(3))
+            vecs.append(poly_times_vec({mono: scale}, a, p))
+            degs.append(degs[i] + 1)
+    return shifts, vecs
+
+
+def sparse_gapped_vectors(R, rng, rank):
+    """Sparse vectors over a free module of rank `rank`: low generators in
+    degrees 1 and 2, candidates in degree 4, and planted dependents that add
+    monomial multiples of low generators, across gaps of 2 and 3, to a
+    candidate."""
+    p, n = R.field.p, R.nvars
+    shifts = [rng.below(2) for _ in range(rank)]
+
+    def sparse(degree, terms):
+        keys = [(pos, mono) for pos, shift in enumerate(shifts) if degree >= shift
+                for mono in monomials_of_degree(n, degree - shift)]
+        return {keys[rng.below(len(keys))]: 1 + rng.below(p - 1) for _ in range(terms)}
+
+    low = [sparse(1 + rng.below(2), 1 + rng.below(3)) for _ in range(rank)]
+    vecs = list(low)
+    for _ in range(4):
+        candidate = sparse(4, 1 + rng.below(3))
+        planted = candidate if rng.below(2) else {}
+        for _ in range(2):
+            b = low[rng.below(len(low))]
+            monos = monomials_of_degree(n, 4 - vec_degree(b, shifts))
+            multiple = poly_times_vec({monos[rng.below(len(monos))]: 1 + rng.below(p - 1)}, b, p)
+            planted = vec_sub(planted, multiple, p)
+        vecs += [candidate, planted]
+    return shifts, [v for v in vecs if v]
+
+
+@pytest.mark.parametrize("p, nvars, rank", [
+    pytest.param(2, 3, None, id="2"),
+    pytest.param(32003, 3, None, id="32003"),
+    pytest.param(2**31 - 1, 3, None, id="2147483647"),
+    pytest.param(2, 5, 4, id="2-sparse-5vars-rank4"),
+    pytest.param(32003, 6, 5, id="32003-sparse-6vars-rank5"),
+    pytest.param(2**31 - 1, 6, 6, id="2147483647-sparse-6vars-rank6"),
+])
+def test_minimal_vec_generators_matches_greedy_span_tracker(p, nvars, rank):
+    R = ring(("x", "y", "z", "u", "v", "w")[:nvars], p)
     rng = Rng(p)
     for trial in range(12):
-        shifts = [rng.below(2) for _ in range(1 + trial % 3)]
-        degs = [1 + rng.below(3) for _ in range(3 + rng.below(4))]
-        vecs = [random_raw_vector(R, rng, shifts, d) for d in degs]
-        # Planted dependents: sums, scalar multiples and monomial multiples.
-        for _ in range(4):
-            i, j = rng.below(len(degs)), rng.below(len(degs))
-            a, b, scale = vecs[i], vecs[j], 1 + rng.below(p - 1)
-            if degs[i] == degs[j] and i != j:
-                total = {k: (a.get(k, 0) + scale * b.get(k, 0)) % p for k in set(a) | set(b)}
-                vecs.append({k: c for k, c in total.items() if c})
-                degs.append(degs[i])
-            elif rng.below(2):
-                vecs.append({k: c * scale % p for k, c in a.items()})
-                degs.append(degs[i])
-            else:
-                var = rng.below(3)
-                mono = tuple(int(v == var) for v in range(3))
-                vecs.append(poly_times_vec({mono: scale}, a, p))
-                degs.append(degs[i] + 1)
+        if rank is None:
+            shifts, vecs = planted_vectors(R, rng, trial)
+        else:
+            shifts, vecs = sparse_gapped_vectors(R, rng, rank)
         order = list(range(len(vecs)))
         for t in range(len(order) - 1, 0, -1):
             k = rng.below(t + 1)
@@ -70,6 +114,30 @@ def test_minimal_vec_generators_matches_greedy_span_tracker(p):
         want = minimal_vec_generators_greedy(vecs, shifts, R)
         assert [id(v) for v in got] == [id(v) for v in want]
         assert len(got) < len(vecs)
+
+
+def test_minimal_vec_generators_allocates_no_dense_matrix(monkeypatch):
+    # Rank 30: the six variables kept in degree 1 on 29 positions, candidates
+    # in degree 6.  One dense matrix over the degree-6 multiples and
+    # candidates would hold about 6 * 10^8 cells.
+    import numpy as np
+    real_zeros = np.zeros
+
+    def guarded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**7, f"dense allocation of shape {shape}"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    R = ring(("x", "y", "z", "u", "v", "w"), 32003)
+    shifts = [0] * 29 + [6]
+    variables = monomials_of_degree(6, 1)
+    low = [{(pos, mono): 1} for pos in range(29) for mono in variables]
+    x6, y6, xyzuvw = (6, 0, 0, 0, 0, 0), (0, 6, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)
+    kept_candidate = {(29, (0,) * 6): 5, (3, y6): 1}
+    candidates = [{(0, x6): 7}, kept_candidate, {(29, (0,) * 6): 2, (7, xyzuvw): 1},
+                  {(28, xyzuvw): 3}]
+    got = minimal_vec_generators(candidates + low, shifts, R)
+    assert [id(v) for v in got] == [id(v) for v in low + [kept_candidate]]
 
 
 # -- free resolutions -------------------------------------------------------------
