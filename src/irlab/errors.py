@@ -22,7 +22,8 @@ class NotArtinianError(IrlabError):
 
 
 class ResourceBudgetExceeded(IrlabError):
-    """A single Groebner run exceeded its S-pair reduction budget."""
+    """A single Groebner run exceeded its S-pair reduction budget, or a term
+    degree the engine's packed exponent fields can hold."""
 
 
 class SearchExhausted(IrlabError):

@@ -12,11 +12,25 @@ read off in the coordinates of v.  That projection is the reduced basis of
 the result, so the result carries it and Buchberger never runs on it again.
 `Ideal.colon` gives no block to a generator that I already contains, since
 I : g = S for g in I.
-Reduction keeps its working terms in a heap on (position, descending key), so
-each step pops the next leading term instead of scanning, and one run shares
-a single per-exponent key cache across every S-pair and tail reduction.
 Every basis returned is reduced, monic and sorted, hence canonical for the
 ideal.
+
+Inside the engine every term (position, m) in n variables is one int,
+K(m) - (position << S) with K(m) = deg(m) << nW | sum_i (B - m_i) << iW, in
+W = 32-bit fields, B = 2^31 - 1 and S = (n + 1) W (Bachmann & Schoenemann
+1998, packed exponent vectors).  Int order is position-over-term grevlex;
+x^a times a term is the addition of K(x^a) - K(1); divisibility is one masked
+subtraction whose guard bits (the top bit of each variable field) survive
+exactly when every exponent is large enough.  Reduction pops the negated
+terms from a heap, so each step takes the next leading term instead of
+scanning.  Terms are packed where raw vectors enter the engine
+(`module_buchberger_raw`, and `ModuleGB.normal_form`, which packs its
+reducers on first use) and unpacked where they leave; everything outside
+sees exponent tuples.  No degree above B may reach a field: the input is
+checked as it is packed, and every S-polynomial and reduction step first
+bounds the degree of the terms it makes by the lcm's (or the reduced
+term's) degree plus the reducer's tail excess.  Past B the run raises
+ResourceBudgetExceeded instead of carrying into the next field.
 
 One grevlex basis gives K = I : l^infinity for l = x_1 + ... + x_n
 (`Ideal._sum_of_variables_saturation`, cached).  After x_n -> x_n - x_1 -
@@ -41,7 +55,6 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import combinations
-from operator import add
 
 from .errors import (NotArtinianError, PreconditionError, ResourceBudgetExceeded,
                      RingMismatchError)
@@ -77,10 +90,6 @@ def _divides(a, b):
     return True
 
 
-def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -90,70 +99,121 @@ def _vkey(pm):
     return (-pm[0], grevlex_key(pm[1]))
 
 
-def _desc(m):
-    """Grevlex key of m with every int negated: ascending is descending grevlex."""
-    return (-sum(m), m[::-1])
+# ---------------------------------------------------------------------------
+# Packed terms, laid out as the module docstring says: one W-bit field per
+# variable holding B - m_i, one holding deg(m), and -position above them.
+
+_W = 32
+_B = (1 << (_W - 1)) - 1  # largest degree a packed term may carry
+_FIELD = (1 << _W) - 1
 
 
-def _v_divides(a, b):
-    return a[0] == b[0] and _divides(a[1], b[1])
+def _field_overflow():
+    return ResourceBudgetExceeded(
+        f"a term degree would exceed {_B} = 2^{_W - 1} - 1, the limit of the "
+        f"{_W}-bit packed exponent fields")
 
 
-def _v_sub_scaled(target, src, expo, coeff, p):
-    """target -= coeff * x^expo * src, in place."""
-    for (pos, m), c in src.items():
-        kkey = (pos, tuple(a + b for a, b in zip(m, expo)))
-        v = (target.get(kkey, 0) - coeff * c) % p
-        if v:
-            target[kkey] = v
-        else:
-            target.pop(kkey, None)
+class _Layout:
+    """Packing constants for n variables."""
+
+    __slots__ = ("shifts", "nw", "s", "varmask", "guard", "degmask", "base")
+
+    def __init__(self, n):
+        self.shifts = tuple(i * _W for i in range(n))
+        self.nw = n * _W
+        self.s = self.nw + _W
+        self.varmask = (1 << self.nw) - 1
+        self.guard = sum(1 << (sh + _W - 1) for sh in self.shifts)
+        self.degmask = _FIELD << self.nw
+        self.base = sum(_B << sh for sh in self.shifts)
+
+    def pack(self, term):
+        pos, m = term
+        d = sum(m)
+        if d > _B:
+            raise _field_overflow()
+        k = self.base + (d << self.nw)
+        for e, sh in zip(m, self.shifts):
+            k -= e << sh
+        return k - (pos << self.s)
+
+    def unpack(self, t):
+        return -(t >> self.s), tuple([_B - ((t >> sh) & _FIELD) for sh in self.shifts])
+
+    def pack_vec(self, vec):
+        return {self.pack(t): c for t, c in vec.items()}
+
+    def unpack_vec(self, vec):
+        return {self.unpack(t): c for t, c in vec.items()}
+
+    def divides(self, a, b):
+        """Whether packed term a divides packed term b (same position included)."""
+        return a >> self.s == b >> self.s and \
+            (((a & self.varmask) | self.guard) - (b & self.varmask)) & self.guard == self.guard
 
 
-def _add_reducer(by_pos, lt, g):
-    """File monic raw vector g with lead term lt as (lead exponent, tail terms)."""
-    tail = [(pos, m, c) for (pos, m), c in g.items() if (pos, m) != lt]
-    by_pos.setdefault(lt[0], []).append((lt[1], tail))
+_LAYOUTS: dict = {}
 
 
-def _v_normal_form(f, by_pos, dkeys, p):
-    """Fully reduced remainder of raw vector f, its terms in descending order.
+def _layout(n) -> _Layout:
+    L = _LAYOUTS.get(n)
+    if L is None:
+        L = _LAYOUTS[n] = _Layout(n)
+    return L
 
-    `by_pos` maps a position to its reducers (lead exponent, tail) in basis
-    order; only reducers leading in a term's own position can divide it.
-    Terms wait in a min-heap on (position, descending key); a term that
-    cancels leaves `work` and its heap entry is skipped when popped.  `dkeys`
-    caches the descending key per exponent and may be shared between calls.
+
+def _file_reducer(by_pos, L, lt, g):
+    """File monic packed vector g with lead lt in `by_pos`, and return it as
+    (guarded lead, lead, cap, tail).
+
+    The guarded lead is the lead's variable fields with every guard bit set,
+    so a term t is divisible exactly when guarded lead - (t & varmask) keeps
+    every guard bit.  A tail term can exceed the lead in degree only in a
+    lower position.  The cap is B minus that excess (if any), as degree bits:
+    the terms a multiple of g by x^a brings in stay within B when x^a times
+    the lead has degree bits at most cap.
+    """
+    nw = L.nw
+    tail = [(t, c) for t, c in g.items() if t != lt]
+    ld = (lt >> nw) & _FIELD
+    excess = max([((t >> nw) & _FIELD) - ld for t, _ in tail] + [0])
+    r = ((lt & L.varmask) | L.guard, lt, (_B - excess) << nw, tail)
+    by_pos.setdefault(lt >> L.s, []).append(r)
+    return r
+
+
+def _normal_form(f, by_pos, L, p):
+    """Fully reduced remainder of packed vector f, its terms in descending order.
+
+    `by_pos` maps `t >> S` (minus the position) to its reducers in basis
+    order, the first divisor being the one used; only reducers leading in a
+    term's own position can divide it.  Terms wait negated in a min-heap; a
+    term that cancels leaves `work` and its heap entry is skipped when popped.
     """
     work = dict(f)
-    heap = []
-    for pos, m in work:
-        d = dkeys.get(m)
-        if d is None:
-            d = dkeys[m] = _desc(m)
-        heap.append((pos, d, m))
+    heap = [-t for t in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
+    s, varmask, guard, degmask = L.s, L.varmask, L.guard, L.degmask
     out = {}
     while heap:
-        pos, _, m = pop(heap)
-        t = (pos, m)
+        t = -pop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        for lm, tail in by_pos.get(pos, ()):
-            if _divides(lm, m):
-                shift = _mono_sub(m, lm)
-                for gp, gm, gc in tail:
-                    m2 = tuple(map(add, gm, shift))
-                    kk = (gp, m2)
+        tv = t & varmask
+        for glead, lt, cap, tail in by_pos.get(t >> s, ()):
+            if (glead - tv) & guard == guard:
+                if t & degmask > cap:
+                    raise _field_overflow()
+                shift = t - lt
+                for gt, gc in tail:
+                    kk = gt + shift
                     old = work.get(kk)
                     if old is None:
                         work[kk] = (-c * gc) % p
-                        d = dkeys.get(m2)
-                        if d is None:
-                            d = dkeys[m2] = _desc(m2)
-                        push(heap, (gp, d, m2))
+                        push(heap, -kk)
                     else:
                         v = (old - c * gc) % p
                         if v:
@@ -166,7 +226,7 @@ def _v_normal_form(f, by_pos, dkeys, p):
     return out
 
 
-def _v_monic(f, lt, p):
+def _monic(f, lt, p):
     c = f[lt]
     if c == 1:
         return f
@@ -179,48 +239,58 @@ def module_buchberger_raw(vecs, p):
 
     Only same-position pairs are formed.  The chain criterion always applies;
     the product criterion only when every input vector lies in position 0 (it
-    is unsound for modules of higher rank).  One descending-key cache serves
-    every reduction of the run.
+    is unsound for modules of higher rank).  The run packs its input, works on
+    packed terms throughout and unpacks the basis it returns.
     """
     budget = spair_budget()
-    G = [dict(v) for v in vecs if v]
-    if not G:
+    vecs = [v for v in vecs if v]
+    if not vecs:
         return []
+    L = _layout(len(next(iter(vecs[0]))[1]))
+    G = [L.pack_vec(v) for v in vecs]
     # Fast path: single-term vectors are a Groebner basis after minimalization.
     if all(len(g) == 1 for g in G):
         kept = []
-        for t in sorted({next(iter(g)) for g in G}, key=_vkey):
-            if not any(_v_divides(k, t) for k in kept):
+        for t in sorted({next(iter(g)) for g in G}):
+            if not any(L.divides(k, t) for k in kept):
                 kept.append(t)
-        return [{t: 1} for t in kept]
+        return [{L.unpack(t): 1} for t in kept]
 
-    rank1 = all(pos == 0 for g in G for pos, _ in g)
-    leads = [max(g, key=_vkey) for g in G]
-    G = [_v_monic(g, lt, p) for g, lt in zip(G, leads)]
+    rank1 = all(t >= 0 for g in G for t in g)
+    leads = [max(g) for g in G]
+    G = [_monic(g, lt, p) for g, lt in zip(G, leads)]
     by_pos: dict = {}
-    for lt, g in zip(leads, G):
-        _add_reducer(by_pos, lt, g)
-    dkeys: dict = {}
+    reducers = [_file_reducer(by_pos, L, lt, g) for lt, g in zip(leads, G)]
+    # A pair's sugar is the degree of its lcm, summed on the exponent tuples.
+    expos = [L.unpack(lt)[1] for lt in leads]
+    degs = [sum(m) for m in expos]
+    same_pos: dict = {}  # position key -> indices of the elements leading there
     heap = []
-    for i, j in combinations(range(len(G)), 2):
-        if leads[i][0] == leads[j][0]:
-            heapq.heappush(heap, (sum(_mono_lcm(leads[i][1], leads[j][1])), j, i))
+    for k, lt in enumerate(leads):
+        same = same_pos.setdefault(lt >> L.s, [])
+        for i in same:
+            heapq.heappush(heap, (sum(map(max, expos[i], expos[k])), k, i))
+        same.append(k)
     done = set()
     spent = 0
+    varmask, guard, degmask, s_bits = L.varmask, L.guard, L.degmask, L.s
+    positions = -(1 << s_bits)  # the bits of a packed term that hold -position
     while heap:
-        _, j, i = heapq.heappop(heap)
+        d, j, i = heapq.heappop(heap)
         done.add((i, j))
-        li, lj = leads[i], leads[j]
-        lcm = _mono_lcm(li[1], lj[1])
         # Product criterion: coprime leads reduce to 0 in the ring case.
-        if rank1 and all(a + b == c for a, b, c in zip(li[1], lj[1], lcm)):
+        if rank1 and d == degs[i] + degs[j]:
             continue
+        # The lcm keeps the smaller field of the two leads in every variable.
+        a, b = leads[i] & varmask, leads[j] & varmask
+        ge = ((a | guard) - b) & guard
+        ge |= ge - (ge >> (_W - 1))
+        lcm_t = (d << L.nw) + ((b & ge) | (a & ~ge)) + (leads[i] & positions)
         # Chain criterion.
+        glcm = lcm_t & varmask
         skip = False
-        for k in range(len(G)):
-            if k == i or k == j or leads[k][0] != li[0]:
-                continue
-            if _divides(leads[k][1], lcm) \
+        for k in same_pos[leads[i] >> s_bits]:
+            if k != i and k != j and (reducers[k][0] - glcm) & guard == guard \
                     and (min(i, k), max(i, k)) in done \
                     and (min(j, k), max(j, k)) in done:
                 skip = True
@@ -231,43 +301,61 @@ def module_buchberger_raw(vecs, p):
         if spent > budget:
             raise ResourceBudgetExceeded(f"S-pair budget {budget} exceeded")
         s = {}
-        _v_sub_scaled(s, G[i], _mono_sub(lcm, li[1]), p - 1, p)
-        _v_sub_scaled(s, G[j], _mono_sub(lcm, lj[1]), 1, p)
-        rem = _v_normal_form(s, by_pos, dkeys, p)
+        for k, sign in ((i, 1), (j, -1)):
+            _, lt, cap, _ = reducers[k]
+            if lcm_t & degmask > cap:
+                raise _field_overflow()
+            shift = lcm_t - lt
+            for t, c in G[k].items():
+                kk = t + shift
+                v = (s.get(kk, 0) + sign * c) % p
+                if v:
+                    s[kk] = v
+                else:
+                    s.pop(kk, None)
+        rem = _normal_form(s, by_pos, L, p)
         if rem:
             lt = next(iter(rem))
-            rem = _v_monic(rem, lt, p)
+            rem = _monic(rem, lt, p)
+            new = len(G)
             G.append(rem)
             leads.append(lt)
-            _add_reducer(by_pos, lt, rem)
-            new = len(G) - 1
-            for t in range(new):
-                if leads[t][0] == lt[0]:
-                    heapq.heappush(heap, (sum(_mono_lcm(leads[t][1], lt[1])), new, t))
+            reducers.append(_file_reducer(by_pos, L, lt, rem))
+            m = L.unpack(lt)[1]
+            expos.append(m)
+            degs.append(sum(m))
+            same = same_pos.setdefault(lt >> s_bits, [])
+            for t in same:
+                heapq.heappush(heap, (sum(map(max, expos[t], m)), new, t))
+            same.append(new)
 
     # Minimalize: drop elements whose lead is divisible by another lead.
-    order_idx = sorted(range(len(G)), key=lambda i: _vkey(leads[i]))
+    order_idx = sorted(range(len(G)), key=leads.__getitem__)
     kept = []
     for i in order_idx:
-        if not any(_v_divides(leads[k], leads[i]) for k in kept):
+        if not any(L.divides(leads[k], leads[i]) for k in kept):
             kept.append(i)
     # Tail-reduce to the unique reduced basis.  A lead divides no term below
     # it, so every tail reduces against all minimal elements at once, and the
     # lead (coefficient 1) stays first.
     by_pos = {}
     for i in kept:
-        _add_reducer(by_pos, leads[i], G[i])
+        _file_reducer(by_pos, L, leads[i], G[i])
     reduced = []
     for i in kept:
         lt = leads[i]
         tail = {t: c for t, c in G[i].items() if t != lt}
-        reduced.append({lt: 1, **_v_normal_form(tail, by_pos, dkeys, p)})
-    reduced.sort(key=lambda g: _vkey(next(iter(g))))
-    return reduced
+        reduced.append({lt: 1, **_normal_form(tail, by_pos, L, p)})
+    reduced.sort(key=lambda g: next(iter(g)))
+    return [L.unpack_vec(g) for g in reduced]
 
 
 class ModuleGB:
-    """Reduced Groebner basis of a submodule of a rank-r free module."""
+    """Reduced Groebner basis of a submodule of a rank-r free module.
+
+    `elements` are raw vectors; their packed reducers are built on the first
+    `normal_form`, which packs its argument and unpacks the remainder.
+    """
 
     __slots__ = ("ring", "rank", "elements", "leads", "_by_pos")
 
@@ -276,12 +364,16 @@ class ModuleGB:
         self.rank = rank
         self.elements = tuple(raw_elements)
         self.leads = tuple(max(g, key=_vkey) for g in raw_elements)
-        self._by_pos: dict = {}
-        for lt, g in zip(self.leads, self.elements):
-            _add_reducer(self._by_pos, lt, g)
+        self._by_pos = None
 
     def normal_form(self, raw_vec):
-        return _v_normal_form(raw_vec, self._by_pos, {}, self.ring.field.p)
+        L = _layout(self.ring.nvars)
+        if self._by_pos is None:
+            self._by_pos = {}
+            for lt, g in zip(self.leads, self.elements):
+                _file_reducer(self._by_pos, L, L.pack(lt), L.pack_vec(g))
+        rem = _normal_form(L.pack_vec(raw_vec), self._by_pos, L, self.ring.field.p)
+        return L.unpack_vec(rem)
 
     def contains(self, raw_vec) -> bool:
         return not self.normal_form(raw_vec)

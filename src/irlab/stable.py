@@ -341,22 +341,45 @@ class LimitProfile:
 def random_sop(ideal: Ideal, degree: int, rng: Rng, retries: int = 40):
     """A random system of parameters with all elements homogeneous of the
     given degree, as a ParameterList; None when the per-element retry budget
-    runs out."""
+    runs out.
+
+    Element i is the first nonzero draw that cuts the dimension of
+    S/(I + earlier elements) by one.  For homogeneous I each homogeneous cut
+    lowers the dimension by at most one, so when the first d draws are nonzero
+    and cut I down to dimension 0, every one of them is accepted at its first
+    try: that case costs one dimension check.  Otherwise the stream is rewound
+    and the elements are found one at a time.
+    """
     R = ideal.ring
     p = R.field.p
     d = ideal.krull_dimension()
     monos = monomials_of_degree(R.nvars, degree)
+
+    def draw():
+        cand = R.zero()
+        for m in monos:
+            c = rng.below(p)
+            if c:
+                cand = cand + R.monomial(m, c)
+        return cand
+
+    if d > 0 and all(g.is_homogeneous() for g in ideal.gens):
+        state = rng.state
+        elems = [draw() for _ in range(d)]
+        if not any(f.is_zero() for f in elems):
+            cut = ideal
+            for f in elems:
+                cut = cut + f
+            if cut.krull_dimension() == 0:
+                return ParameterList(elems, ideal, cut)
+        rng.state = state
     current = ideal
     elems = []
     for i in range(d):
         target = d - i - 1
         found = None
         for _ in range(retries):
-            cand = R.zero()
-            for m in monos:
-                c = rng.below(p)
-                if c:
-                    cand = cand + R.monomial(m, c)
+            cand = draw()
             if cand.is_zero():
                 continue
             cut = current + cand

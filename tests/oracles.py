@@ -1,11 +1,15 @@
 """Brute-force oracles used by the tests: definitional, engine-independent."""
 
+import heapq
+from itertools import combinations
+from operator import add
+
 import numpy as np
 
-from irlab.errors import PreconditionError
+from irlab.errors import PreconditionError, ResourceBudgetExceeded
 from irlab.filtration import (_mono_intersect, _monomial_gens,
                               monomial_primary_decomposition)
-from irlab.groebner import Ideal
+from irlab.groebner import Ideal, _divides, _mono_lcm, _vkey, spair_budget
 from irlab.linalg import SpanTracker, rank_mod_p, rref_mod_p
 from irlab.modules import poly_times_vec, vec_sub
 from irlab.ring import monomials_of_degree
@@ -219,6 +223,37 @@ def is_sop_stepwise(elements, ideal):
     return True
 
 
+def random_sop_stepwise(ideal, degree, rng, retries=40):
+    """`stable.random_sop` one element at a time: each element is the first
+    nonzero draw of random coefficients on the degree's monomials that cuts
+    the dimension by one.  Returns (elements, I + (elements)), or None."""
+    R = ideal.ring
+    p = R.field.p
+    d = ideal.krull_dimension()
+    monos = monomials_of_degree(R.nvars, degree)
+    current = ideal
+    elems = []
+    for i in range(d):
+        found = None
+        for _ in range(retries):
+            cand = R.zero()
+            for m in monos:
+                c = rng.below(p)
+                if c:
+                    cand = cand + R.monomial(m, c)
+            if cand.is_zero():
+                continue
+            cut = current + cand
+            if cut.krull_dimension() == d - i - 1:
+                found = cand
+                break
+        if found is None:
+            return None
+        elems.append(found)
+        current = cut
+    return elems, current
+
+
 def socle_by_full_slices(gens, ring_):
     """(socle dimension, length) of S/(gens) by row-reducing every full slice J_e.
 
@@ -285,3 +320,200 @@ def socle_by_full_slices(gens, ring_):
         monos_e, j_rows, std_e = monos_next, next_rows, std_next
         e += 1
     return total_socle, total_length
+
+
+# ---------------------------------------------------------------------------
+# The tuple Groebner engine: the oracle for the packed-int engine in
+# `irlab.groebner`.  A raw vector is a dict {(position, exponent tuple): coeff}.
+
+def _mono_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _desc(m):
+    """Grevlex key of m with every int negated: ascending is descending grevlex."""
+    return (-sum(m), m[::-1])
+
+
+def _v_divides(a, b):
+    return a[0] == b[0] and _divides(a[1], b[1])
+
+
+def _v_sub_scaled(target, src, expo, coeff, p):
+    """target -= coeff * x^expo * src, in place."""
+    for (pos, m), c in src.items():
+        kkey = (pos, tuple(a + b for a, b in zip(m, expo)))
+        v = (target.get(kkey, 0) - coeff * c) % p
+        if v:
+            target[kkey] = v
+        else:
+            target.pop(kkey, None)
+
+
+def _add_reducer(by_pos, lt, g):
+    """File monic raw vector g with lead term lt as (lead exponent, tail terms)."""
+    tail = [(pos, m, c) for (pos, m), c in g.items() if (pos, m) != lt]
+    by_pos.setdefault(lt[0], []).append((lt[1], tail))
+
+
+def _v_normal_form(f, by_pos, dkeys, p):
+    """Fully reduced remainder of raw vector f, its terms in descending order.
+
+    `by_pos` maps a position to its reducers (lead exponent, tail) in basis
+    order; only reducers leading in a term's own position can divide it.
+    Terms wait in a min-heap on (position, descending key); a term that
+    cancels leaves `work` and its heap entry is skipped when popped.  `dkeys`
+    caches the descending key per exponent and may be shared between calls.
+    """
+    work = dict(f)
+    heap = []
+    for pos, m in work:
+        d = dkeys.get(m)
+        if d is None:
+            d = dkeys[m] = _desc(m)
+        heap.append((pos, d, m))
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    out = {}
+    while heap:
+        pos, _, m = pop(heap)
+        t = (pos, m)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for lm, tail in by_pos.get(pos, ()):
+            if _divides(lm, m):
+                shift = _mono_sub(m, lm)
+                for gp, gm, gc in tail:
+                    m2 = tuple(map(add, gm, shift))
+                    kk = (gp, m2)
+                    old = work.get(kk)
+                    if old is None:
+                        work[kk] = (-c * gc) % p
+                        d = dkeys.get(m2)
+                        if d is None:
+                            d = dkeys[m2] = _desc(m2)
+                        push(heap, (gp, d, m2))
+                    else:
+                        v = (old - c * gc) % p
+                        if v:
+                            work[kk] = v
+                        else:
+                            del work[kk]
+                break
+        else:
+            out[t] = c
+    return out
+
+
+def _v_monic(f, lt, p):
+    c = f[lt]
+    if c == 1:
+        return f
+    inv = pow(c, p - 2, p)
+    return {t: (v * inv) % p for t, v in f.items()}
+
+
+def module_buchberger_tuples(vecs, p):
+    """Reduced Groebner basis of raw vectors under position-over-term, on tuples.
+
+    The engine as it was before terms were packed into ints: exponent tuples,
+    a heap on (position, descending key) and a per-run key cache.  Same pair
+    order, criteria and reducer choice, so its bases and remainders must equal
+    `groebner.module_buchberger_raw` and `ModuleGB.normal_form` exactly.
+
+    Only same-position pairs are formed.  The chain criterion always applies;
+    the product criterion only when every input vector lies in position 0 (it
+    is unsound for modules of higher rank).  One descending-key cache serves
+    every reduction of the run.
+    """
+    budget = spair_budget()
+    G = [dict(v) for v in vecs if v]
+    if not G:
+        return []
+    # Fast path: single-term vectors are a Groebner basis after minimalization.
+    if all(len(g) == 1 for g in G):
+        kept = []
+        for t in sorted({next(iter(g)) for g in G}, key=_vkey):
+            if not any(_v_divides(k, t) for k in kept):
+                kept.append(t)
+        return [{t: 1} for t in kept]
+
+    rank1 = all(pos == 0 for g in G for pos, _ in g)
+    leads = [max(g, key=_vkey) for g in G]
+    G = [_v_monic(g, lt, p) for g, lt in zip(G, leads)]
+    by_pos: dict = {}
+    for lt, g in zip(leads, G):
+        _add_reducer(by_pos, lt, g)
+    dkeys: dict = {}
+    heap = []
+    for i, j in combinations(range(len(G)), 2):
+        if leads[i][0] == leads[j][0]:
+            heapq.heappush(heap, (sum(_mono_lcm(leads[i][1], leads[j][1])), j, i))
+    done = set()
+    spent = 0
+    while heap:
+        _, j, i = heapq.heappop(heap)
+        done.add((i, j))
+        li, lj = leads[i], leads[j]
+        lcm = _mono_lcm(li[1], lj[1])
+        # Product criterion: coprime leads reduce to 0 in the ring case.
+        if rank1 and all(a + b == c for a, b, c in zip(li[1], lj[1], lcm)):
+            continue
+        # Chain criterion.
+        skip = False
+        for k in range(len(G)):
+            if k == i or k == j or leads[k][0] != li[0]:
+                continue
+            if _divides(leads[k][1], lcm) \
+                    and (min(i, k), max(i, k)) in done \
+                    and (min(j, k), max(j, k)) in done:
+                skip = True
+                break
+        if skip:
+            continue
+        spent += 1
+        if spent > budget:
+            raise ResourceBudgetExceeded(f"S-pair budget {budget} exceeded")
+        s = {}
+        _v_sub_scaled(s, G[i], _mono_sub(lcm, li[1]), p - 1, p)
+        _v_sub_scaled(s, G[j], _mono_sub(lcm, lj[1]), 1, p)
+        rem = _v_normal_form(s, by_pos, dkeys, p)
+        if rem:
+            lt = next(iter(rem))
+            rem = _v_monic(rem, lt, p)
+            G.append(rem)
+            leads.append(lt)
+            _add_reducer(by_pos, lt, rem)
+            new = len(G) - 1
+            for t in range(new):
+                if leads[t][0] == lt[0]:
+                    heapq.heappush(heap, (sum(_mono_lcm(leads[t][1], lt[1])), new, t))
+
+    # Minimalize: drop elements whose lead is divisible by another lead.
+    order_idx = sorted(range(len(G)), key=lambda i: _vkey(leads[i]))
+    kept = []
+    for i in order_idx:
+        if not any(_v_divides(leads[k], leads[i]) for k in kept):
+            kept.append(i)
+    # Tail-reduce to the unique reduced basis.  A lead divides no term below
+    # it, so every tail reduces against all minimal elements at once, and the
+    # lead (coefficient 1) stays first.
+    by_pos = {}
+    for i in kept:
+        _add_reducer(by_pos, leads[i], G[i])
+    reduced = []
+    for i in kept:
+        lt = leads[i]
+        tail = {t: c for t, c in G[i].items() if t != lt}
+        reduced.append({lt: 1, **_v_normal_form(tail, by_pos, dkeys, p)})
+    reduced.sort(key=lambda g: _vkey(next(iter(g))))
+    return reduced
+
+
+def normal_form_tuples(f, basis, p):
+    """Remainder of raw vector f by the raw vectors `basis`, in basis order."""
+    by_pos: dict = {}
+    for g in basis:
+        _add_reducer(by_pos, max(g, key=_vkey), g)
+    return _v_normal_form(f, by_pos, {}, p)

@@ -171,6 +171,20 @@ def test_out_of_memory_exits_2(spec_file, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ideal", [["x^2147483648*y", "x*z"],
+                                   ["x^2147483646*z + z^2147483647", "z^2"]])
+def test_exponent_past_packed_field_exits_2(tmp_path, capsys, ideal):
+    # The first needs 2^31 in an exponent field of the input, the second in
+    # an S-polynomial: both stop with one line, never a carry into the next field.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(PLANE_LINE | {"ideal": ideal}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("budget exhausted: ") and "32-bit" in err
+    assert err.count("\n") == 1
+
+
 def test_limit_command(spec_file, capsys):
     code, out, _ = run(capsys, "limit", spec_file, "--nmax", "2", "--samples", "6")
     assert code == EXIT_OK

@@ -1,11 +1,12 @@
 import pytest
-from oracles import (membership_bruteforce, quotient_dimension_bruteforce,
+from oracles import (membership_bruteforce, module_buchberger_tuples,
+                     normal_form_tuples, quotient_dimension_bruteforce,
                      random_monomial_ideal)
 
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
-from irlab.groebner import (Ideal, _divides, buchberger, maximal_ideal,
-                            module_groebner, standard_levels, syzygies,
-                            unit_ideal)
+from irlab.groebner import (_B, Ideal, ModuleGB, _divides, _layout, _vkey, buchberger,
+                            maximal_ideal, module_buchberger_raw, module_groebner,
+                            standard_levels, syzygies, unit_ideal)
 from irlab.modules import Module
 from irlab.params import Rng
 from irlab.ring import grevlex_key, monomials_of_degree, ring
@@ -101,6 +102,121 @@ def test_budget_guard(R3, monkeypatch):
     with pytest.raises(ResourceBudgetExceeded):
         Ideal(R3, gens).groebner()
 
+
+
+# -- packed terms against the tuple engine ------------------------------------------
+
+PRIMES = (2, 3, 32003, 2**31 - 1)
+
+
+def random_terms(rng, n, count, top):
+    """(position, exponent) terms with positions 0-2 and exponents up to `top`,
+    degrees at most B."""
+    out = []
+    while len(out) < count:
+        m = tuple(rng.below(top + 1) for _ in range(n))
+        if sum(m) <= _B:
+            out.append((rng.below(3), m))
+    return out
+
+
+@pytest.mark.parametrize("top", [3, 2**20, _B])
+def test_packed_terms_round_trip_order_and_divide(top):
+    rng = Rng(11 + top)
+    for n in range(1, 7):
+        L = _layout(n)
+        terms = random_terms(rng, n, 40, top)
+        # A few near neighbours so that ties and unit steps are compared too.
+        terms += [(pos, m[:-1] + (max(m[-1] - 1, 0),)) for pos, m in terms[:10]]
+        packed = [L.pack(t) for t in terms]
+        assert [L.unpack(t) for t in packed] == terms
+        assert sorted(terms, key=_vkey) == [L.unpack(t) for t in sorted(packed)]
+        for a, pa in zip(terms, packed):
+            for b, pb in zip(terms, packed):
+                assert L.divides(pa, pb) == (a[0] == b[0] and _divides(a[1], b[1]))
+        # A product is one addition, as long as every degree stays within B.
+        for (pos, m), t in zip(terms[:10], packed):
+            zero = L.pack((0, (0,) * n))
+            for _, a in terms[10:20]:
+                if sum(m) + sum(a) <= _B:
+                    assert L.unpack(t + L.pack((0, a)) - zero) == \
+                        (pos, tuple(x + y for x, y in zip(m, a)))
+
+
+def random_raw_vector(rng, n, rank, p, degree, homogeneous):
+    """A dense raw vector: every monomial of the degree(s) in every position,
+    each with probability 3/4 and a random coefficient."""
+    degrees = [degree] if homogeneous else range(degree + 1)
+    vec = {}
+    for pos in range(rank):
+        for d in degrees:
+            for m in monomials_of_degree(n, d):
+                c = rng.below(p)
+                if c and rng.below(4):
+                    vec[(pos, m)] = c
+    return vec
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_packed_engine_matches_tuple_oracle(p, rank):
+    """Bases and remainders equal the tuple engine's, term order included."""
+    rng = Rng(100 * rank + p % 97)
+    for n in range(2, 7):
+        R = ring(tuple(f"x{i}" for i in range(n)), p)
+        for trial in range(2):
+            homogeneous = trial == 0
+            # Quadrics only where the bases stay small.
+            degree = 1 + (n <= 4 if homogeneous else rank == 1) * rng.below(2)
+            count = rank + 1 + rng.below(2)
+            vecs = [random_raw_vector(rng, n, rank, p, degree, homogeneous)
+                    for _ in range(count)]
+            want = module_buchberger_tuples(vecs, p)
+            got = module_buchberger_raw(vecs, p)
+            assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
+            gb = module_groebner(vecs, rank, R)
+            for _ in range(3):
+                f = random_raw_vector(rng, n, rank, p, degree + 1, homogeneous)
+                assert list(gb.normal_form(f).items()) == \
+                    list(normal_form_tuples(f, gb.elements, p).items())
+
+
+def test_packed_engine_matches_tuple_oracle_on_syzygies(R4):
+    """The graph vectors of a syzygy run, monomial and moved, as rank grows."""
+    p = R4.field.p
+    rng = Rng(41)
+    for _ in range(4):
+        for gens in random_monomial_ideal(R4, rng):
+            vecs = [{(0, m): c for m, c in g.terms.items()} | {(1 + i, (0,) * 4): 1}
+                    for i, g in enumerate(gens)]
+            got = module_buchberger_raw(vecs, p)
+            assert [list(g.items()) for g in got] == \
+                [list(g.items()) for g in module_buchberger_tuples(vecs, p)]
+
+
+def test_exponent_past_the_field_fails_closed(R3):
+    """No degree above B enters a packed field: not from the input, not from an
+    S-polynomial, not from a reduction step."""
+    p = R3.field.p
+    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+        module_buchberger_raw([{(0, (_B + 1, 0, 0)): 1}], p)
+    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+        module_buchberger_raw([{(0, (_B, 1, 0)): 1, (0, (0, 0, _B + 1)): 1}], p)
+    # x^(B-1) z and z^2 share z: their lcm has degree B + 1, and z times the
+    # tail z^B would not fit its field.
+    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+        module_buchberger_raw([{(0, (_B - 1, 0, 1)): 1, (0, (0, 0, _B)): 1},
+                               {(0, (0, 0, 2)): 1}], p)
+    # Degree B itself is fine: x^B + z^B and y^B + 2 z^B are a reduced basis.
+    vecs = [{(0, (_B, 0, 0)): 1, (0, (0, 0, _B)): 1}, {(0, (0, _B, 0)): 1, (0, (0, 0, _B)): 2}]
+    assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p) == vecs[::-1]
+    # x e_0 + y^B e_1: reducing x^2 e_0 would bring in x y^B e_1.
+    gb = ModuleGB(R3, 2, [{(0, (1, 0, 0)): 1, (1, (0, _B, 0)): 1}])
+    assert gb.normal_form({(0, (1, 0, 0)): 1}) == {(1, (0, _B, 0)): p - 1}
+    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+        gb.normal_form({(0, (2, 0, 0)): 1})
+    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+        gb.normal_form({(1, (0, 0, _B + 1)): 1})
 
 
 # -- normal form ------------------------------------------------------------------

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 from oracles import (check_complex, has_unit_entries, minimal_vec_generators_greedy,
-                     quotient_dimension_bruteforce)
+                     quotient_dimension_bruteforce, random_monomial_ideal)
 
 from irlab.errors import PreconditionError, ZeroModuleError
 from irlab.groebner import Ideal
@@ -263,6 +263,27 @@ def test_minimalized_taylor_matches_schreyer(two_planes_3d, two_planes_origin,
         assert got.betti_numbers() == want.betti_numbers()
         assert [tuple(sorted(s)) for s in got.shifts] == \
             [tuple(sorted(s)) for s in want.shifts]
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_auslander_buchsbaum_and_taylor_betti_over_every_prime(p):
+    """depth + pd = n, and the minimalized Taylor complex has the Betti numbers
+    of the syzygy resolution; a triangular change of coordinates keeps them."""
+    rng = Rng(p % 1000 + 3)
+    for trial in range(30):
+        R = ring(("x", "y", "z", "w", "v")[:2 + trial % 4], p)
+        monomial, moved = random_monomial_ideal(R, rng)
+        betti = None
+        for gens in (monomial, moved):
+            I = Ideal(R, gens)
+            M = Module.cyclic(I)
+            res = M.resolution()
+            assert M.depth() + res.length == R.nvars
+            if betti is None:
+                betti = res.betti_numbers()
+                assert minimalize_complex(taylor_resolution(I)).betti_numbers() == betti
+            else:
+                assert res.betti_numbers() == betti
 
 
 # -- Ext ----------------------------------------------------------------------------

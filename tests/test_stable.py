@@ -1,5 +1,7 @@
 import pytest
+from oracles import random_sop_stepwise
 
+from irlab.cli import corpus_index, load_corpus_spec
 from irlab.cohomology import socle_dimensions
 from irlab.errors import PreconditionError, SearchExhausted
 from irlab.filtration import classify_sequential
@@ -10,6 +12,32 @@ from irlab.stable import (deep_element_kills_h2, formula_dim3, formula_gcm,
                           formula_seq, goto_suzuki_bound, limit_profile,
                           random_sop, stability_suite, stable_value)
 from irlab.params import Rng
+from irlab.ring import ring
+
+
+def _golden_ideals():
+    """The golden rings at their own prime and at p = 2, where zero draws and
+    failed cuts are common enough to rewind the one-shot draw."""
+    for name in corpus_index()["golden"]:
+        spec = load_corpus_spec(name)
+        for p in (spec.characteristic, 2):
+            R = ring(spec.variables, p)
+            yield f"{name} p={p}", Ideal(R, [R.parse(s) for s in spec.ideal_strings])
+
+
+def test_random_sop_equals_stepwise_draws():
+    for label, I in _golden_ideals():
+        for degree in (1, 2, 3):
+            for seed in range(20):
+                want = random_sop_stepwise(I, degree, Rng(seed))
+                rng = Rng(seed)
+                got = random_sop(I, degree, rng)
+                if want is None:
+                    assert got is None, (label, degree, seed)
+                    continue
+                elems, cut = want
+                assert list(got) == elems, (label, degree, seed)
+                assert got.cut[2].gens == cut.gens, (label, degree, seed)
 
 
 # -- stable value -----------------------------------------------------------------

@@ -6,15 +6,21 @@ Runs `irlab analyze|ir|stable <spec> --seed 0` and
 `irlab limit <spec> --nmax 2 --samples 5 --seed 0` on each of the 27 bundled
 corpus specs, and `irlab reproduce-examples` with its timing column masked,
 each in a fresh interpreter on the source tree next to this script.  Every
-line reads `<sha256>  <command> <spec>`; diff the output of two checkouts:
+line reads `<sha256>  <command> <spec>`; a nonzero exit code from a command
+is printed in place of its digest, as `exit <code>  <command> <spec>`.
 
-    python3 tools/report_digests.py > before.txt   # in the first checkout
-    python3 tools/report_digests.py > after.txt    # in the second
-    diff before.txt after.txt
+Save the list of one checkout and check another against it:
 
-A nonzero exit code from a command is printed in place of its digest.
+    python3 tools/report_digests.py > before.txt            # first checkout
+    python3 tools/report_digests.py --check before.txt      # second checkout
+
+With `--check FILE` the lines are still printed; every line that differs
+from FILE (changed, missing or extra) is also reported on stderr, and the
+exit code is 1 when any line differs or any command exited nonzero, else 0.
 """
 
+import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -45,7 +51,8 @@ def line(proc, label, out=None):
     return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {label}"
 
 
-def main() -> int:
+def digest_lines():
+    """Yield the digest line of every command, in a fixed order."""
     index = json.loads((CORPUS / "index.json").read_text())
     names = [name[:-len(".json")] for group in GROUPS for name in index[group]]
     with tempfile.TemporaryDirectory() as tmp:
@@ -57,11 +64,34 @@ def main() -> int:
             path.write_text(json.dumps(data, sort_keys=True, indent=1))
             for command, *options in COMMANDS:
                 proc = irlab(command, str(path), *options, "--seed", "0")
-                print(line(proc, f"{command} {name}"), flush=True)
+                yield line(proc, f"{command} {name}")
     proc = irlab("reproduce-examples")
     masked = "".join(TIMING.sub(r"  \1  <time>  ", row, count=1)
                      for row in proc.stdout.splitlines(keepends=True))
-    print(line(proc, "reproduce-examples", masked))
+    yield line(proc, "reproduce-examples", masked)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare against a saved digest list; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    saved = Path(args.check).read_text().splitlines() if args.check else None
+    got = []
+    for row in digest_lines():
+        print(row, flush=True)
+        got.append(row)
+    if saved is None:
+        return 0
+    bad = [row for row in got if row.startswith("exit ")]
+    for row in bad:
+        print(f"nonzero exit: {row}", file=sys.stderr)
+    diff = list(difflib.unified_diff(saved, got, args.check, "this checkout", lineterm=""))
+    for row in diff:
+        print(row, file=sys.stderr)
+    if bad or diff:
+        return 1
+    print(f"all {len(got)} digests match {args.check}", file=sys.stderr)
     return 0
 
 
