@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .cohomology import cm_flags, socle_dimensions
@@ -31,7 +32,8 @@ from .errors import (InternalInvariantError, IrlabError, MethodDisagreement,
 from .filtration import classify_sequential, unmixed_component
 from .groebner import Ideal
 from .modules import Module
-from .params import construct_c_sop, index_of_reducibility, is_system_of_parameters
+from .params import (ParameterList, construct_c_sop, index_of_reducibility,
+                     is_system_of_parameters)
 from .ring import check_characteristic, ring
 from .stable import (goto_suzuki_bound, limit_profile, stability_suite,
                      stable_value)
@@ -218,7 +220,8 @@ def cmd_ir(args) -> int:
     R = spec.ambient()
     report = base_report(spec, args.seed)
     if args.params:
-        elems = [R.parse(s.strip()) for s in args.params.split(",") if s.strip()]
+        parsed = [R.parse(s.strip()) for s in args.params.split(",") if s.strip()]
+        elems = ParameterList(parsed, ideal, ideal + parsed)
         if not is_system_of_parameters(elems, ideal):
             d = Module.cyclic(ideal).dim()
             dims = []
@@ -420,6 +423,7 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irlab",
@@ -461,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PolynomialParseError, PreconditionError, FileNotFoundError,

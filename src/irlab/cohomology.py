@@ -165,25 +165,30 @@ def is_generalized_cm(M: Module) -> bool:
     return True
 
 
+def module_is_unmixed(M: Module) -> bool:
+    """No associated primes below the top dimension.
+
+    An associated prime of dimension i shows up exactly as an i-dimensional
+    component of Ext^{n-i}(M, S) (Eisenbud-Huneke-Vasconcelos), so
+    unmixedness reads off the same Ext dimensions as `is_generalized_cm`.
+    """
+    if M.is_zero():
+        raise ZeroModuleError("unmixedness of the zero module")
+    n = M.ring.nvars
+    for i in range(M.dim()):
+        E = M.ext(n - i)
+        if not E.is_zero() and E.dim() == i:
+            return False
+    return True
+
+
 def cm_flags(M: Module) -> CmFlags:
     """Cohen-Macaulay, generalized-CM, and unmixedness of a nonzero module; cached."""
     if M._flags is not None:
         return M._flags
     if M.is_zero():
         raise ZeroModuleError("flags of the zero module")
-    d = M.dim()
-    depth = M.depth()
-    is_cm = depth == d
-    gcm = is_generalized_cm(M)
-    if d == 0:
-        unmixed = True
-    elif M.cyclic_ideal is not None:
-        from .filtration import unmixed_component
-        unmixed = unmixed_component(M.cyclic_ideal) == M.cyclic_ideal
-    else:
-        from .filtration import module_is_unmixed
-        unmixed = module_is_unmixed(M)
-    M._flags = CmFlags(is_cm, gcm, unmixed)
+    M._flags = CmFlags(M.depth() == M.dim(), is_generalized_cm(M), module_is_unmixed(M))
     return M._flags
 
 

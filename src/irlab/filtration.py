@@ -45,23 +45,6 @@ def unmixed_component(ideal: Ideal, seed: int = 0, report: dict | None = None) -
     return K
 
 
-def module_is_unmixed(M: Module) -> bool:
-    """No associated primes below the top dimension.
-
-    An associated prime of dimension i shows up exactly as an i-dimensional
-    component of Ext^{n-i}(M, S), so unmixedness reads off the Ext dimensions.
-    """
-    if M.is_zero():
-        raise ZeroModuleError("unmixedness of the zero module")
-    n = M.ring.nvars
-    d = M.dim()
-    for i in range(d):
-        E = M.ext(n - i)
-        if not E.is_zero() and E.dim() == i:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DimensionFiltration:
     """Ideals K_0 <= ... <= K_{t-1} presenting the dimension filtration of S/I.

@@ -19,6 +19,7 @@ DEFAULT_CHARACTERISTIC = 32003
 MAX_CHARACTERISTIC = 2**31
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -27,7 +27,7 @@ from math import comb
 from .cohomology import (annihilator_data, cm_flags, local_cohomology_length,
                          socle_dimensions)
 from .errors import InternalInvariantError, PreconditionError, SearchExhausted
-from .filtration import classify_sequential, unmixed_component
+from .filtration import classify_sequential
 from .groebner import Ideal
 from .modules import Module
 from .params import (IrResult, ParameterList, ParameterSystem, Rng, construct_c_sop,
@@ -159,7 +159,7 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
         raise PreconditionError(f"dimension is {M.dim()}, need 3")
     if M.depth() != 2:
         raise PreconditionError(f"depth is {M.depth()}, need 2")
-    if unmixed_component(ideal) != ideal:
+    if not cm_flags(M).is_unmixed:
         raise PreconditionError("module is not unmixed")
     n = ideal.ring.nvars
     s = socle_dimensions(M)

@@ -4,6 +4,7 @@ import pytest
 
 from irlab.cli import (EXIT_BUDGET, EXIT_CROSSCHECK, EXIT_INPUT, EXIT_NOT_SOP, EXIT_OK,
                        corpus_index, load_corpus_spec, load_ring_spec, main)
+from irlab.groebner import Ideal
 
 PLANE_LINE = {
     "label": "plane and line",
@@ -107,6 +108,22 @@ def test_ir_with_params(spec_file, capsys):
     report = json.loads(out)
     assert report["diagnostics"]["ir"]["value"] == 1
     assert report["diagnostics"]["ir"]["agree"] is True
+
+
+def test_ir_with_params_builds_the_quotient_once(spec_file, capsys, monkeypatch):
+    # the sop check and both ir routes share one I + (elements)
+    calls = []
+    add = Ideal.__add__
+
+    def counted(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(Ideal, "__add__", counted)
+    code, out, _ = run(capsys, "ir", spec_file, "--params", "y-x,z")
+    assert code == EXIT_OK
+    assert json.loads(out)["diagnostics"]["ir"]["value"] == 1
+    assert len(calls) == 1
 
 
 def test_ir_rejects_non_sop(spec_file, capsys):

@@ -1,7 +1,7 @@
 import pytest
 from oracles import random_monomial_ideal, triangular_change
 
-from irlab import modules
+from irlab import filtration, modules, params
 from irlab.cli import load_corpus_spec
 from irlab.cohomology import (SimplicialComplex, annihilator_data, cm_flags,
                               hochster_hilbert, local_cohomology_hilbert,
@@ -11,6 +11,7 @@ from irlab.groebner import Ideal, maximal_ideal, unit_ideal
 from irlab.modules import Module
 from irlab.params import Rng
 from irlab.ring import ring
+from irlab.stable import formula_dim3
 
 
 # -- socle dimensions ----------------------------------------------------------
@@ -196,6 +197,24 @@ def test_flags_buchsbaum(two_planes_origin):
     assert not flags.is_cm
     assert flags.is_generalized_cm
     assert flags.is_unmixed
+
+
+def test_flags_and_dim3_formula_run_no_parameter_search(monkeypatch):
+    # unmixedness is read off the Ext dimensions, never by a randomized search
+    def refuse(*args, **kwargs):
+        raise AssertionError("unmixedness ran a parameter search")
+
+    monkeypatch.setattr(modules, "_CYCLIC_CACHE", {})
+    monkeypatch.setattr(filtration, "unmixed_component", refuse)
+    monkeypatch.setattr(params, "find_parameter_element", refuse)
+    expected = {"plane_and_line.json": (False, False, False),
+                "two_planes_3d.json": (False, False, True),
+                "two_planes_origin.json": (False, True, True)}
+    for name, want in expected.items():
+        flags = cm_flags(Module.cyclic(load_corpus_spec(name).ideal()))
+        assert (flags.is_cm, flags.is_generalized_cm, flags.is_unmixed) == want, name
+    spec = load_corpus_spec("two_planes_3d.json")
+    assert formula_dim3(spec.ideal(), spec.s2()) == 4
 
 
 # -- Hochster oracle ----------------------------------------------------------------

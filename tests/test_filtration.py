@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import pytest
 from oracles import top_dimensional_intersection
 
+from irlab.cli import corpus_index, load_corpus_spec
+from irlab.cohomology import module_is_unmixed
 from irlab.errors import PreconditionError
 from irlab.filtration import (classify_sequential, dimension_filtration,
-                              is_good_sop, module_is_unmixed,
-                              monomial_primary_decomposition, unmixed_component)
+                              is_good_sop, monomial_primary_decomposition,
+                              unmixed_component)
 from irlab.groebner import Ideal
 from irlab.modules import Module
 
@@ -44,10 +48,22 @@ def test_unmixed_component_matches_monomial_oracle(plane_and_line, two_planes_3d
         assert unmixed_component(I) == top_dimensional_intersection(I)
 
 
-def test_module_unmixedness_agrees_with_component(plane_and_line, two_planes_3d):
-    for I, expected in ((plane_and_line, False), (two_planes_3d, True)):
-        assert module_is_unmixed(Module.cyclic(I)) is expected
-        assert (unmixed_component(I) == I) is expected
+def test_module_unmixedness_agrees_with_component():
+    # the Ext-dimension test against the saturation by a parameter element
+    verdicts = set()
+    for p in (2, 32003):
+        for group in ("golden", "cm_controls", "random_squarefree"):
+            for name in corpus_index()[group]:
+                spec = replace(load_corpus_spec(name), characteristic=p)
+                I = spec.ideal()
+                M = Module.cyclic(I)
+                verdict = module_is_unmixed(M)
+                if M.dim() >= 1:
+                    assert verdict is (unmixed_component(I) == I), (name, p)
+                else:
+                    assert verdict, (name, p)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- monomial irreducible decomposition -------------------------------------------

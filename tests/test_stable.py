@@ -150,6 +150,16 @@ def test_formula_dim3_preconditions(plane_and_line, two_planes_3d, R5):
         formula_dim3(two_planes_3d, [Ideal(R5, ["a", "b"]), Ideal(R5, ["c", "e"])])
 
 
+def test_formula_dim3_rejects_mixed_module(R5):
+    # (a,b) cap (c,d) cap (b,d,e): dimension 3 and depth 2, but the plane
+    # V(b,d,e) is a lower-dimensional associated component
+    I = Ideal(R5, ["b*d", "a*d", "b*c", "a*c*e"])
+    M = Module.cyclic(I)
+    assert (M.dim(), M.depth()) == (3, 2)
+    with pytest.raises(PreconditionError, match="module is not unmixed"):
+        formula_dim3(I, [I])
+
+
 def test_deep_element_kills_h2_trivially_for_cm_closure(two_planes_3d, R5):
     x = R5.parse("a^3 + c^3")
     assert deep_element_kills_h2([Ideal(R5, ["a", "b"]), Ideal(R5, ["c", "d"])],
