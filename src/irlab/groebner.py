@@ -24,11 +24,11 @@ subtraction whose guard bits (the top bit of each variable field) survive
 exactly when every exponent is large enough.  Reduction pops the negated
 terms from a heap, so each step takes the next leading term instead of
 scanning.  Terms are packed where raw vectors enter the engine
-(`module_buchberger_raw`, and `ModuleGB.normal_form`, which packs its
-reducers on first use) and unpacked where they leave; everything outside
-sees exponent tuples.  No degree above B may reach a field: the input is
-checked as it is packed, and every S-polynomial and reduction step first
-bounds the degree of the terms it makes by the lcm's (or the reduced
+(`module_buchberger_raw`, and `ModuleGB.normal_form` and `absorb`, which
+pack their reducers on first use) and unpacked where they leave; everything
+outside sees exponent tuples.  No degree above B may reach a field: the
+input is checked as it is packed, and every S-polynomial and reduction step
+first bounds the degree of the terms it makes by the lcm's (or the reduced
 term's) degree plus the reducer's tail excess.  Past B the run raises
 ResourceBudgetExceeded instead of carrying into the next field.
 
@@ -47,7 +47,8 @@ associated prime other than m (notably over small fields).
 
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
-variable, a positive integer).
+variable, a positive integer).  The budget caps every run alike, including
+those behind `modules.minimal_vec_generators`.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ class ModuleGB:
     """Reduced Groebner basis of a submodule of a rank-r free module.
 
     `elements` are raw vectors; their packed reducers are built on the first
-    `normal_form`, which packs its argument and unpacks the remainder.
+    `normal_form` or `absorb`, which pack their argument.
     """
 
     __slots__ = ("ring", "rank", "elements", "leads", "_by_pos")
@@ -366,14 +367,36 @@ class ModuleGB:
         self.leads = tuple(max(g, key=_vkey) for g in raw_elements)
         self._by_pos = None
 
-    def normal_form(self, raw_vec):
-        L = _layout(self.ring.nvars)
+    def _reducers(self, L):
         if self._by_pos is None:
             self._by_pos = {}
             for lt, g in zip(self.leads, self.elements):
                 _file_reducer(self._by_pos, L, L.pack(lt), L.pack_vec(g))
-        rem = _normal_form(L.pack_vec(raw_vec), self._by_pos, L, self.ring.field.p)
+        return self._by_pos
+
+    def normal_form(self, raw_vec):
+        L = _layout(self.ring.nvars)
+        rem = _normal_form(L.pack_vec(raw_vec), self._reducers(L), L, self.ring.field.p)
         return L.unpack_vec(rem)
+
+    def absorb(self, raw_vec) -> bool:
+        """Whether raw_vec has a nonzero normal form; that remainder, made
+        monic, then reduces every later `normal_form` and `absorb` too.
+
+        `elements` and `leads` stay those of the basis.  For homogeneous
+        vectors of one degree d, absorbed in turn, the reducers stay a Groebner
+        basis up to degree d: a remainder's lead is divisible by no earlier
+        lead, so each S-pair it forms has degree above d.  A zero remainder
+        then means membership in the span of the basis and the vectors
+        absorbed before.
+        """
+        L = _layout(self.ring.nvars)
+        p = self.ring.field.p
+        rem = _normal_form(L.pack_vec(raw_vec), self._reducers(L), L, p)
+        if rem:
+            lt = next(iter(rem))
+            _file_reducer(self._by_pos, L, lt, _monic(rem, lt, p))
+        return bool(rem)
 
     def contains(self, raw_vec) -> bool:
         return not self.normal_form(raw_vec)
@@ -748,33 +771,21 @@ class Ideal:
     def minimal_generators(self):
         """A minimal generating set of a homogeneous ideal; cached.
 
-        The generators are sorted by (degree, grevlex lead).  Monomial input is
-        pruned by divisibility alone, which is exact there.  Otherwise g is
-        kept exactly when it lies outside the ideal of the kept earlier
-        generators and all later ones.  In degree d that ideal is the span of
-        the monomial multiples of the kept lower-degree generators and the
-        later degree-d ones, so the rule is `modules.minimal_vec_generators`
-        (sparse column reduction mod p, no Groebner basis) on the generators
-        in reverse order.  Kept generators come back in sorted order.  Raises
+        The generators are sorted by (degree, grevlex lead), and g is kept
+        exactly when it lies outside the ideal of the kept lower-degree
+        generators and the later ones of its degree: the rule of
+        `modules.minimal_vec_generators` on the generators with each degree in
+        reverse order.  Kept generators come back in sorted order.  Raises
         PreconditionError on an inhomogeneous generator.
         """
-        if self._mingens is not None:
-            return self._mingens
-        gens = sorted(self.gens, key=lambda g: (g.degree(), grevlex_key(g.lead_monomial())))
-        if self.is_monomial():
-            monos = [next(iter(g.terms)) for g in gens]
-            kept = []
-            for g, m in zip(gens, monos):
-                if not any(_divides(next(iter(k.terms)), m) for k in kept):
-                    kept.append(g)
-            self._mingens = tuple(kept)
-            return self._mingens
-        if not all(g.is_homogeneous() for g in gens):
-            raise PreconditionError("minimal generators need homogeneous generators")
-        from .modules import minimal_vec_generators
-        vecs = [_lift(g) for g in gens]
-        kept_ids = {id(v) for v in minimal_vec_generators(vecs[::-1], [0], self.ring)}
-        self._mingens = tuple(g for g, v in zip(gens, vecs) if id(v) in kept_ids)
+        if self._mingens is None:
+            gens = sorted(self.gens, key=lambda g: (g.degree(), grevlex_key(g.lead_monomial())))
+            if not all(g.is_homogeneous() for g in gens):
+                raise PreconditionError("minimal generators need homogeneous generators")
+            from .modules import minimal_vec_generators
+            vecs = [_lift(g) for g in gens]
+            kept_ids = {id(v) for v in minimal_vec_generators(vecs[::-1], [0], self.ring)}
+            self._mingens = tuple(g for g, v in zip(gens, vecs) if id(v) in kept_ids)
         return self._mingens
 
     def normal_form(self, f: Poly) -> Poly:

@@ -1,14 +1,15 @@
-"""Linear algebra over a prime field: a dense kernel and a sparse one.
+"""Linear algebra over a prime field: one dense elimination kernel.
 
-The dense kernel (`rref_mod_p`, on numpy int64 arrays) serves the span route
-of `params.index_of_reducibility` and `rank_mod_p`/`nullity_mod_p`.
+`rref_mod_p`, on numpy int64 arrays, serves the span route of `ir`
+(`params.index_of_reducibility`) and, through `rank_mod_p`/`nullity_mod_p`,
+every rank and nullity the package takes.  Minimal generators do not use it:
+`modules.minimal_vec_generators` goes through the Groebner engine.
+`SpanTracker` is kept as the row-at-a-time reference the tests check against.
+
 Overflow contract: entries are int64 residues in [0, p), and every product of
 two residues is reduced mod p before the next addition, so no intermediate
 value leaves (-p^2, p^2 + p).  That fits int64 for p < 2^31, the range
 `ring.check_characteristic` enforces for every field.
-
-The sparse kernel (`reduce_sparse_mod_p`) serves the minimal generators of
-`modules.minimal_vec_generators`, whose matrices are mostly zeros.
 """
 
 from __future__ import annotations
@@ -58,38 +59,6 @@ def nullity_mod_p(A: np.ndarray, p: int) -> int:
     if A.size == 0:
         return A.shape[1] if A.ndim == 2 else 0
     return A.shape[1] - rank_mod_p(A, p)
-
-
-def reduce_sparse_mod_p(pivots: dict, column: dict, p: int) -> bool:
-    """Reduce a sparse column against `pivots` over Z/p; keep a nonzero residue.
-
-    A column is a dict from sortable keys to residues in [0, p), zeros left
-    out.  `pivots` maps the largest key of each stored column to that column,
-    made monic.  The column's largest key is cancelled by the pivot stored
-    under it until no pivot has that key; the residue left then becomes a new
-    pivot.  Returns True exactly when the residue is nonzero, that is, when
-    `column` lies outside the span of the columns reduced before it.
-    `column` itself is left unchanged.
-
-    Exact for every p: the entries are Python ints, and each one is reduced
-    mod p as it is updated, so every stored entry stays in [0, p).
-    """
-    v = dict(column)
-    while v:
-        top = max(v)
-        pivot = pivots.get(top)
-        if pivot is None:
-            inv = pow(v[top], p - 2, p)
-            pivots[top] = {k: c * inv % p for k, c in v.items()}
-            return True
-        f = v[top]
-        for k, c in pivot.items():
-            w = (v.get(k, 0) - f * c) % p
-            if w:
-                v[k] = w
-            else:
-                del v[k]
-    return False
 
 
 class SpanTracker:

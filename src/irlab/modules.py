@@ -14,11 +14,13 @@ is finite data, so the dual is what we compute.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
-from .groebner import (Ideal, _divides, module_groebner, standard_levels,
+from .groebner import (Ideal, ModuleGB, _divides, module_groebner, standard_levels,
                        syzygies_raw, syzygy_projection, unit_ideal, vector_colon)
-from .linalg import reduce_sparse_mod_p
-from .ring import Ring, monomials_of_degree
+from .ring import Ring
 
 _CYCLIC_CACHE: dict = {}
 
@@ -84,35 +86,37 @@ def vec_drop_position(vec, pos):
 def minimal_vec_generators(vecs, shifts, ring_: Ring):
     """Select a minimal generating set from homogeneous vectors, degreewise.
 
-    Graded Nakayama, run as sparse exact elimination (`reduce_sparse_mod_p`):
-    degree d reduces the monomial multiples of the kept lower-degree
-    generators one at a time, each made on the fly and dropped once reduced,
-    then the degree-d candidates in input order.  A candidate is kept
-    exactly when its residue is nonzero, that is, when it lies outside the
-    span of the columns before it.  Returns the kept vectors themselves, in
-    degree order and input order within a degree.  Raises PreconditionError
-    on an inhomogeneous vector (`vec_degree`).
+    Graded Nakayama: in degree order, and in input order within a degree, a
+    vector is kept exactly when it lies outside the submodule spanned by the
+    kept lower-degree vectors and the degree-d vectors before it.  Returns the
+    kept vectors themselves, in that order.  Raises PreconditionError on an
+    inhomogeneous vector (`vec_degree`).
+
+    When every vector is a single term, membership is divisibility by a kept
+    term in the same position.  Otherwise each degree d starts from the
+    reduced basis of the vectors kept below d (one Buchberger run, redone only
+    after a degree that kept something), and each candidate is kept exactly
+    when `ModuleGB.absorb` leaves a nonzero remainder.  That remainder joins
+    the reducers, and they stay a Groebner basis up to degree d, so a zero
+    remainder is exact membership (La Scala & Stillman 1998).
     """
-    p = ring_.field.p
-    n = ring_.nvars
-    items = [(vec_degree(v, shifts), v) for v in vecs if v]
-    items.sort(key=lambda t: t[0])
-    kept: list = []
-    kept_degs: list = []
-    i = 0
-    while i < len(items):
-        d = items[i][0]
-        pivots: dict = {}
-        multiples = (poly_times_vec({mono: 1}, w, p)
-                     for w, e in zip(kept, kept_degs)
-                     for mono in monomials_of_degree(n, d - e))
-        for v in multiples:
-            reduce_sparse_mod_p(pivots, v, p)
-        while i < len(items) and items[i][0] == d:
-            if reduce_sparse_mod_p(pivots, items[i][1], p):
-                kept.append(items[i][1])
-                kept_degs.append(d)
-            i += 1
+    items = sorted(((vec_degree(v, shifts), v) for v in vecs if v), key=itemgetter(0))
+    if all(len(v) == 1 for _, v in items):
+        kept, terms = [], []
+        for _, v in items:
+            pos, m = next(iter(v))
+            if not any(q == pos and _divides(k, m) for q, k in terms):
+                kept.append(v)
+                terms.append((pos, m))
+        return kept
+    rank = len(shifts)
+    basis = ModuleGB(ring_, rank, [])
+    kept, fresh = [], []
+    for _, group in groupby(items, key=itemgetter(0)):
+        if fresh:
+            basis = module_groebner(list(basis.elements) + fresh, rank, ring_)
+        fresh = [v for _, v in group if basis.absorb(v)]
+        kept += fresh
     return kept
 
 
@@ -125,11 +129,10 @@ class FreeResolution:
     columns of the map F_{k+1} -> F_k as raw vectors over F_k's positions.
     """
 
-    def __init__(self, ring_: Ring, shifts, diffs, minimal=False):
+    def __init__(self, ring_: Ring, shifts, diffs):
         self.ring = ring_
         self.shifts = [tuple(s) for s in shifts]
         self.diffs = [list(cols) for cols in diffs]
-        self.minimal = minimal
 
     @property
     def length(self) -> int:
@@ -197,7 +200,7 @@ def minimalize_complex(res: FreeResolution) -> FreeResolution:
         while diffs and not shifts[len(diffs)]:
             diffs.pop()
             shifts.pop()
-    return FreeResolution(res.ring, shifts, diffs, minimal=True)
+    return FreeResolution(res.ring, shifts, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +284,16 @@ class Module:
         return self.minimal_generator_count() == 0
 
     # -- resolution -------------------------------------------------------------
-    def resolution(self, minimal: bool = True) -> FreeResolution:
-        """Free resolution by iterated syzygies.
+    def resolution(self) -> FreeResolution:
+        """Minimal free resolution by iterated syzygies; cached.
 
-        With `minimal` set (the default and the cached variant) every kernel is
-        presented by a degreewise-minimal generating set, which makes the whole
-        resolution minimal; length is then bounded by the variable count.
+        Every kernel is presented by a degreewise-minimal generating set, which
+        makes the whole resolution minimal; its length is then bounded by the
+        variable count.
         """
-        if minimal and self._resolution is not None:
+        if self._resolution is not None:
             return self._resolution
-        if minimal:
-            shifts0, rels0 = self.minimal_presentation()
-        else:
-            shifts0, rels0 = self.shifts, list(self.relations)
+        shifts0, rels0 = self.minimal_presentation()
         shifts = [tuple(shifts0)]
         diffs = []
         current = list(rels0)
@@ -307,14 +307,10 @@ class Module:
             diffs.append(list(current))
             shifts.append(tuple(degs))
             syz = syzygies_raw(current, len(current_shifts), self.ring)
-            if minimal:
-                syz = minimal_vec_generators(syz, degs, self.ring)
             current_shifts = degs
-            current = syz
-        res = FreeResolution(self.ring, shifts, diffs, minimal=minimal)
-        if minimal:
-            self._resolution = res
-        return res
+            current = minimal_vec_generators(syz, degs, self.ring)
+        self._resolution = FreeResolution(self.ring, shifts, diffs)
+        return self._resolution
 
     def projective_dimension(self) -> int:
         if self.is_zero():
@@ -458,15 +454,17 @@ def module_subquotient(gens, image, ambient_rank, ambient_shifts, ring_: Ring) -
     """Present span(gens)/span(image) inside a free module, via one syzygy run.
 
     Relations of the subquotient are the syzygies of [gens | image] projected
-    to the generator coordinates.  The result is returned minimalized.
+    to the generator coordinates.  The result is returned minimalized, and
+    knows that its presentation is minimal.
     """
     if not gens:
         return Module(ring_, (), [], check=False)
     degs = [vec_degree(g, ambient_shifts) for g in gens]
     rels = syzygy_projection(gens, image, ambient_rank, ring_)
-    M = Module(ring_, tuple(degs), rels)
-    shifts, min_rels = M.minimal_presentation()
-    return Module(ring_, shifts, min_rels, check=False)
+    shifts, min_rels = Module(ring_, tuple(degs), rels).minimal_presentation()
+    out = Module(ring_, shifts, min_rels, check=False)
+    out._min_pres = (out.shifts, out.relations)
+    return out
 
 
 def subquotient_presentation(A: Ideal, B: Ideal) -> Module:
@@ -504,7 +502,7 @@ def taylor_resolution(ideal: Ideal) -> FreeResolution:
     if g > 20:
         raise PreconditionError(f"Taylor complex on {g} generators would have 2^{g} faces")
     if g == 0:
-        return FreeResolution(R, [(0,)], [], minimal=True)
+        return FreeResolution(R, [(0,)], [])
 
     from itertools import combinations as _comb
 
@@ -534,7 +532,7 @@ def taylor_resolution(ideal: Ideal) -> FreeResolution:
             cols.append(col)
         diffs.append(cols)
         prev_faces = index
-    return FreeResolution(R, shifts, diffs, minimal=False)
+    return FreeResolution(R, shifts, diffs)
 
 
 def module_invariants(M: Module):

@@ -121,15 +121,6 @@ class Ring:
             raise ValueError("exponent length does not match variable count")
         return Poly(self, {tuple(expo): coeff} if coeff else {})
 
-    def from_terms(self, terms):
-        p = self.field.p
-        clean = {}
-        for expo, c in terms.items():
-            c %= p
-            if c:
-                clean[tuple(expo)] = c
-        return Poly(self, clean)
-
     def parse(self, text):
         return parse_polynomial(text, self)
 

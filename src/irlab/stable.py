@@ -147,10 +147,10 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
     """Stable value of an unmixed module of dimension 3 and depth 2, from its
     supplied S2-closure: 2*s_2(M) + s_3(M) + s_2(S2).
 
-    `s2` is either a list of ideals (the closure splits as a direct sum of the
-    cyclic quotients, injecting M diagonally) or a Module.  For the list form
-    the injection is verified (the summand intersection must be exactly I) and
-    the cokernel is checked to be zero or Cohen-Macaulay of dimension <= 1.
+    `s2` is a list of ideals: the closure splits as a direct sum of their
+    cyclic quotients, and M injects diagonally.  The injection is verified
+    (the summand intersection must be exactly I), and the cokernel is checked
+    to be zero or Cohen-Macaulay of dimension <= 1.
     """
     M = Module.cyclic(ideal)
     if M.is_zero():
@@ -163,30 +163,24 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
         raise PreconditionError("module is not unmixed")
     n = ideal.ring.nvars
     s = socle_dimensions(M)
-    if isinstance(s2, Module):
-        s2_socle = s2.ext(n - 2).minimal_generator_count()
-        cok_note = "closure given as a raw presentation; cokernel not checked"
+    inter = s2[0]
+    for J in s2[1:]:
+        inter = inter.intersect(J)
+    if inter != ideal:
+        raise PreconditionError(
+            "summand intersection differs from the defining ideal; "
+            "the diagonal map would not be injective")
+    D = _s2_cokernel(s2, ideal)
+    if D.is_zero():
+        cok_note = "cokernel is zero (module already S2)"
     else:
-        summands = [J if isinstance(J, Ideal) else Ideal(ideal.ring, J) for J in s2]
-        inter = summands[0]
-        for J in summands[1:]:
-            inter = inter.intersect(J)
-        if inter != ideal:
+        dim_d = D.dim()
+        if dim_d > 1 or not D.is_cohen_macaulay():
             raise PreconditionError(
-                "summand intersection differs from the defining ideal; "
-                "the diagonal map would not be injective")
-        D = _s2_cokernel(summands, ideal)
-        if D.is_zero():
-            cok_note = "cokernel is zero (module already S2)"
-        else:
-            dim_d = D.dim()
-            if dim_d > 1 or not D.is_cohen_macaulay():
-                raise PreconditionError(
-                    f"cokernel of the closure is not CM of dimension <= 1 "
-                    f"(dim {dim_d}, depth {D.depth()})")
-            cok_note = f"cokernel is CM of dimension {dim_d}"
-        s2_socle = sum(Module.cyclic(J).ext(n - 2).minimal_generator_count()
-                       for J in summands)
+                f"cokernel of the closure is not CM of dimension <= 1 "
+                f"(dim {dim_d}, depth {D.depth()})")
+        cok_note = f"cokernel is CM of dimension {dim_d}"
+    s2_socle = sum(Module.cyclic(J).ext(n - 2).minimal_generator_count() for J in s2)
     if checks is not None:
         checks["cokernel"] = cok_note
         checks["s2_h2_socle"] = s2_socle
@@ -194,15 +188,15 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
 
 
 def deep_element_kills_h2(s2, element, ring_) -> bool:
-    """Whether the given element annihilates H^2 of the supplied closure.
+    """Whether the given element annihilates H^2 of the supplied closure, the
+    direct sum of the cyclic quotients by the ideals in `s2`.
 
     This is the one piece of the standard-system hypothesis on the closure
     that the dimension-3 formula leans on; it is checked directly as membership
     of the element in the Ext annihilators.
     """
     n = ring_.nvars
-    summands = [J if isinstance(J, Ideal) else Ideal(ring_, J) for J in s2]
-    for J in summands:
+    for J in s2:
         E = Module.cyclic(J).ext(n - 2)
         if E.is_zero():
             continue
@@ -213,7 +207,8 @@ def deep_element_kills_h2(s2, element, ring_) -> bool:
 
 def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     """The stable value from one certified deep system, with every applicable
-    closed formula evaluated against it."""
+    closed formula evaluated against it.  `s2`, a list of ideals as in
+    `formula_dim3`, adds the dimension-3 closure check."""
     M = Module.cyclic(ideal)
     witness = construct_c_sop(ideal, 1, seed)
     ir = index_of_reducibility(witness, ideal)
@@ -257,8 +252,7 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
         notes: dict = {}
         try:
             value = formula_dim3(ideal, s2, notes)
-            killed = deep_element_kills_h2(s2, witness.elements[0], ideal.ring) \
-                if not isinstance(s2, Module) else True
+            killed = deep_element_kills_h2(s2, witness.elements[0], ideal.ring)
             checks["dim3_closure"] = CrossCheck(
                 "dim3_closure", True, value, value == N,
                 note=f"{notes.get('cokernel', '')}; deep element kills closure H^2: {killed}")

@@ -43,3 +43,10 @@ def two_planes_origin(R4):
     """4-variable ring of two planes meeting only at the origin."""
     x, y, u, v = R4.gens()
     return Ideal(R4, [x * u, x * v, y * u, y * v])
+
+
+@pytest.fixture(scope="session")
+def mixed6():
+    """The edge ideal of the 6-cycle plus x*z*v, in 6 variables."""
+    R6 = ring(("x", "y", "z", "u", "v", "w"))
+    return Ideal(R6, ["x*y", "y*z", "z*u", "u*v", "v*w", "w*x", "x*z*v"])

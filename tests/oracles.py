@@ -9,9 +9,9 @@ import numpy as np
 from irlab.errors import PreconditionError, ResourceBudgetExceeded
 from irlab.filtration import (_mono_intersect, _monomial_gens,
                               monomial_primary_decomposition)
-from irlab.groebner import Ideal, _divides, _mono_lcm, _vkey, spair_budget
+from irlab.groebner import Ideal, _divides, _mono_lcm, _vkey, spair_budget, syzygies_raw
 from irlab.linalg import SpanTracker, rank_mod_p, rref_mod_p
-from irlab.modules import poly_times_vec, vec_sub
+from irlab.modules import FreeResolution, poly_times_vec, vec_degree, vec_sub
 from irlab.ring import monomials_of_degree
 
 
@@ -154,6 +154,20 @@ def check_complex(res):
                 piece = poly_times_vec({m: c}, lower[pos], p)
                 acc = vec_sub(acc, {kk: (p - v) % p for kk, v in piece.items()}, p)
             assert not acc, f"d_{k + 1} o d_{k + 2} != 0"
+
+
+def syzygy_chain(M):
+    """The free resolution of M by iterated `syzygies_raw`, from M's own
+    presentation and with no minimalization at any step."""
+    shifts = [M.shifts]
+    diffs = []
+    current = list(M.relations)
+    while current:
+        degs = tuple(vec_degree(v, shifts[-1]) for v in current)
+        diffs.append(current)
+        current = syzygies_raw(current, len(shifts[-1]), M.ring)
+        shifts.append(degs)
+    return FreeResolution(M.ring, shifts, diffs)
 
 
 def has_unit_entries(res):

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 from oracles import (check_complex, has_unit_entries, minimal_vec_generators_greedy,
-                     quotient_dimension_bruteforce, random_monomial_ideal)
+                     quotient_dimension_bruteforce, random_monomial_ideal, syzygy_chain)
 
 from irlab.errors import PreconditionError, ZeroModuleError
 from irlab.groebner import Ideal
@@ -89,19 +89,40 @@ def sparse_gapped_vectors(R, rng, rank):
     return shifts, [v for v in vecs if v]
 
 
-@pytest.mark.parametrize("p, nvars, rank", [
-    pytest.param(2, 3, None, id="2"),
-    pytest.param(32003, 3, None, id="32003"),
-    pytest.param(2**31 - 1, 3, None, id="2147483647"),
-    pytest.param(2, 5, 4, id="2-sparse-5vars-rank4"),
-    pytest.param(32003, 6, 5, id="32003-sparse-6vars-rank5"),
-    pytest.param(2**31 - 1, 6, 6, id="2147483647-sparse-6vars-rank6"),
+def single_term_vectors(R, rng, rank):
+    """Single-term vectors spread over the positions of a rank `rank` free
+    module, plus planted scalar and monomial multiples of some of them."""
+    p, n = R.field.p, R.nvars
+    shifts = [rng.below(3) for _ in range(rank)]
+    vecs = []
+    for _ in range(8):
+        pos = rng.below(rank)
+        monos = monomials_of_degree(n, 1 + rng.below(3))
+        vecs.append({(pos, monos[rng.below(len(monos))]): 1 + rng.below(p - 1)})
+    for _ in range(4):
+        (pos, mono), = vecs[rng.below(len(vecs))]
+        steps = monomials_of_degree(n, rng.below(2))
+        step = steps[rng.below(len(steps))]
+        vecs.append({(pos, tuple(a + b for a, b in zip(mono, step))): 1 + rng.below(p - 1)})
+    return shifts, vecs
+
+
+@pytest.mark.parametrize("p, nvars, rank, single", [
+    pytest.param(2, 3, None, False, id="2"),
+    pytest.param(32003, 3, None, False, id="32003"),
+    pytest.param(2**31 - 1, 3, None, False, id="2147483647"),
+    pytest.param(2, 5, 4, False, id="2-sparse-5vars-rank4"),
+    pytest.param(32003, 6, 5, False, id="32003-sparse-6vars-rank5"),
+    pytest.param(2**31 - 1, 6, 6, False, id="2147483647-sparse-6vars-rank6"),
+    pytest.param(32003, 6, 4, True, id="32003-single-terms-6vars-rank4"),
 ])
-def test_minimal_vec_generators_matches_greedy_span_tracker(p, nvars, rank):
+def test_minimal_vec_generators_matches_greedy_span_tracker(p, nvars, rank, single):
     R = ring(("x", "y", "z", "u", "v", "w")[:nvars], p)
     rng = Rng(p)
     for trial in range(12):
-        if rank is None:
+        if single:
+            shifts, vecs = single_term_vectors(R, rng, rank)
+        elif rank is None:
             shifts, vecs = planted_vectors(R, rng, trial)
         else:
             shifts, vecs = sparse_gapped_vectors(R, rng, rank)
@@ -202,7 +223,7 @@ def test_betti_numbers_presentation_independent(R3):
 def test_non_minimal_resolution_still_resolves(R3):
     x, y, z = R3.gens()
     M = Module.cyclic(Ideal(R3, [x * y, x * z, x * y + x * z]))
-    raw = M.resolution(minimal=False)
+    raw = syzygy_chain(M)
     check_complex(raw)
     minimal = M.resolution()
     assert raw.betti_numbers()[0] >= minimal.betti_numbers()[0]
@@ -255,8 +276,8 @@ def test_taylor_generator_guard():
 
 
 def test_minimalized_taylor_matches_schreyer(two_planes_3d, two_planes_origin,
-                                             plane_and_line):
-    for I in (plane_and_line, two_planes_origin, two_planes_3d):
+                                             plane_and_line, mixed6):
+    for I in (plane_and_line, two_planes_origin, two_planes_3d, mixed6):
         got = minimalize_complex(taylor_resolution(I))
         check_complex(got)
         want = Module.cyclic(I).resolution()
@@ -348,8 +369,8 @@ def test_zero_module_flagged(R3):
         module_invariants(Z)
 
 
-def test_auslander_buchsbaum(R3, plane_and_line, two_planes_3d, two_planes_origin):
-    for I in (plane_and_line, two_planes_3d, two_planes_origin):
+def test_auslander_buchsbaum(R3, plane_and_line, two_planes_3d, two_planes_origin, mixed6):
+    for I in (plane_and_line, two_planes_3d, two_planes_origin, mixed6):
         M = Module.cyclic(I)
         assert M.depth() + M.projective_dimension() == M.ring.nvars
 
