@@ -6,10 +6,19 @@ every rank and nullity the package takes.  Minimal generators do not use it:
 `modules.minimal_vec_generators` goes through the Groebner engine.
 `SpanTracker` is kept as the row-at-a-time reference the tests check against.
 
+Before its per-pivot loop, `rref_mod_p` clears single-entry rows: such a row
+fixes a pivot column whose echelon row is a unit vector, and that column is
+dropped from every other row, which can leave new single-entry rows.  On the
+small matrices of random systems this settles most pivots (the first step of
+structured Gaussian elimination, LaMacchia and Odlyzko 1990).  The prepass
+only compares with zero and moves entries; it keeps a boolean copy of the
+nonzero pattern and no second int64 matrix of the full size.
+
 Overflow contract: entries are int64 residues in [0, p), and every product of
 two residues is reduced mod p before the next addition, so no intermediate
 value leaves (-p^2, p^2 + p).  That fits int64 for p < 2^31, the range
-`ring.check_characteristic` enforces for every field.
+`ring.check_characteristic` enforces for every field.  The prepass does no
+arithmetic, so the contract is the same with it.
 """
 
 from __future__ import annotations
@@ -20,16 +29,49 @@ import numpy as np
 def rref_mod_p(A: np.ndarray, p: int):
     """Reduced row echelon form of A over Z/p: (new int64 matrix, pivot columns).
 
-    A itself is left unchanged, whatever its dtype.
+    A itself is left unchanged, whatever its dtype.  A row with a single
+    nonzero entry, in column c, puts e_c in the row space, so c is a pivot
+    column and e_c its echelon row.  The prepass marks every such column and
+    drops it from all rows, which may leave new single-entry rows, and repeats
+    until none is left.  Only the rows and columns that remain go through the
+    per-pivot loop.  The unit rows and the loop's rows are then written into
+    the `% p` copy in pivot-column order, which gives the unique RREF.
     """
     A = np.asarray(A, dtype=np.int64) % p
+    live = A != 0
+    unit = np.zeros(A.shape[1], dtype=bool)
+    while True:
+        single = live.sum(axis=1) == 1
+        if not single.any():
+            break
+        hit = live[single].any(axis=0)
+        unit |= hit
+        live[:, hit] = False
+    if not unit.any():
+        return A, _eliminate(A, p)
+    unit_cols = unit.nonzero()[0]
+    keep_cols = (~unit).nonzero()[0]
+    rest = A[live.any(axis=1).nonzero()[0][:, None], keep_cols]
+    loop_cols = keep_cols[_eliminate(rest, p)]
+    is_pivot = unit.copy()
+    is_pivot[loop_cols] = True
+    row_of = is_pivot.cumsum() - 1  # the echelon row of each pivot column
+    A[:] = 0
+    A[row_of[unit_cols], unit_cols] = 1
+    A[row_of[loop_cols][:, None], keep_cols] = rest[:loop_cols.size]
+    return A, is_pivot.nonzero()[0].tolist()
+
+
+def _eliminate(A: np.ndarray, p: int) -> list:
+    """Gauss-Jordan elimination of a residue matrix in place, one pivot column
+    at a time; its first len(pivots) rows end as the RREF."""
     rows, cols = A.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + nz[0]
@@ -39,12 +81,12 @@ def rref_mod_p(A: np.ndarray, p: int):
         A[r] = (A[r] * inv) % p
         col = A[:, c].copy()
         col[r] = 0
-        mask = np.nonzero(col)[0]
+        mask = col.nonzero()[0]
         if mask.size:
-            A[mask] = (A[mask] - np.outer(col[mask], A[r])) % p
+            A[mask] = (A[mask] - col[mask, None] * A[r]) % p
         pivots.append(c)
         r += 1
-    return A, pivots
+    return pivots
 
 
 def rank_mod_p(A: np.ndarray, p: int) -> int:

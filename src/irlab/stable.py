@@ -32,7 +32,7 @@ from .groebner import Ideal
 from .modules import Module
 from .params import (IrResult, ParameterList, ParameterSystem, Rng, construct_c_sop,
                      index_of_reducibility)
-from .ring import monomials_of_degree
+from .ring import Poly, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -350,12 +350,12 @@ def random_sop(ideal: Ideal, degree: int, rng: Rng, retries: int = 40):
     monos = monomials_of_degree(R.nvars, degree)
 
     def draw():
-        cand = R.zero()
+        terms = {}
         for m in monos:
             c = rng.below(p)
             if c:
-                cand = cand + R.monomial(m, c)
-        return cand
+                terms[m] = c
+        return Poly(R, terms)
 
     if d > 0 and all(g.is_homogeneous() for g in ideal.gens):
         state = rng.state

@@ -1,8 +1,8 @@
 from collections import Counter
 
 import pytest
-from oracles import (is_sop_stepwise, random_monomial_ideal, socle_by_full_slices,
-                     triangular_change)
+from oracles import (is_sop_stepwise, random_monomial_ideal, rref_exact,
+                     socle_by_full_slices, triangular_change)
 
 from irlab import groebner, modules, params
 from irlab.cohomology import socle_dimensions
@@ -269,8 +269,37 @@ def _random_monomial_artinian(R, rng):
     return [R.monomial(e) for e in expos], triangular_change(R, rng, expos)
 
 
+def _check_kernels_exactly(monkeypatch):
+    """Make every `rref_mod_p` and `nullity_mod_p` call of `params` check its
+    answer against `rref_exact`; returns the per-kernel call counts.
+
+    Both ir routes end in `nullity_mod_p`, so a kernel fault could make them
+    agree on a wrong socle dimension."""
+    calls = Counter()
+    rref, nullity = params.rref_mod_p, params.nullity_mod_p
+
+    def checked_rref(A, p):
+        rows, pivots = rref_exact(A.tolist(), p)
+        reduced, got_pivots = rref(A, p)
+        assert got_pivots == pivots and reduced[:len(pivots)].tolist() == rows
+        assert not reduced[len(pivots):].any()
+        calls["rref"] += 1
+        return reduced, got_pivots
+
+    def checked_nullity(A, p):
+        got = nullity(A, p)
+        assert got == A.shape[1] - len(rref_exact(A.tolist(), p)[1])
+        calls["nullity"] += 1
+        return got
+
+    monkeypatch.setattr(params, "rref_mod_p", checked_rref)
+    monkeypatch.setattr(params, "nullity_mod_p", checked_nullity)
+    return calls
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
 def test_socle_routes_agree_on_random_artinian_quotients(p, monkeypatch):
+    calls = _check_kernels_exactly(monkeypatch)
     # y = z = w = -x in S/J, so the quadric's three terms put three products
     # of residues near p^2 on the border column x*y when p = 2^31 - 1: exact
     # only when each product is reduced before they are summed
@@ -290,6 +319,7 @@ def test_socle_routes_agree_on_random_artinian_quotients(p, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(params, "_PRODUCT_CELLS", 1)  # one monomial per product chunk
             assert _socle_by_degreewise_spans(moved, R) == expected
+    assert calls["rref"] and calls["nullity"]
 
 
 def test_span_route_eliminates_on_border_columns_only(monkeypatch, two_planes_origin):
