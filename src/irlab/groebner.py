@@ -24,8 +24,8 @@ subtraction whose guard bits (the top bit of each variable field) survive
 exactly when every exponent is large enough.  Reduction pops the negated
 terms from a heap, so each step takes the next leading term instead of
 scanning.  Terms are packed where raw vectors enter the engine
-(`module_buchberger_raw`, and `ModuleGB.normal_form` and `absorb`, which
-pack their reducers on first use) and unpacked where they leave; everything
+(`module_buchberger_raw`, `minimal_generators_raw`, and `ModuleGB.normal_form`,
+which packs its reducers on first use) and unpacked where they leave; everything
 outside sees exponent tuples.  No degree above B may reach a field: the
 input is checked as it is packed, and every S-polynomial and reduction step
 first bounds the degree of the terms it makes by the lcm's (or the reduced
@@ -45,10 +45,15 @@ ideal, which is how the H^0 slot of `cohomology.annihilator_data` reads
 I : sat from K and falls back to the saturation only when l lies in an
 associated prime other than m (notably over small fields).
 
+Minimal generators are picked inside one run (`minimal_generators_raw`): each
+candidate waits in the pair heap after the S-pairs of its shifted degree and
+is kept when its remainder is nonzero, which is exact (La Scala & Stillman
+1998).  The run stops after the last candidate; the pairs left lie above it.
+
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
-variable, a positive integer).  The budget caps every run alike, including
-those behind `modules.minimal_vec_generators`.
+variable, a positive integer).  The budget caps every run alike and counts
+only the S-pairs it reduces; a selection run's candidates never count.
 """
 
 from __future__ import annotations
@@ -235,49 +240,87 @@ def _monic(f, lt, p):
     return {t: (v * inv) % p for t, v in f.items()}
 
 
-def module_buchberger_raw(vecs, p):
-    """Reduced Groebner basis of raw vectors under position-over-term.
+def _degree(L, t, shifts):
+    """Degree of packed term t, plus the shift of its position when shifts is given."""
+    return ((t >> L.nw) & _FIELD) + (shifts[-(t >> L.s)] if shifts else 0)
 
-    Only same-position pairs are formed.  The chain criterion always applies;
-    the product criterion only when every input vector lies in position 0 (it
-    is unsound for modules of higher rank).  The run packs its input, works on
-    packed terms throughout and unpacks the basis it returns.
+
+def _first_undivided(L, terms, shifts=None):
+    """Indices, by (shifted degree, index), of the packed terms that no earlier
+    kept term divides: minimalization of leads, or the selection on single
+    terms.  A divisor comes first, and of equal terms the first is kept."""
+    kept = []
+    for i in sorted(range(len(terms)), key=lambda i: (_degree(L, terms[i], shifts), i)):
+        if not any(L.divides(terms[k], terms[i]) for k in kept):
+            kept.append(i)
+    return kept
+
+
+def _buchberger(raw, p, shifts=None):
+    """(layout, packed elements, leads, picked) of one run on the nonzero raw vectors.
+
+    Pairs go by sugar, lcm degree plus the shift of its position.  With shifts
+    None the vectors seed the basis and `picked` is None; otherwise they are
+    the candidates of a selection (module docstring), and `picked` lists the
+    indices into `raw` of those kept.  Single terms form no pairs (S-vectors
+    of terms vanish): a plain run returns them, a selection picks by `_first_undivided`.
     """
+    idx = [k for k, v in enumerate(raw) if v]
+    if not idx:
+        return None, [], [], []
+    L = _layout(len(next(iter(raw[idx[0]]))[1]))
+    vecs = [L.pack_vec(raw[k]) for k in idx]
+    if all(len(g) == 1 for g in vecs):
+        leads = [next(iter(g)) for g in vecs]
+        if shifts is None:
+            return L, vecs, leads, None
+        return L, vecs, leads, [idx[k] for k in _first_undivided(L, leads, shifts)]
     budget = spair_budget()
-    vecs = [v for v in vecs if v]
-    if not vecs:
-        return []
-    L = _layout(len(next(iter(vecs[0]))[1]))
-    G = [L.pack_vec(v) for v in vecs]
-    # Fast path: single-term vectors are a Groebner basis after minimalization.
-    if all(len(g) == 1 for g in G):
-        kept = []
-        for t in sorted({next(iter(g)) for g in G}):
-            if not any(L.divides(k, t) for k in kept):
-                kept.append(t)
-        return [{L.unpack(t): 1} for t in kept]
-
-    rank1 = all(t >= 0 for g in G for t in g)
-    leads = [max(g) for g in G]
-    G = [_monic(g, lt, p) for g, lt in zip(G, leads)]
+    s_bits, nw = L.s, L.nw
+    rank1 = all(t >= 0 for g in vecs for t in g)
+    G, leads, reducers, expos, degs = [], [], [], [], []
     by_pos: dict = {}
-    reducers = [_file_reducer(by_pos, L, lt, g) for lt, g in zip(leads, G)]
-    # A pair's sugar is the degree of its lcm, summed on the exponent tuples.
-    expos = [L.unpack(lt)[1] for lt in leads]
-    degs = [sum(m) for m in expos]
     same_pos: dict = {}  # position key -> indices of the elements leading there
     heap = []
-    for k, lt in enumerate(leads):
-        same = same_pos.setdefault(lt >> L.s, [])
-        for i in same:
-            heapq.heappush(heap, (sum(map(max, expos[i], expos[k])), k, i))
-        same.append(k)
+
+    def add(g, lt):
+        g = _monic(g, lt, p)
+        new = len(G)
+        G.append(g)
+        leads.append(lt)
+        reducers.append(_file_reducer(by_pos, L, lt, g))
+        m = L.unpack(lt)[1]
+        expos.append(m)
+        degs.append(sum(m))
+        same = same_pos.setdefault(lt >> s_bits, [])
+        sh = shifts[-(lt >> s_bits)] if shifts else 0
+        for t in same:
+            d = sum(map(max, expos[t], m))
+            heapq.heappush(heap, (d + sh, 0, new, t, d))
+        same.append(new)
+
+    if shifts is None:
+        for g in vecs:
+            add(g, max(g))
+        picked = None
+    else:
+        heap = [(_degree(L, max(g), shifts), 1, k) for k, g in enumerate(vecs)]
+        heapq.heapify(heap)
+        waiting, picked = len(vecs), []
     done = set()
     spent = 0
-    varmask, guard, degmask, s_bits = L.varmask, L.guard, L.degmask, L.s
+    varmask, guard, degmask = L.varmask, L.guard, L.degmask
     positions = -(1 << s_bits)  # the bits of a packed term that hold -position
-    while heap:
-        d, j, i = heapq.heappop(heap)
+    while heap and (picked is None or waiting):
+        entry = heapq.heappop(heap)
+        if entry[1]:  # a candidate's turn
+            rem = _normal_form(vecs[entry[2]], by_pos, L, p)
+            if rem:
+                add(rem, next(iter(rem)))
+                picked.append(idx[entry[2]])
+            waiting -= 1
+            continue
+        _, _, j, i, d = entry  # d: the degree of the lcm, unshifted
         done.add((i, j))
         # Product criterion: coprime leads reduce to 0 in the ring case.
         if rank1 and d == degs[i] + degs[j]:
@@ -286,7 +329,7 @@ def module_buchberger_raw(vecs, p):
         a, b = leads[i] & varmask, leads[j] & varmask
         ge = ((a | guard) - b) & guard
         ge |= ge - (ge >> (_W - 1))
-        lcm_t = (d << L.nw) + ((b & ge) | (a & ~ge)) + (leads[i] & positions)
+        lcm_t = (d << nw) + ((b & ge) | (a & ~ge)) + (leads[i] & positions)
         # Chain criterion.
         glcm = lcm_t & varmask
         skip = False
@@ -316,29 +359,23 @@ def module_buchberger_raw(vecs, p):
                     s.pop(kk, None)
         rem = _normal_form(s, by_pos, L, p)
         if rem:
-            lt = next(iter(rem))
-            rem = _monic(rem, lt, p)
-            new = len(G)
-            G.append(rem)
-            leads.append(lt)
-            reducers.append(_file_reducer(by_pos, L, lt, rem))
-            m = L.unpack(lt)[1]
-            expos.append(m)
-            degs.append(sum(m))
-            same = same_pos.setdefault(lt >> s_bits, [])
-            for t in same:
-                heapq.heappush(heap, (sum(map(max, expos[t], m)), new, t))
-            same.append(new)
+            add(rem, next(iter(rem)))
+    return L, G, leads, picked
 
-    # Minimalize: drop elements whose lead is divisible by another lead.
-    order_idx = sorted(range(len(G)), key=leads.__getitem__)
-    kept = []
-    for i in order_idx:
-        if not any(L.divides(leads[k], leads[i]) for k in kept):
-            kept.append(i)
-    # Tail-reduce to the unique reduced basis.  A lead divides no term below
-    # it, so every tail reduces against all minimal elements at once, and the
-    # lead (coefficient 1) stays first.
+
+def module_buchberger_raw(vecs, p):
+    """Reduced Groebner basis of raw vectors under position-over-term.
+
+    Only same-position pairs are formed.  The chain criterion always applies;
+    the product criterion only when every input vector lies in position 0 (it
+    is unsound for modules of higher rank).  The run packs its input, works on
+    packed terms throughout and unpacks the basis it returns.
+    """
+    L, G, leads, _ = _buchberger(vecs, p)
+    # Minimalize, then tail-reduce to the unique reduced basis.  A lead divides
+    # no term below it, so every tail reduces against all minimal elements at
+    # once, and the lead (coefficient 1) stays first.
+    kept = _first_undivided(L, leads)
     by_pos = {}
     for i in kept:
         _file_reducer(by_pos, L, leads[i], G[i])
@@ -351,11 +388,18 @@ def module_buchberger_raw(vecs, p):
     return [L.unpack_vec(g) for g in reduced]
 
 
+def minimal_generators_raw(vecs, shifts, p):
+    """Indices into `vecs` of the minimal generators `modules.minimal_vec_generators`
+    selects, in its order, from one selection run of `_buchberger`.  The vectors
+    must be homogeneous for the generator degrees `shifts`."""
+    return _buchberger(vecs, p, shifts)[3]
+
+
 class ModuleGB:
     """Reduced Groebner basis of a submodule of a rank-r free module.
 
     `elements` are raw vectors; their packed reducers are built on the first
-    `normal_form` or `absorb`, which pack their argument.
+    `normal_form`, which packs its argument.
     """
 
     __slots__ = ("ring", "rank", "elements", "leads", "_by_pos")
@@ -367,36 +411,14 @@ class ModuleGB:
         self.leads = tuple(max(g, key=_vkey) for g in raw_elements)
         self._by_pos = None
 
-    def _reducers(self, L):
+    def normal_form(self, raw_vec):
+        L = _layout(self.ring.nvars)
         if self._by_pos is None:
             self._by_pos = {}
             for lt, g in zip(self.leads, self.elements):
                 _file_reducer(self._by_pos, L, L.pack(lt), L.pack_vec(g))
-        return self._by_pos
-
-    def normal_form(self, raw_vec):
-        L = _layout(self.ring.nvars)
-        rem = _normal_form(L.pack_vec(raw_vec), self._reducers(L), L, self.ring.field.p)
+        rem = _normal_form(L.pack_vec(raw_vec), self._by_pos, L, self.ring.field.p)
         return L.unpack_vec(rem)
-
-    def absorb(self, raw_vec) -> bool:
-        """Whether raw_vec has a nonzero normal form; that remainder, made
-        monic, then reduces every later `normal_form` and `absorb` too.
-
-        `elements` and `leads` stay those of the basis.  For homogeneous
-        vectors of one degree d, absorbed in turn, the reducers stay a Groebner
-        basis up to degree d: a remainder's lead is divisible by no earlier
-        lead, so each S-pair it forms has degree above d.  A zero remainder
-        then means membership in the span of the basis and the vectors
-        absorbed before.
-        """
-        L = _layout(self.ring.nvars)
-        p = self.ring.field.p
-        rem = _normal_form(L.pack_vec(raw_vec), self._reducers(L), L, p)
-        if rem:
-            lt = next(iter(rem))
-            _file_reducer(self._by_pos, L, lt, _monic(rem, lt, p))
-        return bool(rem)
 
     def contains(self, raw_vec) -> bool:
         return not self.normal_form(raw_vec)
@@ -774,18 +796,18 @@ class Ideal:
         The generators are sorted by (degree, grevlex lead), and g is kept
         exactly when it lies outside the ideal of the kept lower-degree
         generators and the later ones of its degree: the rule of
-        `modules.minimal_vec_generators` on the generators with each degree in
-        reverse order.  Kept generators come back in sorted order.  Raises
+        `minimal_generators_raw` on the generators with each degree in reverse
+        order.  Kept generators come back in sorted order.  Raises
         PreconditionError on an inhomogeneous generator.
         """
         if self._mingens is None:
             gens = sorted(self.gens, key=lambda g: (g.degree(), grevlex_key(g.lead_monomial())))
             if not all(g.is_homogeneous() for g in gens):
                 raise PreconditionError("minimal generators need homogeneous generators")
-            from .modules import minimal_vec_generators
-            vecs = [_lift(g) for g in gens]
-            kept_ids = {id(v) for v in minimal_vec_generators(vecs[::-1], [0], self.ring)}
-            self._mingens = tuple(g for g, v in zip(gens, vecs) if id(v) in kept_ids)
+            last = len(gens) - 1
+            kept = {last - k for k in minimal_generators_raw(
+                [_lift(g) for g in reversed(gens)], [0], self.ring.field.p)}
+            self._mingens = tuple(g for k, g in enumerate(gens) if k in kept)
         return self._mingens
 
     def normal_form(self, f: Poly) -> Poly:

@@ -14,12 +14,10 @@ is finite data, so the dual is what we compute.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
-from .groebner import (Ideal, ModuleGB, _divides, module_groebner, standard_levels,
-                       syzygies_raw, syzygy_projection, unit_ideal, vector_colon)
+from .groebner import (Ideal, _divides, minimal_generators_raw, module_groebner,
+                       standard_levels, syzygies_raw, syzygy_projection, unit_ideal,
+                       vector_colon)
 from .ring import Ring
 
 _CYCLIC_CACHE: dict = {}
@@ -90,34 +88,12 @@ def minimal_vec_generators(vecs, shifts, ring_: Ring):
     vector is kept exactly when it lies outside the submodule spanned by the
     kept lower-degree vectors and the degree-d vectors before it.  Returns the
     kept vectors themselves, in that order.  Raises PreconditionError on an
-    inhomogeneous vector (`vec_degree`).
-
-    When every vector is a single term, membership is divisibility by a kept
-    term in the same position.  Otherwise each degree d starts from the
-    reduced basis of the vectors kept below d (one Buchberger run, redone only
-    after a degree that kept something), and each candidate is kept exactly
-    when `ModuleGB.absorb` leaves a nonzero remainder.  That remainder joins
-    the reducers, and they stay a Groebner basis up to degree d, so a zero
-    remainder is exact membership (La Scala & Stillman 1998).
+    inhomogeneous vector (`vec_degree`).  One selection run of the Groebner
+    engine decides it (`groebner.minimal_generators_raw`).
     """
-    items = sorted(((vec_degree(v, shifts), v) for v in vecs if v), key=itemgetter(0))
-    if all(len(v) == 1 for _, v in items):
-        kept, terms = [], []
-        for _, v in items:
-            pos, m = next(iter(v))
-            if not any(q == pos and _divides(k, m) for q, k in terms):
-                kept.append(v)
-                terms.append((pos, m))
-        return kept
-    rank = len(shifts)
-    basis = ModuleGB(ring_, rank, [])
-    kept, fresh = [], []
-    for _, group in groupby(items, key=itemgetter(0)):
-        if fresh:
-            basis = module_groebner(list(basis.elements) + fresh, rank, ring_)
-        fresh = [v for _, v in group if basis.absorb(v)]
-        kept += fresh
-    return kept
+    for v in filter(None, vecs):
+        vec_degree(v, shifts)
+    return [vecs[k] for k in minimal_generators_raw(vecs, shifts, ring_.field.p)]
 
 
 # ---------------------------------------------------------------------------

@@ -674,7 +674,7 @@ def test_minimal_generators_prunes(R3):
     assert I.minimal_generators() == (x, x + y)
 
 
-@pytest.mark.parametrize("p", [2, 32003])
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
 def test_minimal_generators_match_their_definition(p):
     """g is kept exactly when it lies outside the ideal of the kept earlier
     generators and all later ones, decided by brute-force linear algebra."""

@@ -4,7 +4,7 @@ import pytest
 from oracles import (check_complex, has_unit_entries, minimal_vec_generators_greedy,
                      quotient_dimension_bruteforce, random_monomial_ideal, syzygy_chain)
 
-from irlab.errors import PreconditionError, ZeroModuleError
+from irlab.errors import PreconditionError, ResourceBudgetExceeded, ZeroModuleError
 from irlab.groebner import Ideal
 from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
                            module_invariants, poly_times_vec, subquotient_presentation,
@@ -159,6 +159,21 @@ def test_minimal_vec_generators_allocates_no_dense_matrix(monkeypatch):
                   {(28, xyzuvw): 3}]
     got = minimal_vec_generators(candidates + low, shifts, R)
     assert [id(v) for v in got] == [id(v) for v in low + [kept_candidate]]
+
+
+def test_minimal_vec_generators_budget_counts_only_s_pairs(monkeypatch):
+    # Candidates xy, x^2 + yz, y^2 + xz in degree 2 and z^3 in degree 3, all
+    # kept.  Before z^3 has its turn, two S-pairs are reduced: (xy, x^2 + yz)
+    # and (xy, y^2 + xz); the third pair has coprime leads.  The budget is
+    # charged for those two pairs and not for the four candidates.
+    R = ring(("x", "y", "z"), 32003)
+    vecs = [{(0, m): 1 for m in terms} for terms in
+            [[(1, 1, 0)], [(2, 0, 0), (0, 1, 1)], [(0, 2, 0), (1, 0, 1)], [(0, 0, 3)]]]
+    monkeypatch.setenv("IRLAB_BUDGET", "2")
+    assert minimal_vec_generators(vecs, [0], R) == vecs
+    monkeypatch.setenv("IRLAB_BUDGET", "1")
+    with pytest.raises(ResourceBudgetExceeded):
+        minimal_vec_generators(vecs, [0], R)
 
 
 # -- free resolutions -------------------------------------------------------------

@@ -5,9 +5,12 @@ byte-identical.
 Runs `irlab analyze|ir|stable <spec> --seed 0` and
 `irlab limit <spec> --nmax 2 --samples 5 --seed 0` on each of the 27 bundled
 corpus specs, and `irlab reproduce-examples` with its timing column masked,
-each in a fresh interpreter on the source tree next to this script.  Every
-line reads `<sha256>  <command> <spec>`; a nonzero exit code from a command
-is printed in place of its digest, as `exit <code>  <command> <spec>`.
+each in a fresh interpreter on the source tree next to this script.  After
+them come the same four commands on each stretch spec in `tools/stretch/`
+(6-variable and non-monomial ideals the corpus lacks), except the pairs in
+`SKIPPED`.  Every line reads `<sha256>  <command> <spec>`; a nonzero exit
+code from a command is printed in place of its digest, as
+`exit <code>  <command> <spec>`.
 
 Save the list of one checkout and check another against it:
 
@@ -33,8 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CORPUS = SRC / "irlab" / "corpus"
+STRETCH = ROOT / "tools" / "stretch"
 COMMANDS = (("analyze",), ("ir",), ("stable",), ("limit", "--nmax", "2", "--samples", "5"))
 GROUPS = ("golden", "cm_controls", "random_squarefree")
+STRETCH_SPECS = ("minors23", "two3planes6", "mixed6", "plane_line5")
+# (command, stretch spec) pairs left out, with the reason.
+SKIPPED = {("stable", "two3planes6"): "about 100-130 s on its own; the rest take about 30 s"}
 TIMING = re.compile(r"  (pass|FAIL)  +\d+\.\ds  ")
 
 
@@ -54,21 +61,29 @@ def line(proc, label, out=None):
 def digest_lines():
     """Yield the digest line of every command, in a fixed order."""
     index = json.loads((CORPUS / "index.json").read_text())
-    names = [name[:-len(".json")] for group in GROUPS for name in index[group]]
+    corpus = [(CORPUS, name[:-len(".json")]) for group in GROUPS for name in index[group]]
+    stretch = [(STRETCH, name) for name in STRETCH_SPECS]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            # The label is fixed here, so no report depends on a file path.
-            data = json.loads((CORPUS / f"{name}.json").read_text())
-            data.setdefault("label", name)
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(data, sort_keys=True, indent=1))
-            for command, *options in COMMANDS:
+        yield from spec_lines(corpus, tmp)
+        proc = irlab("reproduce-examples")
+        masked = "".join(TIMING.sub(r"  \1  <time>  ", row, count=1)
+                         for row in proc.stdout.splitlines(keepends=True))
+        yield line(proc, "reproduce-examples", masked)
+        yield from spec_lines(stretch, tmp)
+
+
+def spec_lines(specs, tmp):
+    """Yield the digest line of every command on every (directory, name) spec."""
+    for folder, name in specs:
+        # The label is fixed here, so no report depends on a file path.
+        data = json.loads((folder / f"{name}.json").read_text())
+        data.setdefault("label", name)
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(data, sort_keys=True, indent=1))
+        for command, *options in COMMANDS:
+            if (command, name) not in SKIPPED:
                 proc = irlab(command, str(path), *options, "--seed", "0")
                 yield line(proc, f"{command} {name}")
-    proc = irlab("reproduce-examples")
-    masked = "".join(TIMING.sub(r"  \1  <time>  ", row, count=1)
-                     for row in proc.stdout.splitlines(keepends=True))
-    yield line(proc, "reproduce-examples", masked)
 
 
 def main(argv=None) -> int:
