@@ -70,6 +70,13 @@ class RingSpec:
         return [Ideal(R, [R.parse(s) for s in gens]) for gens in self.s2_summands]
 
 
+def _strings(value, what):
+    """`value` as a tuple of strings; PreconditionError unless it is a JSON list of them."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise PreconditionError(f"{what} must be a list of strings, got {value!r:.60}")
+    return tuple(value)
+
+
 def load_ring_spec(path_or_dict) -> RingSpec:
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -80,10 +87,14 @@ def load_ring_spec(path_or_dict) -> RingSpec:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise PreconditionError(f"{path_or_dict}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise PreconditionError(f"{path_or_dict}: a ring spec must be a JSON object")
         label = data.get("label", str(path_or_dict))
     if "variables" not in data or "ideal" not in data:
         raise PreconditionError("ring spec needs 'variables' and 'ideal' fields")
-    variables = tuple(data["variables"])
+    # Every shape is checked before anything is parsed.
+    variables = _strings(data["variables"], "variables")
+    ideal_strings = _strings(data["ideal"], "ideal")
     if len(set(variables)) != len(variables):
         raise PreconditionError("variables must be distinct")
     char = data.get("characteristic", 32003)
@@ -97,10 +108,13 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     s2 = None
     raw_s2 = data.get("s2_ification")
     if raw_s2:
-        if "summands" not in raw_s2:
+        if not isinstance(raw_s2, dict) or "summands" not in raw_s2:
             raise PreconditionError("s2_ification currently supports the 'summands' form")
-        s2 = tuple(tuple(g) for g in raw_s2["summands"])
-    spec = RingSpec(label, char, variables, tuple(data["ideal"]), s2)
+        summands = raw_s2["summands"]
+        if not isinstance(summands, list):
+            raise PreconditionError(f"s2_ification summands must be a list, got {summands!r:.60}")
+        s2 = tuple(_strings(g, "each s2_ification summand") for g in summands)
+    spec = RingSpec(label, char, variables, ideal_strings, s2)
     # Parse eagerly so bad input fails here with a position.
     R = spec.ambient()
     for s in spec.ideal_strings:

@@ -21,10 +21,9 @@ from math import comb
 import numpy as np
 
 from .errors import PreconditionError, ZeroModuleError
-from .groebner import Ideal, unit_ideal
+from .groebner import Ideal, standard_levels, unit_ideal
 from .linalg import rank_mod_p
 from .modules import Module
-from .ring import monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,15 @@ class AnnihilatorData:
 
 
 def _least_power_inside(target: Ideal, cap: int = 64) -> int | None:
-    """Least k with m^k contained in `target`, or None below the cap."""
-    R = target.ring
-    gb = target.groebner()
-    for k in range(cap + 1):
-        if all(gb.contains(R.monomial(m)) for m in monomials_of_degree(R.nvars, k)):
-            return k
-    return None
+    """Least k <= cap with m^k inside `target`, else None; homogeneous input only.
+
+    m^k lies in a homogeneous J exactly when J has no standard monomial of
+    degree k, so k counts the nonempty levels below it.  Listing them costs
+    the length of S/J up to the cap, which is small for the m-primary J here.
+    """
+    levels = standard_levels(target.groebner().leads, target.ring.nvars, cap)
+    k = sum(1 for _ in levels)
+    return k if k <= cap else None
 
 
 def _ann_h0(I: Ideal) -> Ideal:

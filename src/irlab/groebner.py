@@ -7,9 +7,9 @@ always applies; the product criterion only at rank 1, where it is sound.
 There is one monomial order, grevlex (`ring.grevlex_key`); the module order
 is position-over-term over it (position 0 highest), which doubles as the
 elimination device behind syzygies.  Every colon, intersection and
-annihilator is one `syzygy_projection`: the syzygies of [v | relations]
-read off in the coordinates of v.  That projection is the reduced basis of
-the result, so the result carries it and Buchberger never runs on it again.
+annihilator is one `syzygies_raw` run on the graph of v, with the relations
+untagged: its basis elements inside the tag positions are the reduced basis
+of the result, so the result carries it and Buchberger never runs on it again.
 `Ideal.colon` gives no block to a generator that I already contains, since
 I : g = S for g in I.
 Every basis returned is reduced, monic and sorted, hence canonical for the
@@ -485,12 +485,13 @@ def buchberger(gens) -> GroebnerBasis:
     return GroebnerBasis(R, module_buchberger_raw([_lift(g) for g in polys], R.field.p))
 
 
-def syzygies_raw(vecs, rank, ring_: Ring):
-    """Generators of the syzygy module of `vecs` (raw vectors of rank `rank`).
+def syzygies_raw(vecs, rank, ring_: Ring, relations=()):
+    """Reduced basis of {c : sum_i c_i vecs_i lies in span(relations)}.
 
-    Works in rank + len(vecs): the graph vectors (v_i, e_i) are fed to a
-    position-over-term basis computation, and the basis elements supported
-    entirely on the tag positions are exactly the syzygies.
+    The vecs (raw, of rank `rank`) enter as graph vectors (v_i, e_i) and the
+    relations untagged, as in Singular's `modulo`.  Position-over-term puts the
+    tags last, so the basis elements with no term below `rank` are that basis,
+    shifted down by `rank`: the syzygies of the vecs when there are no relations.
     """
     zero_expo = (0,) * ring_.nvars
     graph = []
@@ -498,7 +499,7 @@ def syzygies_raw(vecs, rank, ring_: Ring):
         g = dict(v)
         g[(rank + i, zero_expo)] = 1
         graph.append(g)
-    gb = module_buchberger_raw(graph, ring_.field.p)
+    gb = module_buchberger_raw(graph + list(relations), ring_.field.p)
     out = []
     for g in gb:
         if all(pos >= rank for pos, _ in g):
@@ -515,30 +516,13 @@ def syzygies(polys):
     return syzygies_raw([_lift(f) for f in polys], 1, R)
 
 
-def syzygy_projection(vs, relations, rank, ring_: Ring):
-    """Coordinates on `vs` of the syzygies of [vs | relations], zero ones dropped.
-
-    These generate {c : sum_i c_i vs_i lies in span(relations)}, the colon of
-    span(relations) by the vs.  Position-over-term puts the vs' tag positions
-    first, so the syzygies that touch them lead there and project to a Groebner
-    basis of that colon; for a single v it is the reduced basis, in order.
-    """
-    t = len(vs)
-    out = []
-    for s in syzygies_raw(list(vs) + list(relations), rank, ring_):
-        proj = {(pos, m): c for (pos, m), c in s.items() if pos < t}
-        if proj:
-            out.append(proj)
-    return out
-
-
 def vector_colon(v, relations, rank, ring_: Ring) -> "Ideal":
     """{f : f v lies in span(relations)} for one raw vector v of rank `rank`.
 
-    The projection is the reduced basis of the result, in order, so the ideal
-    carries it as its basis and never runs Buchberger on it again.
+    `syzygies_raw` returns the reduced basis of the result, in order, so the
+    ideal carries it as its basis and never runs Buchberger on it again.
     """
-    gb = GroebnerBasis(ring_, syzygy_projection([v], relations, rank, ring_))
+    gb = GroebnerBasis(ring_, syzygies_raw([v], rank, ring_, relations))
     out = Ideal(ring_, gb.elements)
     out._gb = gb
     return out

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import (Ideal, _divides, minimal_generators_raw, module_groebner,
-                       standard_levels, syzygies_raw, syzygy_projection, unit_ideal,
-                       vector_colon)
+                       standard_levels, syzygies_raw, unit_ideal, vector_colon)
 from .ring import Ring
 
 _CYCLIC_CACHE: dict = {}
@@ -429,14 +428,14 @@ class Module:
 def module_subquotient(gens, image, ambient_rank, ambient_shifts, ring_: Ring) -> Module:
     """Present span(gens)/span(image) inside a free module, via one syzygy run.
 
-    Relations of the subquotient are the syzygies of [gens | image] projected
-    to the generator coordinates.  The result is returned minimalized, and
-    knows that its presentation is minimal.
+    Relations of the subquotient are {c : sum_i c_i gens_i lies in span(image)},
+    from `syzygies_raw` with the image as its relations.  The result is
+    returned minimalized, and knows that its presentation is minimal.
     """
     if not gens:
         return Module(ring_, (), [], check=False)
     degs = [vec_degree(g, ambient_shifts) for g in gens]
-    rels = syzygy_projection(gens, image, ambient_rank, ring_)
+    rels = syzygies_raw(gens, ambient_rank, ring_, image)
     shifts, min_rels = Module(ring_, tuple(degs), rels).minimal_presentation()
     out = Module(ring_, shifts, min_rels, check=False)
     out._min_pres = (out.shifts, out.relations)

@@ -170,6 +170,30 @@ def syzygy_chain(M):
     return FreeResolution(M.ring, shifts, diffs)
 
 
+def tagged_projection(vs, relations, rank, ring_):
+    """{c : sum_i c_i vs_i lies in span(relations)} with every relation tagged
+    too: the syzygies of [vs | relations] from `syzygies_raw` with no
+    relations, read off in the coordinates of the vs, zero ones dropped."""
+    t = len(vs)
+    out = []
+    for s in syzygies_raw(list(vs) + list(relations), rank, ring_):
+        proj = {(pos, m): c for (pos, m), c in s.items() if pos < t}
+        if proj:
+            out.append(proj)
+    return out
+
+
+def least_power_inside_by_membership(target, cap=64):
+    """Least k <= cap with every monomial of degree k in `target`, one normal
+    form per monomial; None when there is none."""
+    R = target.ring
+    gb = target.groebner()
+    for k in range(cap + 1):
+        if all(gb.contains(R.monomial(m)) for m in monomials_of_degree(R.nvars, k)):
+            return k
+    return None
+
+
 def has_unit_entries(res):
     """Whether some differential of a FreeResolution has a constant entry."""
     zero = (0,) * res.ring.nvars

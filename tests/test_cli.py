@@ -266,6 +266,30 @@ def test_characteristic_outside_range_is_input_error(char, tmp_path, capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps([PLANE_LINE]),
+    json.dumps("x*y"),
+    json.dumps(PLANE_LINE | {"ideal": [5]}),
+    json.dumps(PLANE_LINE | {"ideal": "x*y"}),
+    json.dumps(PLANE_LINE | {"variables": "xyz"}),
+    json.dumps(PLANE_LINE | {"variables": ["x", 2, "z"]}),
+    json.dumps(PLANE_LINE | {"s2_ification": {"summands": [["x"], 5]}}),
+    json.dumps(PLANE_LINE | {"s2_ification": {"summands": "x"}}),
+    json.dumps(PLANE_LINE | {"s2_ification": "summands"}),
+], ids=["array", "string", "ideal-int", "ideal-str", "variables-str", "variables-int",
+        "summand-int", "summands-str", "s2-str"])
+def test_malformed_spec_shape_is_input_error(text, tmp_path, capsys):
+    # an array file died with AttributeError, ideal [5] and summands
+    # [["x"], 5] with TypeError, variables "xyz" read as x, y, z, and ideal
+    # "x*y" as the generators "x", "*", "y"; all now stop at load, exit 1
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
 def test_malformed_budget_is_input_error(spec_file, capsys, monkeypatch, raw):
     # "abc" and "1.5" used to fall back to the default budget, "0" and "-3"

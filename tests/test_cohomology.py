@@ -1,10 +1,10 @@
 import pytest
-from oracles import random_monomial_ideal, triangular_change
+from oracles import least_power_inside_by_membership, random_monomial_ideal, triangular_change
 
 from irlab import filtration, modules, params
 from irlab.cli import load_corpus_spec
-from irlab.cohomology import (SimplicialComplex, annihilator_data, cm_flags,
-                              hochster_hilbert, local_cohomology_hilbert,
+from irlab.cohomology import (SimplicialComplex, _least_power_inside, annihilator_data,
+                              cm_flags, hochster_hilbert, local_cohomology_hilbert,
                               local_cohomology_length, socle_dimensions)
 from irlab.errors import PreconditionError
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
@@ -152,6 +152,27 @@ def test_h0_slot_falls_back_when_the_sum_of_variables_saturates_to_s(p):
     I = Ideal(R, [ell * v for v in (x, y, z)])
     assert I._sum_of_variables_saturation().is_unit()
     assert annihilator_data(Module.cyclic(I))[0] == maximal_ideal(R)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_least_power_inside_counts_standard_levels(p):
+    # random m-primary monomial ideals (pure powers plus random monomials) and
+    # their moved copies, against one membership test per monomial
+    rng = Rng(p + 41)
+    for trial in range(12):
+        R = ring(("x", "y", "z")[:1 + trial % 3], p)
+        expos = [tuple(1 + rng.below(4) if j == i else 0 for j in range(R.nvars))
+                 for i in range(R.nvars)]
+        monos, _ = random_monomial_ideal(R, rng)
+        expos += [next(iter(g.terms)) for g in monos]
+        for gens in ([R.monomial(e) for e in expos], triangular_change(R, rng, expos)):
+            J = Ideal(R, gens)
+            assert _least_power_inside(J) == least_power_inside_by_membership(J)
+    R1 = ring(("x",), p)
+    (x,) = R1.gens()
+    for J, want in ((unit_ideal(R1), 0), (Ideal(R1, []), None), (Ideal(R1, [x**65]), None),
+                    (Ideal(R1, [x**64]), 64)):
+        assert _least_power_inside(J) == least_power_inside_by_membership(J) == want
 
 
 def test_product_sits_inside_every_factor(two_planes_3d, plane_and_line,

@@ -1,12 +1,12 @@
 import pytest
 from oracles import (membership_bruteforce, module_buchberger_tuples,
                      normal_form_tuples, quotient_dimension_bruteforce,
-                     random_monomial_ideal)
+                     random_monomial_ideal, tagged_projection)
 
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
 from irlab.groebner import (_B, Ideal, ModuleGB, _divides, _layout, _vkey, buchberger,
                             maximal_ideal, module_buchberger_raw, module_groebner,
-                            standard_levels, syzygies, unit_ideal)
+                            standard_levels, syzygies, syzygies_raw, unit_ideal)
 from irlab.modules import Module
 from irlab.params import Rng
 from irlab.ring import grevlex_key, monomials_of_degree, ring
@@ -629,6 +629,25 @@ def test_syzygies_pair_to_zero_random(R3):
         if len(polys) < 2:
             continue
         _pairs_to_zero(syzygies(polys), polys)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_syzygies_with_relations_match_tagged_projection(p):
+    """Tagging only the vs gives the colon the fully tagged run projects to,
+    list for list and term order included; no relations is the syzygy module."""
+    rng = Rng(p + 61)
+    for trial in range(48):
+        n, rank = 2 + trial % 2, 1 + trial % 3
+        R = ring(tuple(f"x{i}" for i in range(n)), p)
+
+        def rand(degree):
+            return random_raw_vector(rng, n, rank, p, degree, True)
+
+        vs = [rand(1 + rng.below(2)) for _ in range(1 + rng.below(3))]
+        relations = [rand(1 + rng.below(2)) for _ in range(trial % 4)]
+        want = tagged_projection(vs, relations, rank, R)
+        got = syzygies_raw(vs, rank, R, relations)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 def test_module_groebner_reduced_and_contains(R3):
