@@ -2,7 +2,8 @@
 reducibility of parameter ideals over prime fields.
 
 The public surface re-exported here is what the CLI and the test suite build
-on; see the README for a tour.
+on; see the README for a tour.  No re-export shadows a submodule: the ring
+constructor is `irlab.ring.ring`, so `irlab.ring` stays the module.
 """
 
 from .cohomology import (AnnihilatorData, SocleVector, annihilator_data,
@@ -24,7 +25,7 @@ from .params import (IrResult, ParameterSystem, Rng, construct_c_sop,
                      find_parameter_element, index_of_reducibility,
                      is_d_sequence, is_system_of_parameters)
 from .ring import (Poly, PrimeField, Ring, grevlex_key, monomials_of_degree,
-                   parse_polynomial, ring)
+                   parse_polynomial)
 from .stable import (LimitProfile, StableValueReport, formula_dim3,
                      formula_gcm, formula_seq, goto_suzuki_bound,
                      limit_profile, stability_suite, stable_value)

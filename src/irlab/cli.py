@@ -92,6 +92,8 @@ def load_ring_spec(path_or_dict) -> RingSpec:
         label = data.get("label", str(path_or_dict))
     if "variables" not in data or "ideal" not in data:
         raise PreconditionError("ring spec needs 'variables' and 'ideal' fields")
+    if not isinstance(label, str):
+        raise PreconditionError(f"label must be a string, got {label!r:.60}")
     # Every shape is checked before anything is parsed.
     variables = _strings(data["variables"], "variables")
     ideal_strings = _strings(data["ideal"], "ideal")
@@ -106,13 +108,14 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     s2 = None
-    raw_s2 = data.get("s2_ification")
-    if raw_s2:
+    if "s2_ification" in data:
+        raw_s2 = data["s2_ification"]
         if not isinstance(raw_s2, dict) or "summands" not in raw_s2:
             raise PreconditionError("s2_ification currently supports the 'summands' form")
         summands = raw_s2["summands"]
-        if not isinstance(summands, list):
-            raise PreconditionError(f"s2_ification summands must be a list, got {summands!r:.60}")
+        if not isinstance(summands, list) or not summands:
+            raise PreconditionError(
+                f"s2_ification summands must be a nonempty list, got {summands!r:.60}")
         s2 = tuple(_strings(g, "each s2_ification summand") for g in summands)
     spec = RingSpec(label, char, variables, ideal_strings, s2)
     # Parse eagerly so bad input fails here with a position.

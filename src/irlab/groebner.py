@@ -7,8 +7,10 @@ always applies; the product criterion only at rank 1, where it is sound.
 There is one monomial order, grevlex (`ring.grevlex_key`); the module order
 is position-over-term over it (position 0 highest), which doubles as the
 elimination device behind syzygies.  Every colon, intersection and
-annihilator is one `syzygies_raw` run on the graph of v, with the relations
-untagged: its basis elements inside the tag positions are the reduced basis
+annihilator is one `vector_colon` call: {f : f v_t in N for every t} with v_t
+in block t of a block module that repeats N's relations in every block, read
+off one `syzygies_raw` run on the graph of the summed vector, the relations
+untagged.  Its basis elements inside the tag positions are the reduced basis
 of the result, so the result carries it and Buchberger never runs on it again.
 `Ideal.colon` gives no block to a generator that I already contains, since
 I : g = S for g in I.
@@ -431,9 +433,9 @@ def module_groebner(vecs, rank, ring_: Ring) -> ModuleGB:
     return ModuleGB(ring_, rank, module_buchberger_raw(vecs, ring_.field.p))
 
 
-def _lift(f: Poly):
-    """The polynomial f as a rank-1 raw vector."""
-    return {(0, m): c for m, c in f.terms.items()}
+def _lift(f: Poly, position=0):
+    """The polynomial f as a raw vector, every term in `position`."""
+    return {(position, m): c for m, c in f.terms.items()}
 
 
 class GroebnerBasis:
@@ -516,13 +518,22 @@ def syzygies(polys):
     return syzygies_raw([_lift(f) for f in polys], 1, R)
 
 
-def vector_colon(v, relations, rank, ring_: Ring) -> "Ideal":
-    """{f : f v lies in span(relations)} for one raw vector v of rank `rank`.
+def vector_colon(vs, relations, rank, ring_: Ring) -> "Ideal":
+    """{f : f v_t lies in span(relations) for every t}, for raw vectors v_t of rank `rank`.
 
-    `syzygies_raw` returns the reduced basis of the result, in order, so the
-    ideal carries it as its basis and never runs Buchberger on it again.
+    The one block-module construction: v_t goes to block t (positions
+    t*rank, ..., t*rank + rank - 1), every block holds a copy of the
+    relations, and the sum of the placed v_t is the single vector of one
+    `syzygies_raw` run.  That run returns the reduced basis of the result, in
+    order, so the ideal carries it and never runs Buchberger on it again.
+    With no vectors the condition is empty and the result is the unit ideal.
     """
-    gb = GroebnerBasis(ring_, syzygies_raw([v], rank, ring_, relations))
+    if not vs:
+        return unit_ideal(ring_)
+    v = {(t * rank + pos, m): c for t, vt in enumerate(vs) for (pos, m), c in vt.items()}
+    blocks = [{(t * rank + pos, m): c for (pos, m), c in r.items()}
+              for t in range(len(vs)) for r in relations]
+    gb = GroebnerBasis(ring_, syzygies_raw([v], len(vs) * rank, ring_, blocks))
     out = Ideal(ring_, gb.elements)
     out._gb = gb
     return out
@@ -620,13 +631,16 @@ class Ideal:
             out = out.product(self)
         return out
 
-    def intersect(self, other):
-        """The intersection, as the scalar colon of I e_0 (+) J e_1 by e_0 + e_1."""
-        other = self._coerce(other)
+    def intersect(self, *others):
+        """I cap J_1 cap ..., the colon of e_0 + e_1 + ... against I e_0 (+) J_1 e_1 (+) ...
+
+        One `vector_colon` run on a single vector of rank 1 + len(others).
+        """
+        ideals = (self,) + tuple(self._coerce(J) for J in others)
         zero = (0,) * self.ring.nvars
-        rels = [_lift(f) for f in self.gens]
-        rels += [{(1, m): c for m, c in g.terms.items()} for g in other.gens]
-        return vector_colon({(0, zero): 1, (1, zero): 1}, rels, 2, self.ring)
+        rels = [_lift(f, t) for t, J in enumerate(ideals) for f in J.gens]
+        return vector_colon([{(t, zero): 1 for t in range(len(ideals))}], rels,
+                            len(ideals), self.ring)
 
     def colon_element(self, f: Poly):
         """(I : f), the colon by the principal ideal (f)."""
@@ -635,19 +649,16 @@ class Ideal:
     def colon(self, other):
         """(I : J) in one syzygy run: f with f*g in I for every generator g of J.
 
-        Realized as the scalar colon of the block module (+)_t I e_t by the
-        diagonal vector (g_1, ..., g_k); no auxiliary intersections needed.
-        A generator g that I contains gives I : g = S, so it gets no block.
+        The `vector_colon` of the generators g_t of J against the generators of
+        I; no auxiliary intersections needed.  A generator g that I contains
+        gives I : g = S, so it gets no block, and with none left the result is
+        the unit ideal.
         """
         other = self._coerce(other)
         gb = self.groebner()
         gens = [g for g in other.gens if not gb.contains(g)]
-        if not gens:
-            return unit_ideal(self.ring)
-        diag = {(t, m): c for t, g in enumerate(gens) for m, c in g.terms.items()}
-        rels = [{(t, m): c for m, c in g.terms.items()}
-                for t in range(len(gens)) for g in self.gens]
-        return vector_colon(diag, rels, len(gens), self.ring)
+        return vector_colon([_lift(g) for g in gens], [_lift(f) for f in self.gens], 1,
+                            self.ring)
 
     def saturation(self, other):
         """(I : other^infinity), by iterating the colon to a fixpoint."""
@@ -749,27 +760,13 @@ class Ideal:
         self._dim = best
         return best
 
-    def is_artinian_quotient(self) -> bool:
-        """True when S/I is finite dimensional over the field."""
-        if self.is_zero():
-            return self.ring.nvars == 0
-        gb = self.groebner()
-        if gb.is_unit_ideal():
-            return True
-        n = self.ring.nvars
-        for i in range(n):
-            if not any(all(e == 0 for j, e in enumerate(m) if j != i) and m[i] > 0
-                       for m in gb.leads):
-                return False
-        return True
-
     def standard_monomials(self, degree_bound=None):
         """Monomials outside the initial ideal, ascending in grevlex.
 
         With no bound the quotient must be Artinian (NotArtinianError otherwise);
         the result is then the full finite monomial basis of S/I.
         """
-        if degree_bound is None and not self.is_artinian_quotient():
+        if degree_bound is None and self.krull_dimension() > 0:
             raise NotArtinianError("quotient is not Artinian; pass a degree bound")
         levels = standard_levels(self.groebner().leads, self.ring.nvars, degree_bound)
         return sorted((m for _, level in levels for m in level), key=grevlex_key)

@@ -15,8 +15,8 @@ is finite data, so the dual is what we compute.
 from __future__ import annotations
 
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
-from .groebner import (Ideal, _divides, minimal_generators_raw, module_groebner,
-                       standard_levels, syzygies_raw, unit_ideal, vector_colon)
+from .groebner import (Ideal, _divides, _lift, minimal_generators_raw, module_groebner,
+                       standard_levels, syzygies_raw, vector_colon)
 from .ring import Ring
 
 _CYCLIC_CACHE: dict = {}
@@ -218,7 +218,7 @@ class Module:
         cached = _CYCLIC_CACHE.get(key)
         if cached is not None:
             return cached
-        rels = [{(0, m): c for m, c in g.terms.items()} for g in ideal.gens]
+        rels = [_lift(g) for g in ideal.gens]
         M = Module(ideal.ring, (0,), rels, cyclic_ideal=ideal, check=False)
         _CYCLIC_CACHE[key] = M
         return M
@@ -326,22 +326,16 @@ class Module:
 
     # -- invariants ---------------------------------------------------------------
     def annihilator(self) -> Ideal:
-        """Ann(M) as the intersection of the scalar colons (N : e_i)."""
-        if self._ann is not None:
-            return self._ann
-        shifts, rels = self.minimal_presentation()
-        if not shifts:
-            self._ann = unit_ideal(self.ring)
-            return self._ann
-        zero = (0,) * self.ring.nvars
-        ann = None
-        for i in range(len(shifts)):
-            colon = vector_colon({(i, zero): 1}, rels, len(shifts), self.ring)
-            ann = colon if ann is None else ann.intersect(colon)
-            if ann.is_zero():
-                break
-        self._ann = ann
-        return ann
+        """Ann(M) = {f : f e_i in N for every i}, one `vector_colon` call; cached.
+
+        The zero module has no generators e_i, so its annihilator is the unit ideal.
+        """
+        if self._ann is None:
+            shifts, rels = self.minimal_presentation()
+            zero = (0,) * self.ring.nvars
+            es = [{(i, zero): 1} for i in range(len(shifts))]
+            self._ann = vector_colon(es, rels, len(shifts), self.ring)
+        return self._ann
 
     def dim(self) -> int:
         """Krull dimension; ZeroModuleError for the zero module."""
@@ -450,9 +444,8 @@ def subquotient_presentation(A: Ideal, B: Ideal) -> Module:
     if not all(g.is_homogeneous() for g in A.gens):
         raise PreconditionError("subquotient requires homogeneous generators")
     gens_a = A.minimal_generators()
-    gens = [{(0, m): c for m, c in g.terms.items()} for g in gens_a]
-    image = [{(0, m): c for m, c in g.terms.items()} for g in B.gens]
-    return module_subquotient(gens, image, 1, (0,), R)
+    return module_subquotient([_lift(g) for g in gens_a], [_lift(g) for g in B.gens],
+                              1, (0,), R)
 
 
 def taylor_resolution(ideal: Ideal) -> FreeResolution:

@@ -94,9 +94,6 @@ class ParameterSystem:
     def __len__(self):
         return len(self.elements)
 
-    def ideal(self, ring_) -> Ideal:
-        return Ideal(ring_, list(self.elements))
-
     def to_payload(self):
         return {
             "elements": [str(x) for x in self.elements],

@@ -28,7 +28,7 @@ from .cohomology import (annihilator_data, cm_flags, local_cohomology_length,
                          socle_dimensions)
 from .errors import InternalInvariantError, PreconditionError, SearchExhausted
 from .filtration import classify_sequential
-from .groebner import Ideal
+from .groebner import Ideal, _lift
 from .modules import Module
 from .params import (IrResult, ParameterList, ParameterSystem, Rng, construct_c_sop,
                      index_of_reducibility)
@@ -60,15 +60,6 @@ class StableValueReport:
     def all_applicable_match(self) -> bool:
         return all(c.matches for c in self.cross_checks.values()
                    if c.applicable and c.matches is not None)
-
-    def to_payload(self):
-        return {
-            "N": self.value,
-            "witness": self.witness.to_payload(),
-            "socle_dims": list(self.socle),
-            "cross_checks": {k: v.to_payload() for k, v in sorted(self.cross_checks.items())},
-            "seed": self.seed,
-        }
 
 
 def formula_gcm(M: Module):
@@ -134,10 +125,7 @@ def _s2_cokernel(summands, ideal: Ideal) -> Module:
     """Cokernel of the diagonal map S/I -> (+) S/J_k, presented directly."""
     R = ideal.ring
     m = len(summands)
-    rels = []
-    for k, J in enumerate(summands):
-        for g in J.gens:
-            rels.append({(k, mono): c for mono, c in g.terms.items()})
+    rels = [_lift(g, k) for k, J in enumerate(summands) for g in J.gens]
     zero = (0,) * R.nvars
     rels.append({(k, zero): 1 for k in range(m)})
     return Module(R, (0,) * m, rels)
@@ -163,10 +151,7 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
         raise PreconditionError("module is not unmixed")
     n = ideal.ring.nvars
     s = socle_dimensions(M)
-    inter = s2[0]
-    for J in s2[1:]:
-        inter = inter.intersect(J)
-    if inter != ideal:
+    if s2[0].intersect(*s2[1:]) != ideal:
         raise PreconditionError(
             "summand intersection differs from the defining ideal; "
             "the diagonal map would not be injective")

@@ -9,7 +9,8 @@ import numpy as np
 from irlab.errors import PreconditionError, ResourceBudgetExceeded
 from irlab.filtration import (_mono_intersect, _monomial_gens,
                               monomial_primary_decomposition)
-from irlab.groebner import Ideal, _divides, _mono_lcm, _vkey, spair_budget, syzygies_raw
+from irlab.groebner import (Ideal, _divides, _mono_lcm, _vkey, spair_budget, syzygies_raw,
+                            unit_ideal, vector_colon)
 from irlab.linalg import SpanTracker, rank_mod_p, rref_mod_p
 from irlab.modules import FreeResolution, poly_times_vec, vec_degree, vec_sub
 from irlab.ring import monomials_of_degree
@@ -181,6 +182,22 @@ def tagged_projection(vs, relations, rank, ring_):
         if proj:
             out.append(proj)
     return out
+
+
+def annihilator_by_colons(M):
+    """Ann(M) as the intersection of the scalar colons (N : e_i): one colon per
+    generator of the minimal presentation, folded by binary intersections."""
+    shifts, rels = M.minimal_presentation()
+    if not shifts:
+        return unit_ideal(M.ring)
+    zero = (0,) * M.ring.nvars
+    ann = None
+    for i in range(len(shifts)):
+        colon = vector_colon([{(i, zero): 1}], rels, len(shifts), M.ring)
+        ann = colon if ann is None else ann.intersect(colon)
+        if ann.is_zero():
+            break
+    return ann
 
 
 def least_power_inside_by_membership(target, cap=64):

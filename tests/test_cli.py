@@ -276,12 +276,25 @@ def test_characteristic_outside_range_is_input_error(char, tmp_path, capsys):
     json.dumps(PLANE_LINE | {"s2_ification": {"summands": [["x"], 5]}}),
     json.dumps(PLANE_LINE | {"s2_ification": {"summands": "x"}}),
     json.dumps(PLANE_LINE | {"s2_ification": "summands"}),
+    json.dumps(PLANE_LINE | {"s2_ification": []}),
+    json.dumps(PLANE_LINE | {"s2_ification": 0}),
+    json.dumps(PLANE_LINE | {"s2_ification": False}),
+    json.dumps(PLANE_LINE | {"s2_ification": ""}),
+    json.dumps(PLANE_LINE | {"s2_ification": {}}),
+    json.dumps(PLANE_LINE | {"s2_ification": None}),
+    json.dumps(PLANE_LINE | {"s2_ification": {"summands": []}}),
+    json.dumps(PLANE_LINE | {"label": ["x", 5]}),
+    json.dumps(PLANE_LINE | {"label": None}),
 ], ids=["array", "string", "ideal-int", "ideal-str", "variables-str", "variables-int",
-        "summand-int", "summands-str", "s2-str"])
+        "summand-int", "summands-str", "s2-str", "s2-empty-list", "s2-zero", "s2-false",
+        "s2-empty-str", "s2-empty-object", "s2-null", "summands-empty", "label-list",
+        "label-null"])
 def test_malformed_spec_shape_is_input_error(text, tmp_path, capsys):
     # an array file died with AttributeError, ideal [5] and summands
     # [["x"], 5] with TypeError, variables "xyz" read as x, y, z, and ideal
-    # "x*y" as the generators "x", "*", "y"; all now stop at load, exit 1
+    # "x*y" as the generators "x", "*", "y"; a falsy s2_ification read as
+    # none, no summands died with IndexError in the dimension-3 formula, and
+    # a non-string label became the report's input; all now stop at load, exit 1
     path = tmp_path / "shape.json"
     path.write_text(text)
     code, out, err = run(capsys, "analyze", str(path))

@@ -6,7 +6,8 @@ from oracles import (membership_bruteforce, module_buchberger_tuples,
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
 from irlab.groebner import (_B, Ideal, ModuleGB, _divides, _layout, _vkey, buchberger,
                             maximal_ideal, module_buchberger_raw, module_groebner,
-                            standard_levels, syzygies, syzygies_raw, unit_ideal)
+                            standard_levels, syzygies, syzygies_raw, unit_ideal,
+                            vector_colon)
 from irlab.modules import Module
 from irlab.params import Rng
 from irlab.ring import grevlex_key, monomials_of_degree, ring
@@ -397,6 +398,32 @@ def test_colons_and_intersections_come_out_as_reduced_bases(p):
         for X in (I.colon(J), I.colon_element(f), I.intersect(J), M.annihilator()):
             assert [list(g.terms.items()) for g in X.gens] \
                 == [list(g.terms.items()) for g in X.groebner().elements]
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_nary_intersection_matches_chained_binary(p):
+    # one block colon of e_0 + ... + e_k against I_0 e_0 (+) ... (+) I_k e_k
+    # against k binary intersections, basis for basis
+    rng = Rng(p + 31)
+    R = ring(("x", "y", "z"), p)
+    for trial in range(8):
+        ideals = [Ideal(R, [random_homogeneous(R, rng, 1 + rng.below(2))
+                            for _ in range(1 + rng.below(3))])
+                  for _ in range(2 + trial % 3)]
+        chained = ideals[0]
+        for J in ideals[1:]:
+            chained = chained.intersect(J)
+        got = ideals[0].intersect(*ideals[1:])
+        assert [g.terms for g in got.gens] == [g.terms for g in chained.gens]
+        assert got.intersect().gens == got.gens
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_vector_colon_of_no_vectors_is_the_unit_ideal(p):
+    R = ring(("x", "y"), p)
+    for rels, rank in (([], 1), ([{(0, (1, 0)): 1}, {(1, (0, 1)): 1}], 2)):
+        got = vector_colon([], rels, rank, R)
+        assert got.is_unit() and got.gens == (R.one(),)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])

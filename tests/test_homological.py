@@ -1,8 +1,9 @@
 from math import comb
 
 import pytest
-from oracles import (check_complex, has_unit_entries, minimal_vec_generators_greedy,
-                     quotient_dimension_bruteforce, random_monomial_ideal, syzygy_chain)
+from oracles import (annihilator_by_colons, check_complex, has_unit_entries,
+                     minimal_vec_generators_greedy, quotient_dimension_bruteforce,
+                     random_monomial_ideal, syzygy_chain)
 
 from irlab.errors import PreconditionError, ResourceBudgetExceeded, ZeroModuleError
 from irlab.groebner import Ideal
@@ -393,6 +394,27 @@ def test_auslander_buchsbaum(R3, plane_and_line, two_planes_3d, two_planes_origi
 def test_annihilator_of_cyclic_module(plane_and_line):
     M = Module.cyclic(plane_and_line)
     assert M.annihilator() == plane_and_line
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_annihilator_matches_intersection_of_colons(p):
+    # the one block colon against one colon per generator folded by binary
+    # intersections, basis for basis, on random presentations of rank 1-3
+    rng = Rng(p + 41)
+    R = ring(("x", "y", "z"), p)
+    nonzero = 0
+    for trial in range(12):
+        rank = 1 + trial % 3
+        shifts = tuple(rng.below(2) for _ in range(rank))
+        rels = [random_raw_vector(R, rng, shifts, 1 + rng.below(2))
+                for _ in range(rank + 1 + rng.below(3))]
+        got = Module(R, shifts, rels).annihilator()
+        want = annihilator_by_colons(Module(R, shifts, rels))
+        assert [g.terms for g in got.gens] == [g.terms for g in want.gens]
+        nonzero += not got.is_zero()
+    assert nonzero >= 3
+    free = Module.free(R, 2)
+    assert free.annihilator().is_zero() and annihilator_by_colons(free).is_zero()
 
 
 # -- Hilbert data -------------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irlab
 from irlab.errors import PolynomialParseError, RingMismatchError
 from irlab.params import Rng
 from irlab.ring import PrimeField, grevlex_key, monomials_of_degree, ring
@@ -209,3 +214,14 @@ def test_grevlex_classic_ordering(R3):
     polys = [R3.parse(s) for s in names]
     keys = [grevlex_key(next(iter(f.terms))) for f in polys]
     assert keys == sorted(keys, reverse=True)
+
+
+def test_package_attributes_are_its_submodules():
+    # a re-export named like a module file (the ring constructor `ring`) bound
+    # the function, so `import irlab.ring as r` gave the function
+    names = sorted(f.stem for f in Path(irlab.__file__).parent.glob("*.py")
+                   if f.stem != "__init__")
+    assert "ring" in names
+    for name in names:
+        importlib.import_module(f"irlab.{name}")
+        assert getattr(irlab, name) is sys.modules[f"irlab.{name}"], name
