@@ -12,7 +12,7 @@ Input files are UTF-8 JSON ring specifications:
 
 Every command emits the same fixed-schema JSON report (text mode renders the
 same data); reruns with equal (input, seed, version) are byte-identical.
-Exit codes: 0 ok, 1 input/parse error, 2 resource or search budget,
+Exit codes: 0 ok, 1 input/parse or usage error, 2 resource or search budget,
 3 internal cross-check or invariant failure, 4 non-sop input, 5 failed golden assertion.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
@@ -48,26 +48,48 @@ EXIT_NOT_SOP = 4
 EXIT_GOLDEN = 5
 
 
-@dataclass
+def _parse_homogeneous(R, text, what):
+    """`text` parsed over R; PreconditionError naming it unless it is homogeneous."""
+    f = R.parse(text)
+    if not f.is_homogeneous():
+        raise PreconditionError(f"{what} {text!r} is not homogeneous")
+    return f
+
+
+@dataclass(frozen=True)
 class RingSpec:
+    """A ring spec, parsed once on construction (so bad input fails with a position).
+
+    The generators must be homogeneous and must not generate the unit ideal.
+    """
+
     label: str
     characteristic: int
     variables: tuple
     ideal_strings: tuple
     s2_summands: tuple | None = None
+    _ideal: Ideal = field(init=False, repr=False, compare=False)
+    _s2: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        R = ring(self.variables, self.characteristic)
+        ideal = Ideal(R, [_parse_homogeneous(R, s, "generator") for s in self.ideal_strings])
+        if ideal.is_unit():
+            raise PreconditionError("the ideal is the unit ideal; the module is zero")
+        s2 = None
+        if self.s2_summands is not None:
+            s2 = tuple(Ideal(R, [R.parse(s) for s in gens]) for gens in self.s2_summands)
+        object.__setattr__(self, "_ideal", ideal)
+        object.__setattr__(self, "_s2", s2)
 
     def ambient(self):
-        return ring(self.variables, self.characteristic)
+        return self._ideal.ring
 
     def ideal(self) -> Ideal:
-        R = self.ambient()
-        return Ideal(R, [R.parse(s) for s in self.ideal_strings])
+        return self._ideal
 
     def s2(self):
-        if self.s2_summands is None:
-            return None
-        R = self.ambient()
-        return [Ideal(R, [R.parse(s) for s in gens]) for gens in self.s2_summands]
+        return None if self._s2 is None else list(self._s2)
 
 
 def _strings(value, what):
@@ -117,17 +139,7 @@ def load_ring_spec(path_or_dict) -> RingSpec:
             raise PreconditionError(
                 f"s2_ification summands must be a nonempty list, got {summands!r:.60}")
         s2 = tuple(_strings(g, "each s2_ification summand") for g in summands)
-    spec = RingSpec(label, char, variables, ideal_strings, s2)
-    # Parse eagerly so bad input fails here with a position.
-    R = spec.ambient()
-    for s in spec.ideal_strings:
-        f = R.parse(s)
-        if not f.is_homogeneous():
-            raise PreconditionError(f"generator {s!r} is not homogeneous")
-    ideal = spec.ideal()
-    if ideal.is_unit():
-        raise PreconditionError("the ideal is the unit ideal; the module is zero")
-    return spec
+    return RingSpec(label, char, variables, ideal_strings, s2)
 
 
 def base_report(spec: RingSpec, seed: int) -> dict:
@@ -237,7 +249,8 @@ def cmd_ir(args) -> int:
     R = spec.ambient()
     report = base_report(spec, args.seed)
     if args.params:
-        parsed = [R.parse(s.strip()) for s in args.params.split(",") if s.strip()]
+        parsed = [_parse_homogeneous(R, s.strip(), "parameter")
+                  for s in args.params.split(",") if s.strip()]
         elems = ParameterList(parsed, ideal, ideal + parsed)
         if not is_system_of_parameters(elems, ideal):
             d = Module.cyclic(ideal).dim()
@@ -440,9 +453,29 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on the input-error exit code, not on 2 (budget)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+# The least value of each count option; below it the option is an input error.
+_COUNT_FLOORS = {"min_degree": 1, "trials": 1, "nmax": 1, "samples": 0}
+
+
+def _check_counts(args) -> None:
+    for dest, least in _COUNT_FLOORS.items():
+        value = getattr(args, dest, least)
+        if value < least:
+            raise PreconditionError(
+                f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irlab",
         description="Indices of reducibility of parameter ideals: invariants, "
                     "stable values, and sampling profiles for graded quotient rings.")
@@ -484,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (PolynomialParseError, PreconditionError, FileNotFoundError,
             json.JSONDecodeError) as exc:

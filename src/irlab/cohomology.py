@@ -21,9 +21,10 @@ from math import comb
 import numpy as np
 
 from .errors import PreconditionError, ZeroModuleError
-from .groebner import Ideal, standard_levels, unit_ideal
+from .groebner import Ideal, buchberger, maximal_ideal, standard_levels, unit_ideal
 from .linalg import rank_mod_p
 from .modules import Module
+from .ring import Poly
 
 
 @dataclass(frozen=True)
@@ -86,27 +87,67 @@ def _least_power_inside(target: Ideal, cap: int = 64) -> int | None:
     return k if k <= cap else None
 
 
+def _substitute_last(polys, form):
+    """The polys with their last variable replaced by the polynomial `form`."""
+    R = form.ring
+    powers = [R.one()]
+    out = []
+    for g in polys:
+        f = R.zero()
+        for m, c in g.terms.items():
+            while len(powers) <= m[-1]:
+                powers.append(powers[-1] * form)
+            f = f + powers[m[-1]].term_mul(m[:-1] + (0,), c)
+        out.append(f)
+    return out
+
+
+def _sum_of_variables_saturation(I: Ideal) -> Ideal:
+    """K = (I : l^infinity) for l = x_1 + ... + x_n and homogeneous I.
+
+    The substitution x_n -> x_n - x_1 - ... - x_{n-1} sends l to x_n.  For
+    homogeneous J and grevlex with x_n last, dividing each reduced-basis
+    element by its highest power of x_n gives a basis of J : x_n^infinity
+    (Bayer & Stillman 1987); the elements x_n does not divide lie in J.  So I
+    itself comes back exactly when no lead involves x_n, that is when l is a
+    nonzerodivisor on S/I, and otherwise I plus the quotients, moved back.
+    """
+    if not I.gens:
+        return I
+    R = I.ring
+    xs = R.gens()
+    there = back = xs[-1]
+    for x in xs[:-1]:
+        there, back = there - x, back + x
+    gb = buchberger(_substitute_last(I.gens, there))
+    # In grevlex the lead of a homogeneous g carries the least power of x_n
+    # among its terms, so that power divides g.
+    quotients = [Poly(R, {m[:-1] + (m[-1] - lm[-1],): c for m, c in g.terms.items()})
+                 for g, lm in zip(gb.elements, gb.leads) if lm[-1]]
+    return I + _substitute_last(quotients, back) if quotients else I
+
+
 def _ann_h0(I: Ideal) -> Ideal:
     """Ann H^0 of S/I, which is (I : sat I) for sat I the saturation at m.
 
     The finite-length part is sat(I)/I, so no Ext computation is needed; the
     duality route Ann Ext^n must agree, and is cross-checked in tests.  First
     K = I : l^infinity, l the sum of the variables, is read off one grevlex
-    basis (Ideal._sum_of_variables_saturation).  K contains sat I, and equals
-    it exactly when A = I : K is m-primary or the unit ideal (then K/I has
-    finite length); A is then the answer, and K = I gives the unit ideal
-    with no colon at all.  Otherwise l lies in an associated prime other
-    than m, and the colon runs against the minimal generators of the full
+    basis (`_sum_of_variables_saturation`).  K = I certifies depth S/I >= 1
+    and gives the unit ideal with no colon at all.  Otherwise K contains
+    sat I, and equals it exactly when A = I : K is m-primary or the unit
+    ideal (then K/I has finite length); A is then the answer.  Failing that,
+    l lies in an associated prime other than m (more often over small
+    fields), and the colon runs against the minimal generators of the full
     saturation.
     """
-    K = I._sum_of_variables_saturation()
+    K = _sum_of_variables_saturation(I)
     if K is I:
         return unit_ideal(I.ring)
-    if K is not None:
-        A = I.colon(K)
-        if A.is_unit() or A.krull_dimension() == 0:
-            return A
-    sat = I.saturation_at_maximal()
+    A = I.colon(K)
+    if A.is_unit() or A.krull_dimension() == 0:
+        return A
+    sat = I.saturation(maximal_ideal(I.ring))
     if sat == I:
         return unit_ideal(I.ring)
     return I.colon(Ideal(I.ring, sat.minimal_generators()))

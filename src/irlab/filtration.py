@@ -81,7 +81,11 @@ class DimensionFiltration:
 
 
 def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
-    """The dimension filtration of S/I, by stacked annihilator saturations."""
+    """The dimension filtration of S/I, by stacked annihilator saturations.
+
+    K_s = K_{s-1} : (Ann H^s)^infinity from K_{-1} = I.  K_0 is the saturation
+    at m, as Ann H^0 is m-primary or S, and I itself (no colon) at S.
+    """
     from .cohomology import annihilator_data
 
     M = Module.cyclic(ideal)
@@ -91,12 +95,11 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
     if d == 0:
         return DimensionFiltration(ideal, (), (), 0)
     ann = annihilator_data(M)
-    chain = [ideal.saturation_at_maximal()]  # reuses the H^0 slot's certificate basis
-    for s in range(1, d):
-        chain.append(chain[-1].saturation(ann[s]))
-    kept = [chain[0]]
-    for K in chain[1:]:
-        if K != kept[-1]:
+    kept = []
+    K = ideal
+    for s in range(d):
+        K = K.saturation(ann[s])
+        if not kept or K != kept[-1]:
             kept.append(K)
     dims = []
     for K in kept:

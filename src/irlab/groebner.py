@@ -34,19 +34,6 @@ first bounds the degree of the terms it makes by the lcm's (or the reduced
 term's) degree plus the reducer's tail excess.  Past B the run raises
 ResourceBudgetExceeded instead of carrying into the next field.
 
-One grevlex basis gives K = I : l^infinity for l = x_1 + ... + x_n
-(`Ideal._sum_of_variables_saturation`, cached).  After x_n -> x_n - x_1 -
-... - x_{n-1} the form l becomes x_n, and for a homogeneous ideal J in grevlex
-with x_n last, dividing each reduced-basis element by its highest power of
-x_n gives a basis of J : x_n^infinity (Bayer & Stillman 1987); moving back
-gives K.  K = I exactly when l is a nonzerodivisor, which certifies depth
-S/I >= 1: then `Ideal.saturation_at_maximal` returns I itself without any
-colon, and otherwise runs the colon iteration.  K always contains the
-saturation at m, and equals it exactly when I : K is m-primary or the unit
-ideal, which is how the H^0 slot of `cohomology.annihilator_data` reads
-I : sat from K and falls back to the saturation only when l lies in an
-associated prime other than m (notably over small fields).
-
 Minimal generators are picked inside one run (`minimal_generators_raw`): each
 candidate waits in the pair heap after the S-pairs of its shifted degree and
 is kept when its remainder is nonzero, which is exact (La Scala & Stillman
@@ -548,7 +535,7 @@ class Ideal:
     bases, dimensions and generator prunings are cached on the instance.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_dim", "_mingens", "_msat", "_lsat", "__weakref__")
+    __slots__ = ("ring", "gens", "_gb", "_dim", "_mingens")
 
     def __init__(self, ring_: Ring, gens):
         self.ring = ring_
@@ -564,8 +551,6 @@ class Ideal:
         self._gb = None
         self._dim = None
         self._mingens = None
-        self._msat = None
-        self._lsat = None
 
     # -- basics ---------------------------------------------------------------
     def groebner(self) -> GroebnerBasis:
@@ -661,71 +646,16 @@ class Ideal:
                             self.ring)
 
     def saturation(self, other):
-        """(I : other^infinity), by iterating the colon to a fixpoint."""
+        """(I : other^infinity), by iterating the colon to a fixpoint; I itself at S."""
+        other = self._coerce(other)
+        if other.is_unit():
+            return self
         current = self
         while True:
             nxt = current.colon(other)
             if nxt == current:
                 return current
             current = nxt
-
-    def saturation_at_maximal(self) -> "Ideal":
-        """(I : m^infinity), or I itself once depth S/I >= 1 is certified; cached.
-
-        The certificate is one-sided: when it declines, the full saturation
-        runs, so the answer is the object `saturation(maximal_ideal)` returns.
-        """
-        sat = self._msat
-        if sat is None:
-            if self._sum_of_variables_is_regular():
-                sat = self
-            else:
-                sat = self.saturation(maximal_ideal(self.ring))
-            # Mark "saturated" without a reference cycle through the slot.
-            self._msat = _SATURATED if sat is self else sat
-        return self if sat is _SATURATED else sat
-
-    def _sum_of_variables_is_regular(self) -> bool:
-        """Whether l = x_1 + ... + x_n is a nonzerodivisor on S/I, I homogeneous.
-
-        False for inhomogeneous input, which it does not decide.
-        """
-        return self._sum_of_variables_saturation() is self
-
-    def _sum_of_variables_saturation(self):
-        """(I : l^infinity) for l = x_1 + ... + x_n and homogeneous I; cached.
-
-        The substitution x_n -> x_n - x_1 - ... - x_{n-1} sends l to x_n.  For
-        homogeneous J and grevlex with x_n last, dividing each reduced-basis
-        element by its highest power of x_n gives a basis of J : x_n^infinity
-        (Bayer-Stillman); the elements x_n does not divide lie in J.  So I
-        itself comes back exactly when no lead involves x_n, and otherwise I
-        plus the quotients, moved back.  None for inhomogeneous input or no
-        variables.
-        """
-        R = self.ring
-        n = R.nvars
-        if n == 0 or not all(g.is_homogeneous() for g in self.gens):
-            return None
-        K = self._lsat
-        if K is None:
-            K = self
-            if self.gens:
-                xs = R.gens()
-                there = back = xs[-1]
-                for x in xs[:-1]:
-                    there, back = there - x, back + x
-                gb = buchberger(_substitute_last(self.gens, there))
-                # In grevlex the lead of a homogeneous g carries the least
-                # power of x_n among its terms, so that power divides g.
-                quotients = [Poly(R, {m[:-1] + (m[-1] - lm[-1],): c
-                                      for m, c in g.terms.items()})
-                             for g, lm in zip(gb.elements, gb.leads) if lm[-1]]
-                if quotients:
-                    K = self + _substitute_last(quotients, back)
-            # Mark "saturated" without a reference cycle through the slot.
-            self._lsat = _SATURATED if K is self else K
-        return self if K is _SATURATED else K
 
     # -- combinatorics of the initial ideal ------------------------------------
     def krull_dimension(self) -> int:
@@ -793,24 +723,6 @@ class Ideal:
 
     def normal_form(self, f: Poly) -> Poly:
         return self.groebner().normal_form(f)
-
-
-_SATURATED = object()  # Ideal._msat or _lsat of an ideal equal to that saturation
-
-
-def _substitute_last(polys, form):
-    """The polys with their last variable replaced by the polynomial `form`."""
-    R = form.ring
-    powers = [R.one()]
-    out = []
-    for g in polys:
-        f = R.zero()
-        for m, c in g.terms.items():
-            while len(powers) <= m[-1]:
-                powers.append(powers[-1] * form)
-            f = f + powers[m[-1]].term_mul(m[:-1] + (0,), c)
-        out.append(f)
-    return out
 
 
 def maximal_ideal(ring_: Ring) -> Ideal:

@@ -126,6 +126,22 @@ def test_ir_with_params_builds_the_quotient_once(spec_file, capsys, monkeypatch)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("params", ["y-1,z", "y-x^2,z", "y-x,z+x^3"])
+def test_ir_rejects_inhomogeneous_params_up_front(params, spec_file, capsys, monkeypatch):
+    # y-1 is a unit at the origin yet passed the global sop check; these ran
+    # the sop check and the kernel route before failing in the socle count
+    import irlab.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sop check ran on inhomogeneous parameters")
+
+    monkeypatch.setattr(cli_mod, "is_system_of_parameters", refuse)
+    code, out, err = run(capsys, "ir", spec_file, "--params", params)
+    bad = [s for s in params.split(",") if s not in ("z", "y-x")][0]
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"input error: parameter {bad!r} is not homogeneous\n"
+
+
 def test_ir_rejects_non_sop(spec_file, capsys):
     code, _, err = run(capsys, "ir", spec_file, "--params", "y,z")
     assert code == EXIT_NOT_SOP
@@ -316,3 +332,66 @@ def test_malformed_budget_is_input_error(spec_file, capsys, monkeypatch, raw):
 
 def test_largest_supported_characteristic_loads():
     assert load_ring_spec(PLANE_LINE | {"characteristic": 2**31 - 1}).characteristic == 2**31 - 1
+
+
+# -- usage and count options ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["ir"], ["stable", "{spec}", "--seed", "abc"],
+    ["limit", "{spec}", "--nmax", "2.5"], ["analyze", "{spec}", "--no-such-flag"],
+], ids=["no-command", "unknown-command", "no-file", "seed-str", "nmax-float", "unknown-flag"])
+def test_usage_errors_exit_1(argv, spec_file, capsys):
+    # argparse exits 2, which documents a resource or search budget
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(spec=spec_file) for a in argv])
+    assert exc.value.code == EXIT_INPUT
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["stable", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert "usage: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["stable", "--trials", "0"], ["stable", "--trials", "-2"], ["limit", "--nmax", "0"],
+    ["limit", "--samples", "-3"], ["ir", "--min-degree", "0"],
+], ids=["trials-0", "trials-neg", "nmax-0", "samples-neg", "min-degree-0"])
+def test_count_option_below_its_floor_is_input_error(argv, spec_file, capsys):
+    # --trials 0 exited 3 as if a rerun disagreed, --samples -3 reported 0
+    # samples, and --min-degree 0 reached the certificate though the search
+    # starts at degree 1
+    code, out, err = run(capsys, argv[0], spec_file, *argv[1:])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"input error: {argv[1]} must be at least") and err.count("\n") == 1
+
+
+def test_count_options_at_their_floor_run(spec_file, capsys):
+    code, out, _ = run(capsys, "limit", spec_file, "--nmax", "1", "--samples", "0")
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "stable", spec_file, "--trials", "1")
+    assert code == EXIT_OK and json.loads(out)["diagnostics"]["stability"]["trials"] == [2]
+    code, out, _ = run(capsys, "ir", spec_file, "--min-degree", "1")
+    assert code == EXIT_OK and json.loads(out)["diagnostics"]["ir"]["certificate"]["min_degree"] == 1
+
+
+def test_ring_spec_parses_once(capsys, monkeypatch):
+    # each generator is parsed once, at load; the unit check's basis is kept
+    import irlab.ring as ring_mod
+    calls = []
+    parse = ring_mod.parse_polynomial
+
+    def counted(text, R):
+        calls.append(text)
+        return parse(text, R)
+
+    monkeypatch.setattr(ring_mod, "parse_polynomial", counted)
+    spec = load_ring_spec(PLANE_LINE | {"s2_ification": {"summands": [["x"], ["y", "z"]]}})
+    assert calls == ["x*y", "x*z", "x", "y", "z"]
+    assert spec.ideal() is spec.ideal() and spec.ideal()._gb is not None
+    assert [J.gens for J in spec.s2()] == [J.gens for J in spec.s2()]
+    assert spec.ambient() is spec.ideal().ring
+    assert len(calls) == 5

@@ -3,8 +3,9 @@ from oracles import least_power_inside_by_membership, random_monomial_ideal, tri
 
 from irlab import filtration, modules, params
 from irlab.cli import load_corpus_spec
-from irlab.cohomology import (SimplicialComplex, _least_power_inside, annihilator_data,
-                              cm_flags, hochster_hilbert, local_cohomology_hilbert,
+from irlab.cohomology import (SimplicialComplex, _least_power_inside,
+                              _sum_of_variables_saturation, annihilator_data, cm_flags,
+                              hochster_hilbert, local_cohomology_hilbert,
                               local_cohomology_length, socle_dimensions)
 from irlab.errors import PreconditionError
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
@@ -150,7 +151,8 @@ def test_h0_slot_falls_back_when_the_sum_of_variables_saturates_to_s(p):
     x, y, z = R.gens()
     ell = x + y + z
     I = Ideal(R, [ell * v for v in (x, y, z)])
-    assert I._sum_of_variables_saturation().is_unit()
+    K = _sum_of_variables_saturation(I)
+    assert K.is_unit() and I.colon(K) == I and I.krull_dimension() == 2
     assert annihilator_data(Module.cyclic(I))[0] == maximal_ideal(R)
 
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import top_dimensional_intersection
 
 from irlab.cli import corpus_index, load_corpus_spec
-from irlab.cohomology import module_is_unmixed
+from irlab.cohomology import _sum_of_variables_saturation, module_is_unmixed
 from irlab.errors import PreconditionError
 from irlab.filtration import (classify_sequential, dimension_filtration,
                               is_good_sop, monomial_primary_decomposition,
@@ -117,6 +117,13 @@ def test_filtration_plane_line(plane_and_line):
     assert filt.dims == (-1, 1)
     assert filt.top_dim == 2
     assert filt.satisfies_dimension_condition()
+
+
+def test_filtration_starts_at_a_depth_certified_ideal_itself(plane_and_line, two_planes_3d):
+    # l = x_1 + ... + x_n regular on S/I: the first step is I, the same object
+    for I in (plane_and_line, two_planes_3d):
+        assert _sum_of_variables_saturation(I) is I
+        assert dimension_filtration(I).ideals[0] is I
 
 
 def test_filtration_unmixed_is_trivial(two_planes_3d):

@@ -3,6 +3,7 @@ from oracles import (membership_bruteforce, module_buchberger_tuples,
                      normal_form_tuples, quotient_dimension_bruteforce,
                      random_monomial_ideal, tagged_projection)
 
+from irlab.cohomology import _sum_of_variables_saturation
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
 from irlab.groebner import (_B, Ideal, ModuleGB, _divides, _layout, _vkey, buchberger,
                             maximal_ideal, module_buchberger_raw, module_groebner,
@@ -489,47 +490,63 @@ def _sum_of_variables(R):
     return ell
 
 
+def test_saturation_by_the_unit_ideal_runs_no_colon(R3, monkeypatch):
+    # I : S^infinity = I, returned as the object itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("saturation by S ran a colon")
+
+    x, y, z = R3.gens()
+    I = Ideal(R3, [x * x * y, x * x * z])
+    monkeypatch.setattr(Ideal, "colon", refuse)
+    assert I.saturation(unit_ideal(R3)) is I
+    assert I.saturation(R3.one()) is I
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
 def test_depth_certificate_matches_full_saturation(p):
-    # The certificate decides exactly whether l = x_1 + ... + x_n is regular
-    # on S/I; when it fires the ideal itself comes back, and otherwise the
-    # full saturation does, so saturation_at_maximal equals saturation(m).
+    # K = I : l^infinity for l = x_1 + ... + x_n comes back as I itself exactly
+    # when l is regular on S/I, and it is the saturation at m whenever I : K is
+    # m-primary or the unit ideal, the case the H^0 slot reads it in.
     rng = Rng(p + 11)
-    fired = declined = 0
+    fired = declined = read = 0
     for trial in range(16):
         R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
         ell = _sum_of_variables(R)
         for gens in random_monomial_ideal(R, rng):
             I = Ideal(R, gens)
-            regular = I._sum_of_variables_is_regular()
-            assert regular == (I.colon_element(ell) == I)
-            sat = I.saturation_at_maximal()
-            assert sat == Ideal(R, gens).saturation(maximal_ideal(R))
-            assert I.saturation_at_maximal() is sat
-            if regular:
-                assert sat is I
+            K = _sum_of_variables_saturation(I)
+            regular = K is I
+            assert regular == (I.colon(ell) == I)
+            assert K == Ideal(R, gens).saturation(ell)
+            A = I.colon(K)
+            if A.is_unit() or A.krull_dimension() == 0:
+                assert K == Ideal(R, gens).saturation(maximal_ideal(R))
+                read += not regular
             fired += regular
             declined += not regular
-    assert fired and declined
+    assert fired and declined and read
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
 def test_depth_certificate_hand_cases(p):
     R = ring(("x", "y"), p)
     x, y = R.gens()
+    m = maximal_ideal(R)
     # depth S/(x + y) = 1, but l = x + y lies in the associated prime: the
-    # certificate must decline, and the saturation returns the ideal itself
+    # certificate must decline with K = S, and I : K = I is not m-primary
     line = Ideal(R, [x + y])
-    assert not line._sum_of_variables_is_regular()
-    assert line.saturation_at_maximal() is line
-    # depth 0: the saturation of (x^2, xy) is (x)
+    K = _sum_of_variables_saturation(line)
+    assert K.is_unit() and line.colon(K) == line
+    assert line.saturation(m) is line
+    # depth 0: K for (x^2, xy) is (x), I : K = m, so K is the saturation
     fat = Ideal(R, [x * x, x * y])
-    assert not fat._sum_of_variables_is_regular()
-    assert fat.saturation_at_maximal() == Ideal(R, [x])
+    K = _sum_of_variables_saturation(fat)
+    assert fat.colon(K) == m
+    assert K == Ideal(R, [x]) == fat.saturation(m)
     # the zero ideal and a regular linear section are certified
     for I in (Ideal(R, []), Ideal(R, [x])):
-        assert I._sum_of_variables_is_regular()
-        assert I.saturation_at_maximal() is I
+        assert _sum_of_variables_saturation(I) is I
+        assert I.saturation(m) is I
 
 
 # -- dimension ----------------------------------------------------------------------
