@@ -10,6 +10,8 @@ Input files are UTF-8 JSON ring specifications:
       "s2_ification": {"summands": [["a", "b"], ["c", "d"]]}
     }
 
+Generators, S2 summand generators included, and `ir --params` must be homogeneous.
+
 Every command emits the same fixed-schema JSON report (text mode renders the
 same data); reruns with equal (input, seed, version) are byte-identical.
 Exit codes: 0 ok, 1 input/parse or usage error, 2 resource or search budget,
@@ -60,7 +62,7 @@ def _parse_homogeneous(R, text, what):
 class RingSpec:
     """A ring spec, parsed once on construction (so bad input fails with a position).
 
-    The generators must be homogeneous and must not generate the unit ideal.
+    Every generator, S2 summands too, must be homogeneous; the ideal must not be S.
     """
 
     label: str
@@ -78,7 +80,8 @@ class RingSpec:
             raise PreconditionError("the ideal is the unit ideal; the module is zero")
         s2 = None
         if self.s2_summands is not None:
-            s2 = tuple(Ideal(R, [R.parse(s) for s in gens]) for gens in self.s2_summands)
+            s2 = tuple(Ideal(R, [_parse_homogeneous(R, s, "S2 summand generator")
+                                 for s in gens]) for gens in self.s2_summands)
         object.__setattr__(self, "_ideal", ideal)
         object.__setattr__(self, "_s2", s2)
 
@@ -262,7 +265,7 @@ def cmd_ir(args) -> int:
             print(f"not a system of parameters: expected length {d}, "
                   f"prefix dimensions {dims}", file=sys.stderr)
             return EXIT_NOT_SOP
-        result = index_of_reducibility(elems, ideal, verify=False)
+        result = index_of_reducibility(elems, ideal)
         report["diagnostics"]["ir"] = {
             "elements": [str(x) for x in elems],
             **result.to_payload(),

@@ -36,7 +36,7 @@ def unmixed_component(ideal: Ideal, seed: int = 0, report: dict | None = None) -
     if M.dim() < 1:
         raise PreconditionError("unmixed component needs positive dimension")
     constraint = annihilator_data(M).product
-    x = find_parameter_element(ideal, constraint, 1, Rng(seed))
+    x, _ = find_parameter_element(ideal, constraint, 1, Rng(seed))
     one_colon = ideal.colon_element(x)
     K = one_colon.saturation(x)
     if report is not None:
@@ -217,7 +217,7 @@ def classify_sequential(ideal: Ideal) -> SequentialClassification:
     return SequentialClassification(all_cm, all_gcm, tuple(steps), filt)
 
 
-def is_good_sop(elements, ideal: Ideal, filtration=None, verify_sop: bool = True):
+def is_good_sop(elements, ideal: Ideal, filtration=None):
     """Check the vanishing intersections that make a sop good for a filtration.
 
     For each stored step (K_i, d_i), the part of S/I generated by the tail
@@ -228,7 +228,7 @@ def is_good_sop(elements, ideal: Ideal, filtration=None, verify_sop: bool = True
     from .params import is_system_of_parameters
 
     elems = list(elements)
-    if verify_sop and not is_system_of_parameters(elems, ideal):
+    if not is_system_of_parameters(elems, ideal):
         raise PreconditionError("good-sop check requires a verified system of parameters")
     filt = filtration or dimension_filtration(ideal)
     if isinstance(filt, (list, tuple)):

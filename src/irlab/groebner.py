@@ -646,9 +646,10 @@ class Ideal:
                             self.ring)
 
     def saturation(self, other):
-        """(I : other^infinity), by iterating the colon to a fixpoint; I itself at S."""
+        """(I : other^infinity), by iterating the colon to a fixpoint; I itself,
+        and no basis, when `other` has a constant generator (else S stops at one colon)."""
         other = self._coerce(other)
-        if other.is_unit():
+        if any(g.is_constant() for g in other.gens):
             return self
         current = self
         while True:

@@ -18,9 +18,10 @@ multiplication maps on the reduced monomial basis (which leans on the
 Groebner engine, one normal form per distinct non-standard shift).  Their
 lengths are cross-checked too; any disagreement aborts loudly.
 
-Nothing is built twice: each stage continues from the cut ideal I + (x) the
-search just tested, and a finished system hands its Artinian quotient to
-`index_of_reducibility`, which checks it and runs both routes on it.
+One search serves every stage: `find_parameter_element` hands back x with the
+cut I + (x) it tested, and the next stage continues from that cut.  A finished
+system hands its Artinian quotient to `index_of_reducibility`, which always
+checks it and runs both routes on it, so nothing is built twice.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .modules import Module
 from .ring import Poly, monomials_of_degree
 
 _MASK = (1 << 64) - 1
+TRIES_PER_DEGREE = 12  # find_parameter_element's candidates per degree,
+EXTRA_DEGREES = 8  # and its degrees past the least achievable one
 
 
 class Rng:
@@ -120,28 +123,23 @@ class ParameterList(list):
 
 
 def is_system_of_parameters(elements, ideal: Ideal) -> bool:
-    """True when the elements cut the dimension of S/I down to zero, one by one.
+    """True when the d = dim S/I homogeneous elements cut S/I to dimension 0.
 
-    A homogeneous element lowers the dimension by at most one, so d homogeneous
-    elements reaching dimension 0 lower it one by one, and a single check of
-    I + (elements) decides; other elements are checked stepwise.
+    A homogeneous element lowers the dimension by at most one, so the one
+    check of I + (elements) means each element lowers it by exactly one.  An
+    inhomogeneous element raises PreconditionError naming it: x - 1 cuts the
+    dimension globally while it is a unit at the origin.
     """
+    elems = list(elements)
+    for x in elems:
+        if not x.is_homogeneous():
+            raise PreconditionError(f"parameter element {x} is not homogeneous")
     M = Module.cyclic(ideal)
     if M.is_zero():
         raise ZeroModuleError("parameter systems of the zero module")
-    d = M.dim()
-    elems = list(elements)
-    if len(elems) != d:
+    if len(elems) != M.dim():
         return False
-    if all(x.is_homogeneous() for x in elems):
-        J = _quotient(elems, ideal, getattr(elements, "cut", None))
-        return J.krull_dimension() == 0
-    current = ideal
-    for k, x in enumerate(elems, 1):
-        current = current + x
-        if current.krull_dimension() != d - k:
-            return False
-    return True
+    return _quotient(elems, ideal, getattr(elements, "cut", None)).krull_dimension() == 0
 
 
 def _quotient(elems: list, ideal: Ideal, cut) -> Ideal:
@@ -153,24 +151,30 @@ def _quotient(elems: list, ideal: Ideal, cut) -> Ideal:
     return ideal + elems
 
 
+def _first_cut(ideal: Ideal, candidates, target: int):
+    """(x, I + (x)) for the first nonzero candidate x whose cut has dimension
+    `target`, or None when the candidates run out.  Candidates are drawn one
+    at a time, so a lazy stream is consumed only up to the accepted one."""
+    for x in candidates:
+        if x.is_zero():
+            continue
+        cut = ideal + x
+        if cut.krull_dimension() == target:
+            return x, cut
+    return None
+
+
 def find_parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int,
-                           rng: Rng, tries_per_degree: int = 12,
-                           extra_degrees: int = 8) -> Poly:
-    """A homogeneous element of `constraint`, of degree >= min_degree, that
-    drops dim S/I by one.
+                           rng: Rng) -> tuple[Poly, Ideal]:
+    """(x, I + (x)): a homogeneous element x of `constraint`, of degree
+    >= min_degree, that drops dim S/I by one, with the cut it was tested on.
 
     Candidates are random field combinations of {g * u} with g running over the
     constraint generators and u over the monomials padding g up to the target
-    degree.  The degree escalates from the least achievable value; exhaustion
-    raises SearchExhausted with the attempted degrees.
+    degree.  The degree escalates from the least achievable value, with
+    TRIES_PER_DEGREE candidates at each of EXTRA_DEGREES + 1 degrees;
+    exhaustion raises SearchExhausted with the attempted degrees.
     """
-    return _parameter_element(ideal, constraint, min_degree, rng, tries_per_degree,
-                              extra_degrees)[0]
-
-
-def _parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int, rng: Rng,
-                       tries_per_degree: int = 12, extra_degrees: int = 8):
-    """find_parameter_element's (element x, cut I + (x)), the cut as tested."""
     R = ideal.ring
     p = R.field.p
     if constraint.is_zero():
@@ -183,19 +187,9 @@ def _parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int, rng: Rn
     gens = list(constraint.minimal_generators())
     least = min(g.degree() for g in gens)
     start = max(min_degree, least, 1)
-    attempted = []
-    for degree in range(start, start + extra_degrees + 1):
-        pool = []
-        for g in gens:
-            pad = degree - g.degree()
-            if pad < 0:
-                continue
-            for mono in monomials_of_degree(R.nvars, pad):
-                pool.append(g.term_mul(mono, 1))
-        if not pool:
-            attempted.append(degree)
-            continue
-        for attempt in range(tries_per_degree):
+
+    def candidates(pool):
+        for attempt in range(TRIES_PER_DEGREE):
             # Sparse combinations keep the downstream bases small; the density
             # doubles per attempt until the whole pool participates, so the
             # final attempts are dense and prime avoidance is near certain.
@@ -207,11 +201,15 @@ def _parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int, rng: Rn
             cand = R.zero()
             for idx in sorted(order[:want]):
                 cand = cand + pool[idx].scale(1 + rng.below(p - 1))
-            if cand.is_zero():
-                continue
-            cut = ideal + cand
-            if cut.krull_dimension() == d - 1:
-                return cand, cut
+            yield cand
+
+    attempted = []
+    for degree in range(start, start + EXTRA_DEGREES + 1):
+        pool = [g.term_mul(mono, 1) for g in gens if degree >= g.degree()
+                for mono in monomials_of_degree(R.nvars, degree - g.degree())]
+        found = _first_cut(ideal, candidates(pool), d - 1) if pool else None
+        if found is not None:
+            return found
         attempted.append(degree)
     raise SearchExhausted(
         f"no parameter element found in the constraint ideal "
@@ -244,7 +242,7 @@ def construct_c_sop(ideal: Ideal, min_degree: int = 1, seed: int = 0) -> Paramet
         cube = Ideal(ideal.ring, cube.minimal_generators())
         stage_rng = rng.spawn(i)
         try:
-            x, current = _parameter_element(current, cube, min_degree, stage_rng)
+            x, current = find_parameter_element(current, cube, min_degree, stage_rng)
         except SearchExhausted as exc:
             raise SearchExhausted(f"stage {i}: {exc}", exc.attempted_degrees) from exc
         dim_before = M_cur.dim()
@@ -448,16 +446,17 @@ def socle_dimension_artinian(artinian: Ideal) -> IrResult:
                     {"degreewise_spans": by_spans, "kernel_intersection": by_kernel})
 
 
-def index_of_reducibility(elements, ideal: Ideal, verify: bool = True) -> IrResult:
+def index_of_reducibility(elements, ideal: Ideal) -> IrResult:
     """ir of the parameter ideal generated by `elements` on S/I.
 
     The Artinian quotient I + (elements) is built once, or taken from a
     ParameterSystem or ParameterList built over `ideal`, and serves both the
     check and the two socle routes, so its basis is computed at most once.
+    Any non-system, inhomogeneous elements included, is rejected before either route.
     """
     elems = list(elements)
     J = _quotient(elems, ideal, getattr(elements, "cut", None))
-    if verify and not is_system_of_parameters(ParameterList(elems, ideal, J), ideal):
+    if not is_system_of_parameters(ParameterList(elems, ideal, J), ideal):
         raise PreconditionError("the supplied elements are not a system of parameters")
     return socle_dimension_artinian(J)
 

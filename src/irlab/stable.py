@@ -30,9 +30,12 @@ from .errors import InternalInvariantError, PreconditionError, SearchExhausted
 from .filtration import classify_sequential
 from .groebner import Ideal, _lift
 from .modules import Module
-from .params import (IrResult, ParameterList, ParameterSystem, Rng, construct_c_sop,
-                     index_of_reducibility)
+from .params import (IrResult, ParameterList, ParameterSystem, Rng, _first_cut,
+                     construct_c_sop, index_of_reducibility)
 from .ring import Poly, monomials_of_degree
+
+SUITE_MIN_DEGREES = (1, 2, 3)  # stability_suite's minimum degrees, in turn
+SOP_RETRIES = 40  # random_sop's draws per element before it gives up
 
 
 @dataclass(frozen=True)
@@ -247,17 +250,16 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     return StableValueReport(N, witness, ir, tuple(s), checks, seed)
 
 
-def stability_suite(ideal: Ideal, trials: int = 5, seed: int = 0,
-                    min_degrees=(1, 2, 3)) -> list:
+def stability_suite(ideal: Ideal, trials: int = 5, seed: int = 0) -> list:
     """Indices of reducibility of `trials` independently seeded deep systems.
 
-    Mixes the requested minimum degrees across trials; all values must agree
-    for the stable value to deserve its name.
+    Trial t asks for minimum degree SUITE_MIN_DEGREES[t mod 3]; all values
+    must agree for the stable value to deserve its name.
     """
     rng = Rng(seed)
     out = []
     for t in range(trials):
-        n = min_degrees[t % len(min_degrees)]
+        n = SUITE_MIN_DEGREES[t % len(SUITE_MIN_DEGREES)]
         sub = rng.spawn(t)
         system = construct_c_sop(ideal, n, sub.state)
         out.append(index_of_reducibility(system, ideal).value)
@@ -317,17 +319,17 @@ class LimitProfile:
                 "seed": self.seed}
 
 
-def random_sop(ideal: Ideal, degree: int, rng: Rng, retries: int = 40):
+def random_sop(ideal: Ideal, degree: int, rng: Rng):
     """A random system of parameters with all elements homogeneous of the
-    given degree, as a ParameterList; None when the per-element retry budget
-    runs out.
+    given degree, as a ParameterList; None when SOP_RETRIES draws in a row
+    fail for one element.
 
     Element i is the first nonzero draw that cuts the dimension of
     S/(I + earlier elements) by one.  For homogeneous I each homogeneous cut
     lowers the dimension by at most one, so when the first d draws are nonzero
     and cut I down to dimension 0, every one of them is accepted at its first
     try: that case costs one dimension check.  Otherwise the stream is rewound
-    and the elements are found one at a time.
+    and the elements are found one at a time by `params._first_cut`.
     """
     R = ideal.ring
     p = R.field.p
@@ -346,29 +348,18 @@ def random_sop(ideal: Ideal, degree: int, rng: Rng, retries: int = 40):
         state = rng.state
         elems = [draw() for _ in range(d)]
         if not any(f.is_zero() for f in elems):
-            cut = ideal
-            for f in elems:
-                cut = cut + f
+            cut = ideal + elems
             if cut.krull_dimension() == 0:
                 return ParameterList(elems, ideal, cut)
         rng.state = state
     current = ideal
     elems = []
     for i in range(d):
-        target = d - i - 1
-        found = None
-        for _ in range(retries):
-            cand = draw()
-            if cand.is_zero():
-                continue
-            cut = current + cand
-            if cut.krull_dimension() == target:
-                found = cand
-                break
+        found = _first_cut(current, (draw() for _ in range(SOP_RETRIES)), d - i - 1)
         if found is None:
             return None
-        elems.append(found)
-        current = cut
+        x, current = found
+        elems.append(x)
     return ParameterList(elems, ideal, current)
 
 
@@ -400,7 +391,7 @@ def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
             if q is None:
                 failures += 1
                 continue
-            value = index_of_reducibility(q, ideal, verify=False).value
+            value = index_of_reducibility(q, ideal).value
             histogram[value] = histogram.get(value, 0) + 1
             completed += 1
             min_ir = value if min_ir is None else min(min_ir, value)

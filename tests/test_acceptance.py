@@ -120,7 +120,7 @@ def test_criterion_4_gcm_formula():
             q = random_sop(I, threshold, rng.spawn(attempts))
             if q is None:
                 continue
-            result = index_of_reducibility(q, I, verify=False)
+            result = index_of_reducibility(q, I)
             assert result.value == 4, f"deep sop gave {result.value}"
             assert result.methods["degreewise_spans"] == \
                 result.methods["kernel_intersection"]
@@ -201,7 +201,7 @@ def test_criterion_7_northcott_control():
                 q = random_sop(I, degree, rng.spawn(trial))
                 if q is None:
                     continue
-                values.add(index_of_reducibility(q, I, verify=False).value)
+                values.add(index_of_reducibility(q, I).value)
                 produced += 1
             assert produced == 10
             assert values == {s_top}, f"{name}: {values} != {{{s_top}}}"

@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 
-from irlab.cli import (EXIT_BUDGET, EXIT_CROSSCHECK, EXIT_INPUT, EXIT_NOT_SOP, EXIT_OK,
-                       corpus_index, load_corpus_spec, load_ring_spec, main)
+from irlab import cli, params
+from irlab.cli import (EXIT_BUDGET, EXIT_CROSSCHECK, EXIT_GOLDEN, EXIT_INPUT, EXIT_NOT_SOP,
+                       EXIT_OK, corpus_index, load_corpus_spec, load_ring_spec, main)
+from irlab.errors import SearchExhausted
 from irlab.groebner import Ideal
 
 PLANE_LINE = {
@@ -157,6 +161,32 @@ def test_ir_constructs_certified_system(spec_file, capsys):
     assert ir["certificate"]["method"] == "ann-product-cube"
 
 
+def test_ir_routes_disagreeing_exit_3(spec_file, capsys, monkeypatch):
+    spans = params._socle_by_degreewise_spans
+
+    def one_more(gens, ring_):
+        socle, length = spans(gens, ring_)
+        return socle + 1, length
+
+    monkeypatch.setattr(params, "_socle_by_degreewise_spans", one_more)
+    code, out, err = run(capsys, "ir", spec_file)
+    assert code == EXIT_CROSSCHECK and out == ""
+    assert err.startswith("internal cross-check failure: socle via spans")
+    assert err.count("\n") == 1
+
+
+def test_exhausted_search_exits_2_naming_the_stage(spec_file, capsys, monkeypatch):
+    def exhausted(ideal, constraint, min_degree, rng):
+        raise SearchExhausted("no parameter element found in the constraint ideal "
+                              "(degrees tried: [1, 2])", [1, 2])
+
+    monkeypatch.setattr(params, "find_parameter_element", exhausted)
+    code, out, err = run(capsys, "ir", spec_file)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("budget exhausted: stage 2: no parameter element found in the "
+                   "constraint ideal (degrees tried: [1, 2])\n")
+
+
 # -- stable / limit -------------------------------------------------------------------
 
 def test_stable_command(spec_file, capsys):
@@ -186,6 +216,16 @@ def test_internal_invariant_exits_3(spec_file, capsys, monkeypatch):
     assert code == EXIT_CROSSCHECK
     assert err.startswith("internal cross-check failure: filtration formula")
     assert err.count("\n") == 1
+
+
+def test_disagreeing_rerun_prints_the_report_then_exits_3(spec_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "stability_suite", lambda ideal, trials, seed: [2, 3])
+    code, out, err = run(capsys, "stable", spec_file)
+    assert code == EXIT_CROSSCHECK
+    stability = json.loads(out)["diagnostics"]["stability"]
+    assert stability == {"trials": [2, 3], "all_agree": False}
+    assert err == ("cross-check failure: an applicable formula or a rerun disagrees "
+                   "with the stable value\n")
 
 
 def test_out_of_memory_exits_2(spec_file, capsys, monkeypatch):
@@ -252,9 +292,29 @@ def test_reproduce_filter(capsys):
     assert "pass" in out and "Northcott" in out
 
 
+def test_failed_golden_assertion_exits_5(capsys, monkeypatch):
+    real = cli.stable_value
+    monkeypatch.setattr(cli, "stable_value",
+                        lambda ideal, **kw: replace(real(ideal, **kw), value=3))
+    code, out, err = run(capsys, "reproduce-examples", "--filter", "Northcott")
+    assert code == EXIT_GOLDEN
+    assert "FAIL" in out and "N 3, top socle 2" in out
+    assert err == "first failing assertion: cm_three_lines Northcott control\n"
+
+
 def test_reproduce_unknown_filter(capsys):
     code, _, err = run(capsys, "reproduce-examples", "--filter", "no-such-assertion")
     assert code == EXIT_INPUT
+
+
+def test_inhomogeneous_s2_summand_is_input_error(tmp_path, capsys):
+    data = json.loads((resources.files("irlab") / "corpus" / "two_planes_3d.json").read_text())
+    data["s2_ification"]["summands"] = [["a", "b - 1"], ["c", "d"]]
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "stable", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: S2 summand generator 'b - 1' is not homogeneous\n"
 
 
 def test_ring_spec_needs_fields():

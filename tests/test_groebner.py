@@ -483,6 +483,19 @@ def test_saturation_stabilizes(R3):
     assert sat == Ideal(R3, [y, z])
 
 
+def test_saturation_by_an_element_asks_no_unit_check(R3, monkeypatch):
+    # a constant generator alone marks the unit ideal up front; any other
+    # unit ideal stops at its first colon, and I comes back as itself
+    def refuse(self):
+        raise AssertionError("saturation ran a Groebner unit check")
+
+    x, y, z = R3.gens()
+    I = Ideal(R3, [x * x * y, x * x * z])
+    monkeypatch.setattr(Ideal, "is_unit", refuse)
+    assert I.saturation(x) == Ideal(R3, [y, z])
+    assert I.saturation(Ideal(R3, [x, x - R3.one()])) is I
+
+
 def _sum_of_variables(R):
     ell = R.zero()
     for x in R.gens():

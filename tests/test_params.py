@@ -82,34 +82,58 @@ def test_one_shot_sop_check_matches_the_stepwise_oracle(p):
     assert verdicts[True] and verdicts[False]
 
 
-def test_inhomogeneous_elements_are_checked_stepwise(plane_and_line):
-    # x - 1 misses the plane x = 0 and cuts the line y = z = 0 to a point, so
-    # the dimension drops from 2 to 0 at once: (x - 1, y) reaches dimension 0
-    # with two elements but is no system of parameters
+def _units_at_the_origin(R2, plane_and_line):
+    """(elements, I, the unit named) for d elements that cut S/I to dimension
+    0 though the first is a unit at the origin: (x - 1, y) on k[x, y] and
+    (y - 1, z) on the plane and line even cut it one by one, and on the plane
+    and line x - 1 misses the plane x = 0 and cuts the line y = z = 0 to a
+    point, so (x - 1, y) drops the dimension from 2 to 0 at once."""
     R = plane_and_line.ring
-    elems = [R.parse("x - 1"), R.variable("y")]
-    assert (plane_and_line + elems).krull_dimension() == 0
-    assert not is_system_of_parameters(elems, plane_and_line)
+    return [([R2.parse("x - 1"), R2.variable("y")], Ideal(R2, []), "x - 1"),
+            ([R.parse("y - 1"), R.variable("z")], plane_and_line, "y - 1"),
+            ([R.parse("x - 1"), R.variable("y")], plane_and_line, "x - 1")]
+
+
+def test_inhomogeneous_elements_are_rejected_by_name(R2, plane_and_line):
+    for elems, I, bad in _units_at_the_origin(R2, plane_and_line):
+        assert len(elems) == I.krull_dimension() and (I + elems).krull_dimension() == 0
+        with pytest.raises(PreconditionError,
+                           match=f"parameter element {bad} is not homogeneous"):
+            is_system_of_parameters(elems, I)
+
+
+def test_ir_rejects_units_before_either_socle_route(R2, plane_and_line, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a socle route ran on an inhomogeneous element")
+
+    monkeypatch.setattr(params, "_socle_by_kernels", refuse)
+    monkeypatch.setattr(params, "_socle_by_degreewise_spans", refuse)
+    for elems, I, bad in _units_at_the_origin(R2, plane_and_line):
+        with pytest.raises(PreconditionError, match=f"parameter element {bad} is not"):
+            index_of_reducibility(elems, I)
 
 
 # -- parameter element search ------------------------------------------------------
 
 def test_find_parameter_element_unconstrained(plane_and_line):
     R = plane_and_line.ring
-    x = find_parameter_element(plane_and_line, unit_ideal(R), 1, Rng(3))
+    x, cut = find_parameter_element(plane_and_line, unit_ideal(R), 1, Rng(3))
     assert x.is_homogeneous() and x.degree() >= 1
-    assert (plane_and_line + x).krull_dimension() == 1
+    assert cut.gens == (plane_and_line + x).gens
+    assert cut.krull_dimension() == 1
 
 
 def test_find_parameter_element_in_maximal_ideal(R2):
-    x = find_parameter_element(Ideal(R2, []), maximal_ideal(R2), 1, Rng(1))
+    x, cut = find_parameter_element(Ideal(R2, []), maximal_ideal(R2), 1, Rng(1))
     assert x.degree() == 1
+    assert cut.gens == (x,) and cut.krull_dimension() == 1
 
 
 def test_find_respects_min_degree(plane_and_line):
     R = plane_and_line.ring
-    x = find_parameter_element(plane_and_line, unit_ideal(R), 3, Rng(3))
+    x, cut = find_parameter_element(plane_and_line, unit_ideal(R), 3, Rng(3))
     assert x.degree() >= 3
+    assert cut.gens == (plane_and_line + x).gens
 
 
 def test_find_parameter_element_rejects_inhomogeneous_constraint(plane_and_line):
@@ -119,13 +143,20 @@ def test_find_parameter_element_rejects_inhomogeneous_constraint(plane_and_line)
         find_parameter_element(plane_and_line, Ideal(R, [x + R.one(), y]), 1, Rng(0))
 
 
-def test_search_exhausts_inside_top_component(plane_and_line):
-    # everything in (x) contains the plane, so the dimension never drops
+def test_search_exhausts_inside_top_component(plane_and_line, monkeypatch):
+    # everything in (x) contains the plane, so the dimension never drops: the
+    # search tries every degree its effort constants allow, here and at a
+    # smaller effort
     R = plane_and_line.ring
+    x = Ideal(R, [R.variable("x")])
     with pytest.raises(SearchExhausted) as err:
-        find_parameter_element(plane_and_line, Ideal(R, [R.variable("x")]), 1,
-                               Rng(0), tries_per_degree=3, extra_degrees=2)
-    assert err.value.attempted_degrees
+        find_parameter_element(plane_and_line, x, 1, Rng(0))
+    assert err.value.attempted_degrees == tuple(range(1, params.EXTRA_DEGREES + 2))
+    monkeypatch.setattr(params, "TRIES_PER_DEGREE", 3)
+    monkeypatch.setattr(params, "EXTRA_DEGREES", 2)
+    with pytest.raises(SearchExhausted) as err:
+        find_parameter_element(plane_and_line, x, 1, Rng(0))
+    assert err.value.attempted_degrees == (1, 2, 3)
 
 
 # -- certified deep systems -----------------------------------------------------------
@@ -139,6 +170,33 @@ def test_c_sop_on_cm_ring(R2):
     # CM quotients have unit constraint ideals at every stage
     for stage in system.stages:
         assert stage.constraint_gens == ("1",)
+
+
+def test_c_sop_searches_once_per_stage(two_planes_3d, monkeypatch):
+    calls = []
+    search = params.find_parameter_element
+
+    def counted(ideal, constraint, min_degree, rng):
+        calls.append(ideal)
+        return search(ideal, constraint, min_degree, rng)
+
+    monkeypatch.setattr(params, "find_parameter_element", counted)
+    system = construct_c_sop(two_planes_3d, 1, seed=2)
+    assert len(calls) == len(system) == 3
+    assert calls[0] is two_planes_3d
+
+
+def _exhausted(ideal, constraint, min_degree, rng):
+    raise SearchExhausted("no parameter element found in the constraint ideal "
+                          "(degrees tried: [4, 5])", [4, 5])
+
+
+def test_exhausted_stage_is_named(plane_and_line, monkeypatch):
+    monkeypatch.setattr(params, "find_parameter_element", _exhausted)
+    with pytest.raises(SearchExhausted) as err:
+        construct_c_sop(plane_and_line, 1, seed=0)
+    assert str(err.value).startswith("stage 2: no parameter element found")
+    assert err.value.attempted_degrees == (4, 5)
 
 
 def test_c_sop_two_planes_3d(two_planes_3d):

@@ -1,6 +1,7 @@
 import pytest
 from oracles import random_sop_stepwise
 
+from irlab import stable
 from irlab.cli import corpus_index, load_corpus_spec
 from irlab.cohomology import socle_dimensions
 from irlab.errors import PreconditionError, SearchExhausted
@@ -71,8 +72,28 @@ def test_stable_seed_independent(plane_and_line):
 
 
 def test_stability_suite_mixed_degrees(two_planes_origin):
-    values = stability_suite(two_planes_origin, trials=6, seed=5, min_degrees=(1, 2, 3))
+    # six trials take each of the minimum degrees 1, 2, 3 twice
+    assert stable.SUITE_MIN_DEGREES == (1, 2, 3)
+    values = stability_suite(two_planes_origin, trials=6, seed=5)
     assert set(values) == {4}
+
+
+def test_failed_random_draw_is_counted_only_as_a_failure(plane_and_line, monkeypatch):
+    # every other draw fails; it adds no histogram entry and no sample
+    draw = stable.random_sop
+    calls = []
+
+    def flaky(ideal, degree, rng):
+        calls.append(degree)
+        return None if len(calls) % 2 else draw(ideal, degree, rng)
+
+    monkeypatch.setattr(stable, "random_sop", flaky)
+    profile = limit_profile(plane_and_line, n_max=2, samples_per_n=4, seed=0)
+    assert len(calls) == 8
+    for level in profile.levels:
+        assert level.failures == 2 and level.completed == 2
+        assert level.deep_system_ir is not None
+        assert sum(level.histogram.values()) == level.completed + 1
 
 
 # -- closed formulas -----------------------------------------------------------------
@@ -103,7 +124,7 @@ def test_formula_gcm_matches_deep_random_sops(two_planes_origin):
         q = random_sop(two_planes_origin, 2, rng.spawn(hits + 17))
         if q is None:
             continue
-        assert index_of_reducibility(q, two_planes_origin, verify=False).value == 4
+        assert index_of_reducibility(q, two_planes_origin).value == 4
         hits += 1
 
 

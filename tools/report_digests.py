@@ -8,9 +8,11 @@ corpus specs, and `irlab reproduce-examples` with its timing column masked,
 each in a fresh interpreter on the source tree next to this script.  After
 them come the same four commands on each stretch spec in `tools/stretch/`
 (6-variable and non-monomial ideals the corpus lacks), except the pairs in
-`SKIPPED`.  Every line reads `<sha256>  <command> <spec>`; a nonzero exit
-code from a command is printed in place of its digest, as
-`exit <code>  <command> <spec>`.
+`SKIPPED`.  Each `ir <spec>` line is followed by `ir --params <spec>`, the
+digest of `irlab ir <spec> --params <that report's certificate elements>
+--seed 0` (the exit of `ir` itself when it failed).  Every line reads
+`<sha256>  <command> <spec>`; a nonzero exit code from a command is printed
+in place of its digest, as `exit <code>  <command> <spec>`.
 
 Save the list of one checkout and check another against it:
 
@@ -84,6 +86,13 @@ def spec_lines(specs, tmp):
             if (command, name) not in SKIPPED:
                 proc = irlab(command, str(path), *options, "--seed", "0")
                 yield line(proc, f"{command} {name}")
+            if command == "ir":
+                # the certified elements, handed back through --params
+                if not proc.returncode:
+                    cert = json.loads(proc.stdout)["diagnostics"]["ir"]["certificate"]
+                    proc = irlab("ir", str(path), "--params", ",".join(cert["elements"]),
+                                 "--seed", "0")
+                yield line(proc, f"ir --params {name}")
 
 
 def main(argv=None) -> int:
