@@ -15,6 +15,7 @@ characteristic is part of every report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -73,6 +74,12 @@ class AnnihilatorData:
 
     def __getitem__(self, i) -> Ideal:
         return self.annihilators[i]
+
+    @cached_property
+    def cube(self) -> Ideal:
+        """The cube of `product` on its minimal generators, built on first use:
+        the constraint ideal of a `construct_c_sop` stage on this module."""
+        return self.product.power(3).minimalized()
 
 
 def _least_power_inside(target: Ideal, cap: int = 64) -> int | None:
@@ -173,7 +180,7 @@ def annihilator_data(M: Module) -> AnnihilatorData:
     product = unit_ideal(M.ring)
     for a in anns:
         product = product.product(Ideal(M.ring, a.minimal_generators()))
-    product = Ideal(M.ring, product.minimal_generators())
+    product = product.minimalized()
     n0 = None
     if all(a.is_unit() or a.krull_dimension() <= 0 for a in anns):
         candidates = [0]

@@ -722,6 +722,13 @@ class Ideal:
             self._mingens = tuple(g for k, g in enumerate(gens) if k in kept)
         return self._mingens
 
+    def minimalized(self) -> "Ideal":
+        """The same ideal on its minimal generators, which it knows as its own
+        (a minimal generating set is its own selection)."""
+        out = Ideal(self.ring, self.minimal_generators())
+        out._mingens = out.gens
+        return out
+
     def normal_form(self, f: Poly) -> Poly:
         return self.groebner().normal_form(f)
 
@@ -740,16 +747,24 @@ def standard_levels(leads, n, top=None):
     """Yield (degree, set of monomials) outside the monomial ideal of `leads`.
 
     Standard monomials are closed under division, so each level grows from the
-    one below by single variable steps, dropping the members a lead divides.
-    Stops at the first empty level, or after degree `top`; with no `top` the
-    quotient must be Artinian for this to end.
+    one below by closure: a candidate u = x_i m (m in the level below, i at or
+    past the last variable of m, so each u comes once) is standard when it is
+    no lead and every u / x_k is in the level below.  Stops at the first empty
+    level, or after degree `top`; with no `top` the quotient must be Artinian
+    for this to end.
     """
-    level = {(0,) * n}
+    leads = set(leads)
+    level = {(0,) * n} - leads
     degree = 0
-    while top is None or degree <= top:
-        level = {m for m in level if not any(_divides(lm, m) for lm in leads)}
-        if not level:
-            return
+    while level and (top is None or degree <= top):
         yield degree, level
-        level = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in level for i in range(n)}
+        below, level = level, set()
+        for m in below:
+            last = max((k for k in range(n) if m[k]), default=0)
+            for i in range(last, n):
+                u = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if u not in leads and all(
+                        k == i or not u[k] or u[:k] + (u[k] - 1,) + u[k + 1:] in below
+                        for k in range(last + 1)):
+                    level.add(u)
         degree += 1

@@ -1,12 +1,14 @@
 """Linear algebra over a prime field: one dense elimination kernel.
 
-`rref_mod_p`, on numpy int64 arrays, serves the span route of `ir`
-(`params.index_of_reducibility`) and, through `rank_mod_p`/`nullity_mod_p`,
-every rank and nullity the package takes.  Minimal generators do not use it:
+The kernel is `_unit_prepass` followed by the per-pivot loop `_eliminate`,
+on numpy int64 arrays.  `rref_mod_p` assembles the RREF from the two for the
+span route of `ir` (`params.index_of_reducibility`); `rank_mod_p` and
+`nullity_mod_p`, behind every rank and nullity the package takes, only count
+their pivots.  Minimal generators do not use it:
 `modules.minimal_vec_generators` goes through the Groebner engine.
 `SpanTracker` is kept as the row-at-a-time reference the tests check against.
 
-Before its per-pivot loop, `rref_mod_p` clears single-entry rows: such a row
+Before the per-pivot loop, `_unit_prepass` clears single-entry rows: such a row
 fixes a pivot column whose echelon row is a unit vector, and that column is
 dropped from every other row, which can leave new single-entry rows.  On the
 small matrices of random systems this settles most pivots (the first step of
@@ -26,16 +28,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def rref_mod_p(A: np.ndarray, p: int):
-    """Reduced row echelon form of A over Z/p: (new int64 matrix, pivot columns).
+def _unit_prepass(A: np.ndarray, p: int):
+    """(A % p as a new int64 matrix, its unit-column mask, the rest).
 
-    A itself is left unchanged, whatever its dtype.  A row with a single
-    nonzero entry, in column c, puts e_c in the row space, so c is a pivot
-    column and e_c its echelon row.  The prepass marks every such column and
-    drops it from all rows, which may leave new single-entry rows, and repeats
-    until none is left.  Only the rows and columns that remain go through the
-    per-pivot loop.  The unit rows and the loop's rows are then written into
-    the `% p` copy in pivot-column order, which gives the unique RREF.
+    A row with a single nonzero entry, in column c, puts e_c in the row
+    space, so c is a pivot column and e_c its echelon row.  The prepass marks
+    every such column and drops it from all rows, which may leave new
+    single-entry rows, and repeats until none is left.  The rest is what is
+    left for `_eliminate`: the rows with a live entry, on the unmarked
+    columns (the whole `% p` copy itself when no column is marked).
     """
     A = np.asarray(A, dtype=np.int64) % p
     live = A != 0
@@ -48,10 +49,24 @@ def rref_mod_p(A: np.ndarray, p: int):
         unit |= hit
         live[:, hit] = False
     if not unit.any():
+        return A, unit, A
+    return A, unit, A[live.any(axis=1).nonzero()[0][:, None], (~unit).nonzero()[0]]
+
+
+def rref_mod_p(A: np.ndarray, p: int):
+    """Reduced row echelon form of A over Z/p: (new int64 matrix, pivot columns).
+
+    A itself is left unchanged, whatever its dtype.  The unit columns of
+    `_unit_prepass` need no elimination; only the rows and columns that
+    remain go through the per-pivot loop.  The unit rows and the loop's rows
+    are then written into the `% p` copy in pivot-column order, which gives
+    the unique RREF.
+    """
+    A, unit, rest = _unit_prepass(A, p)
+    if not unit.any():
         return A, _eliminate(A, p)
     unit_cols = unit.nonzero()[0]
     keep_cols = (~unit).nonzero()[0]
-    rest = A[live.any(axis=1).nonzero()[0][:, None], keep_cols]
     loop_cols = keep_cols[_eliminate(rest, p)]
     is_pivot = unit.copy()
     is_pivot[loop_cols] = True
@@ -90,10 +105,12 @@ def _eliminate(A: np.ndarray, p: int) -> list:
 
 
 def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank of A over Z/p: the unit columns of `_unit_prepass` plus the pivots
+    of the rest, with no RREF assembled."""
     if A.size == 0:
         return 0
-    _, pivots = rref_mod_p(A, p)
-    return len(pivots)
+    _, unit, rest = _unit_prepass(A, p)
+    return int(unit.sum()) + len(_eliminate(rest, p))
 
 
 def nullity_mod_p(A: np.ndarray, p: int) -> int:

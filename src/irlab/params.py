@@ -15,8 +15,9 @@ border monomials x_v s, s standard of degree e, at most n q_e columns where
 the full slice J_{e+1} has dim S_{e+1}, so the pivots of all degrees are at
 most n times the length), and the common kernel of the variable
 multiplication maps on the reduced monomial basis (which leans on the
-Groebner engine, one normal form per distinct non-standard shift).  Their
-lengths are cross-checked too; any disagreement aborts loudly.
+Groebner engine: the maps are read off the reduced basis by border
+induction, with no polynomial reduction).  Their lengths are cross-checked
+too; any disagreement aborts loudly.
 
 One search serves every stage: `find_parameter_element` hands back x with the
 cut I + (x) it tested, and the next stage continues from that cut.  A finished
@@ -36,7 +37,7 @@ from .errors import (MethodDisagreement, PreconditionError, SearchExhausted,
 from .groebner import Ideal
 from .linalg import nullity_mod_p, rref_mod_p
 from .modules import Module
-from .ring import Poly, monomials_of_degree
+from .ring import Poly, grevlex_key, monomials_of_degree
 
 _MASK = (1 << 64) - 1
 TRIES_PER_DEGREE = 12  # find_parameter_element's candidates per degree,
@@ -221,7 +222,9 @@ def construct_c_sop(ideal: Ideal, min_degree: int = 1, seed: int = 0) -> Paramet
 
     Stage i (from d down to 1) computes the cohomology-annihilator product of
     the current quotient, cubes it, and draws the element there; the recorded
-    stage certificates make the construction reproducible and auditable.
+    stage certificates make the construction reproducible and auditable.  The
+    cube is kept with the quotient module's annihilator data, so stage d of
+    every construction on the same ring selects its generators once.
     """
     from .cohomology import annihilator_data
 
@@ -237,9 +240,7 @@ def construct_c_sop(ideal: Ideal, min_degree: int = 1, seed: int = 0) -> Paramet
     current = ideal
     for i in range(d, 0, -1):
         M_cur = Module.cyclic(current)
-        ann = annihilator_data(M_cur)
-        cube = ann.product.power(3)
-        cube = Ideal(ideal.ring, cube.minimal_generators())
+        cube = annihilator_data(M_cur).cube
         stage_rng = rng.spawn(i)
         try:
             x, current = find_parameter_element(current, cube, min_degree, stage_rng)
@@ -402,34 +403,53 @@ def _socle_by_degreewise_spans(gens, ring_):
     return total_socle, total_length
 
 
-def _socle_by_kernels(artinian: Ideal):
-    """(socle dimension, length) of S/J through the Groebner engine: the common
-    kernel of the multiplication-by-variable maps on the reduced monomial basis.
+def _multiplication_maps(artinian: Ideal):
+    """(basis, maps): the reduced monomial basis of S/J, ascending in grevlex,
+    and maps[v][j], the residue of x_v basis[j] as a sparse dict
+    {index of a standard monomial: coefficient}.
 
-    A shifted basis monomial is its own normal form; every other shifted
-    monomial is reduced once, whichever basis monomial and variable reach it.
+    Read off the reduced Groebner basis by border induction, as FGLM does
+    (Faugere, Gianni, Lazard & Mora 1993), with no polynomial reduction.  The
+    border monomials b = x_v m (m standard, b not) are visited in increasing
+    grevlex order.  A basis lead has residue minus its element's tail.  Any
+    other b has a variable x_w with t = b / x_w a smaller border monomial, and
+    NF(b) is the sum of c NF(x_w s) over the terms c s of NF(t); each x_w s
+    lies below b, so it is standard or was visited already.
     """
-    R = artinian.ring
+    p = artinian.ring.field.p
+    n = artinian.ring.nvars
     basis = artinian.standard_monomials()
-    length = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     gb = artinian.groebner()
-    forms: dict = {}
-    rows = []
-    for v in range(R.nvars):
-        mat = np.zeros((length, length), dtype=np.int64)
-        for j, m in enumerate(basis):
-            shifted = m[:v] + (m[v] + 1,) + m[v + 1:]
-            if shifted in index:
-                mat[index[shifted], j] = 1
-                continue
-            if shifted not in forms:
-                forms[shifted] = gb.normal_form(R.monomial(shifted))
-            for mono, c in forms[shifted].terms.items():
-                mat[index[mono], j] = c
-        rows.append(mat)
-    stacked = np.vstack(rows) if rows else np.zeros((0, length), dtype=np.int64)
-    return nullity_mod_p(stacked, R.field.p), length
+    shifted = [[m[:v] + (m[v] + 1,) + m[v + 1:] for m in basis] for v in range(n)]
+    forms = {m: {i: 1} for m, i in index.items()}
+    forms.update((lead, {index[m]: p - c for m, c in g.terms.items() if m != lead})
+                 for g, lead in zip(gb.elements, gb.leads))
+    for b in sorted({u for row in shifted for u in row} - forms.keys(), key=grevlex_key):
+        for w in range(n):
+            t = b[:w] + (b[w] - 1,) + b[w + 1:]
+            if b[w] and t not in index:
+                break
+        acc: dict = {}
+        for s, c in forms[t].items():
+            for k, c2 in forms[shifted[w][s]].items():
+                acc[k] = acc.get(k, 0) + c * c2
+        forms[b] = {k: c % p for k, c in acc.items() if c % p}
+    return basis, [[forms[u] for u in row] for row in shifted]
+
+
+def _socle_by_kernels(artinian: Ideal):
+    """(socle dimension, length) of S/J through the Groebner engine: the common
+    kernel of the multiplication-by-variable maps on the reduced monomial
+    basis, read off the reduced basis by `_multiplication_maps`."""
+    basis, maps = _multiplication_maps(artinian)
+    length = len(basis)
+    stacked = np.zeros((len(maps) * length, length), dtype=np.int64)
+    for v, row in enumerate(maps):
+        for j, form in enumerate(row):
+            for k, c in form.items():
+                stacked[v * length + k, j] = c
+    return nullity_mod_p(stacked, artinian.ring.field.p), length
 
 
 def socle_dimension_artinian(artinian: Ideal) -> IrResult:

@@ -377,6 +377,54 @@ def socle_by_full_slices(gens, ring_):
     return total_socle, total_length
 
 
+def multiplication_maps_by_normal_forms(artinian):
+    """(basis, maps) as `params._multiplication_maps` returns them, from one
+    `GroebnerBasis.normal_form` per distinct non-standard shift x_v m of a
+    standard monomial m: the reference for its border induction."""
+    R = artinian.ring
+    basis = artinian.standard_monomials()
+    index = {m: i for i, m in enumerate(basis)}
+    gb = artinian.groebner()
+    forms = {m: {i: 1} for m, i in index.items()}
+
+    def residue(u):
+        if u not in forms:
+            forms[u] = {index[m]: c for m, c in gb.normal_form(R.monomial(u)).terms.items()}
+        return forms[u]
+
+    return basis, [[residue(m[:v] + (m[v] + 1,) + m[v + 1:]) for m in basis]
+                   for v in range(R.nvars)]
+
+
+def socle_by_normal_forms(artinian):
+    """(socle dimension, length) of S/J as the nullity of the stacked
+    multiplication maps of `multiplication_maps_by_normal_forms`: the
+    reference for `params._socle_by_kernels`."""
+    basis, maps = multiplication_maps_by_normal_forms(artinian)
+    length = len(basis)
+    stacked = np.zeros((len(maps) * length, length), dtype=np.int64)
+    for v, row in enumerate(maps):
+        for j, form in enumerate(row):
+            for k, c in form.items():
+                stacked[v * length + k, j] = c
+    return length - rank_mod_p(stacked, artinian.ring.field.p), length
+
+
+def standard_levels_by_filter(leads, n, top=None):
+    """`groebner.standard_levels` by testing every candidate of each level
+    against every lead: (degree, set) pairs up to the first empty level, or
+    up to `top`."""
+    level = {(0,) * n}
+    degree = 0
+    while top is None or degree <= top:
+        level = {m for m in level if not any(_divides(lm, m) for lm in leads)}
+        if not level:
+            return
+        yield degree, level
+        level = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in level for i in range(n)}
+        degree += 1
+
+
 # ---------------------------------------------------------------------------
 # The tuple Groebner engine: the oracle for the packed-int engine in
 # `irlab.groebner`.  A raw vector is a dict {(position, exponent tuple): coeff}.

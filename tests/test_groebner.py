@@ -1,7 +1,8 @@
 import pytest
 from oracles import (membership_bruteforce, module_buchberger_tuples,
                      normal_form_tuples, quotient_dimension_bruteforce,
-                     random_monomial_ideal, tagged_projection)
+                     random_monomial_ideal, standard_levels_by_filter,
+                     tagged_projection)
 
 from irlab.cohomology import _sum_of_variables_saturation
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
@@ -635,14 +636,30 @@ def test_standard_levels_match_degreewise_filter(artinian):
                       for i in range(n)]
         top = None if artinian else 5
         got = dict(standard_levels(leads, n, top))
-        bound = 4 * n if artinian else top
-        want = {}
-        for d in range(bound + 1):
-            outside = {m for m in monomials_of_degree(n, d)
-                       if not any(_divides(lm, m) for lm in leads)}
-            if outside:
-                want[d] = outside
-        assert got == want, (n, leads)
+        assert got == dict(standard_levels_by_filter(leads, n, top)), (n, leads)
+
+
+@pytest.mark.parametrize("top", [0, 1, None])
+def test_standard_levels_closure_matches_the_filter_oracle(top):
+    rng = Rng(29 + (top or 7))
+    for trial in range(60):
+        n = 1 + trial % 4
+        leads = [tuple(rng.below(4) for _ in range(n)) for _ in range(rng.below(5))]
+        # redundant multiples and duplicates of the leads drawn so far
+        for m in list(leads):
+            if rng.below(2):
+                leads.append(m)
+            if rng.below(2):
+                leads.append(tuple(e + rng.below(3) for e in m))
+        if top is None:  # pure powers keep the quotient Artinian
+            leads += [tuple(1 + rng.below(4) if j == i else 0 for j in range(n))
+                      for i in range(n)]
+        assert list(standard_levels(leads, n, top)) == \
+            list(standard_levels_by_filter(leads, n, top)), (n, leads)
+    for n in range(1, 5):
+        unit = [(0,) * n, (1,) + (0,) * (n - 1)]
+        assert list(standard_levels(unit, n, top)) == [] == \
+            list(standard_levels_by_filter(unit, n, top))
 
 
 # -- syzygies ----------------------------------------------------------------------------
@@ -778,6 +795,24 @@ def test_minimal_generators_match_their_definition(p):
                 want.append(g)
         assert I.minimal_generators() == tuple(want)
         assert len(want) < len(gens)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_minimal_generators_select_themselves(p):
+    """A minimal generating set is its own selection, so `minimalized` may
+    hand it over as known."""
+    R = ring(("x", "y", "z"), p)
+    rng = Rng(p + 11)
+    for trial in range(8):
+        gens = [random_homogeneous(R, rng, 1 + rng.below(3)) for _ in range(2 + rng.below(4))]
+        gens += [g * h for g in gens[:2] for h in R.gens()[:1 + rng.below(3)]]
+        I = Ideal(R, gens)
+        if I.is_zero():
+            continue
+        mingens = I.minimal_generators()
+        assert Ideal(R, mingens).minimal_generators() == mingens
+        M = I.minimalized()
+        assert M.gens == mingens and M.minimal_generators() == mingens and M == I
 
 
 def test_minimal_generators_reject_inhomogeneous_input(R3):

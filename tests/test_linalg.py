@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from oracles import rref_exact
 
-from irlab.linalg import rank_mod_p, rref_mod_p
+from irlab.linalg import nullity_mod_p, rank_mod_p, rref_mod_p
 
 P = 2**31 - 1
 PRIMES = [2, 3, 32003, P]
 
 
 def _check_against_oracle(A, p):
-    """rref_mod_p(A, p) equals the Python-int RREF and leaves A alone."""
+    """rref_mod_p(A, p) equals the Python-int RREF, rank_mod_p and
+    nullity_mod_p count its pivots, and none of them changes A."""
     before = A.copy()
     R, pivots = rref_mod_p(A, p)
     assert np.array_equal(A, before)
@@ -19,6 +20,9 @@ def _check_against_oracle(A, p):
     assert pivots == expected
     assert R[:len(pivots)].tolist() == rows
     assert not R[len(pivots):].any()
+    assert rank_mod_p(A, p) == len(expected)
+    assert nullity_mod_p(A, p) == A.shape[1] - len(expected)
+    assert np.array_equal(A, before)
     return pivots
 
 
@@ -103,3 +107,22 @@ def test_zero_rows(p):
 def test_degenerate_shapes(p, shape):
     A = np.full(shape, p - 1, dtype=np.int64)
     assert _check_against_oracle(A, p) == ([0] if shape == (1, 1) else [])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_counts_unit_columns_and_loop_pivots(p):
+    # rows 0 and 2 are single-entry rows; clearing their columns leaves row 3
+    # with one entry, and rows 1 and 4 for the loop, where row 4 repeats row 1
+    gen = np.random.default_rng(p % 977)
+    pattern = np.array([[0, 0, 1, 0, 0, 0],
+                        [1, 1, 0, 1, 0, 1],
+                        [0, 0, 0, 0, 1, 0],
+                        [0, 0, 1, 0, 1, 1],
+                        [0, 0, 0, 0, 0, 0]])
+    A = _spread(gen, p, pattern)
+    A[4] = 2 * A[1] % p
+    assert len(_check_against_oracle(A, p)) == 4
+    B = np.zeros((5, 4), dtype=np.int64)
+    B[[0, 1, 2, 3, 4], [3, 3, 0, 1, 1]] = gen.integers(1, p, size=5)
+    assert rank_mod_p(B, p) == 3 and nullity_mod_p(B, p) == 1
+    _check_against_oracle(B, p)

@@ -1,16 +1,17 @@
 from collections import Counter
 
 import pytest
-from oracles import (is_sop_stepwise, random_monomial_ideal, rref_exact,
-                     socle_by_full_slices, triangular_change)
+from oracles import (is_sop_stepwise, multiplication_maps_by_normal_forms,
+                     random_monomial_ideal, rref_exact, socle_by_full_slices,
+                     socle_by_normal_forms, triangular_change)
 
 from irlab import groebner, modules, params
 from irlab.cohomology import socle_dimensions
 from irlab.errors import PreconditionError, SearchExhausted
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
 from irlab.modules import Module
-from irlab.params import (Rng, _socle_by_degreewise_spans, _socle_by_kernels,
-                          construct_c_sop, find_parameter_element,
+from irlab.params import (Rng, _multiplication_maps, _socle_by_degreewise_spans,
+                          _socle_by_kernels, construct_c_sop, find_parameter_element,
                           index_of_reducibility, is_d_sequence,
                           is_system_of_parameters, power_perturbation)
 from irlab.ring import monomials_of_degree, ring
@@ -378,6 +379,53 @@ def test_socle_routes_agree_on_random_artinian_quotients(p, monkeypatch):
             patched.setattr(params, "_PRODUCT_CELLS", 1)  # one monomial per product chunk
             assert _socle_by_degreewise_spans(moved, R) == expected
     assert calls["rref"] and calls["nullity"]
+
+
+@pytest.mark.parametrize("variables, gens, induced", [
+    # x^2 y is no lead: its residue comes from x^2 by the step through y
+    (("x", "y"), ["x^2", "y^2"], {(2, 1): {}}),
+    # tails: x^2 -> y^2, and x y^2 goes through the lead x y
+    (("x", "y"), ["x^2 - y^2", "x*y"], {(1, 2): {}}),
+    # x^2 y -> x y^2 through the tail of x y, then x y^2 -> y^3 in turn
+    (("x", "y"), ["x*y - y^2", "x^3"], {(1, 2): {(0, 3): 1}, (2, 1): {(0, 3): 1}}),
+    (("x", "y"), ["x^2 + x*y", "y^3"], {(2, 1): {(1, 2): -1}}),
+])
+def test_border_induction_hand_cases(variables, gens, induced):
+    R = ring(variables)
+    J = Ideal(R, [R.parse(g) for g in gens])
+    basis, maps = _multiplication_maps(J)
+    assert (basis, maps) == multiplication_maps_by_normal_forms(J)
+    index = {m: i for i, m in enumerate(basis)}
+    for b, form in induced.items():
+        assert b not in index and b not in J.groebner().leads
+        v = next(v for v in range(R.nvars) if b[v] and b[:v] + (b[v] - 1,) + b[v + 1:] in index)
+        j = index[b[:v] + (b[v] - 1,) + b[v + 1:]]
+        assert maps[v][j] == {index[m]: c % R.field.p for m, c in form.items()}
+    assert _socle_by_kernels(J) == socle_by_normal_forms(J)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_border_induction_matches_normal_forms(p):
+    rng = Rng(p)
+    for trial in range(12):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        for gens in _random_monomial_artinian(R, rng):
+            J = Ideal(R, gens)
+            assert _multiplication_maps(J) == multiplication_maps_by_normal_forms(J)
+            assert _socle_by_kernels(J) == socle_by_normal_forms(J)
+
+
+def test_kernel_route_makes_no_normal_form(monkeypatch, two_planes_origin):
+    quotients = [construct_c_sop(two_planes_origin, k, seed=0).cut[2] for k in (1, 2)]
+    R = ring(("x", "y", "z"), 32003)
+    quotients.append(Ideal(R, _random_monomial_artinian(R, Rng(5))[1]))
+    expected = [socle_by_normal_forms(J) for J in quotients]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel route reduced a polynomial")
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "normal_form", refuse)
+    assert [_socle_by_kernels(J) for J in quotients] == expected
 
 
 def test_span_route_eliminates_on_border_columns_only(monkeypatch, two_planes_origin):
