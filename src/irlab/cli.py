@@ -10,7 +10,10 @@ Input files are UTF-8 JSON ring specifications:
       "s2_ification": {"summands": [["a", "b"], ["c", "d"]]}
     }
 
+Variable names match [A-Za-z_][A-Za-z0-9_]*, the parser's name rule.
 Generators, S2 summand generators included, and `ir --params` must be homogeneous.
+`load_ring_spec` checks and parses a spec once; the `RingSpec` it returns holds
+the parsed ideal and S2 summand ideals as plain fields.
 
 Every command emits the same fixed-schema JSON report (text mode renders the
 same data); reruns with equal (input, seed, version) are byte-identical.
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
@@ -60,39 +64,13 @@ def _parse_homogeneous(R, text, what):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """A ring spec, parsed once on construction (so bad input fails with a position).
-
-    Every generator, S2 summands too, must be homogeneous; the ideal must not be S.
-    """
+    """A loaded ring spec: the report label, the characteristic, the ideal (proper,
+    homogeneous generators, parsed once) and the S2 summand ideals or None."""
 
     label: str
     characteristic: int
-    variables: tuple
-    ideal_strings: tuple
-    s2_summands: tuple | None = None
-    _ideal: Ideal = field(init=False, repr=False, compare=False)
-    _s2: tuple | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        R = ring(self.variables, self.characteristic)
-        ideal = Ideal(R, [_parse_homogeneous(R, s, "generator") for s in self.ideal_strings])
-        if ideal.is_unit():
-            raise PreconditionError("the ideal is the unit ideal; the module is zero")
-        s2 = None
-        if self.s2_summands is not None:
-            s2 = tuple(Ideal(R, [_parse_homogeneous(R, s, "S2 summand generator")
-                                 for s in gens]) for gens in self.s2_summands)
-        object.__setattr__(self, "_ideal", ideal)
-        object.__setattr__(self, "_s2", s2)
-
-    def ambient(self):
-        return self._ideal.ring
-
-    def ideal(self) -> Ideal:
-        return self._ideal
-
-    def s2(self):
-        return None if self._s2 is None else list(self._s2)
+    ideal: Ideal
+    s2: tuple | None
 
 
 def _strings(value, what):
@@ -103,15 +81,20 @@ def _strings(value, what):
 
 
 def load_ring_spec(path_or_dict) -> RingSpec:
+    """Check a ring spec's shape, then parse it over its ring (so bad input fails
+    with a position).  Every generator, S2 summands too, must be homogeneous;
+    the ideal must not be S."""
     if isinstance(path_or_dict, dict):
         data = path_or_dict
         label = data.get("label", "<inline>")
     else:
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path_or_dict, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise PreconditionError(f"{path_or_dict}: {exc}") from exc
+        except OSError as exc:  # its text names the file
+            raise PreconditionError(str(exc)) from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise PreconditionError(f"{path_or_dict}: {exc}") from exc
         if not isinstance(data, dict):
             raise PreconditionError(f"{path_or_dict}: a ring spec must be a JSON object")
         label = data.get("label", str(path_or_dict))
@@ -124,6 +107,11 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     ideal_strings = _strings(data["ideal"], "ideal")
     if len(set(variables)) != len(variables):
         raise PreconditionError("variables must be distinct")
+    for v in variables:
+        # The parser's name rule; anything else would print ambiguously.
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
+            raise PreconditionError(
+                f"variable name {v!r:.60} must match [A-Za-z_][A-Za-z0-9_]*")
     char = data.get("characteristic", 32003)
     # Only a JSON integer: int() would truncate 32003.7 and accept true as 1.
     if not isinstance(char, int) or isinstance(char, bool):
@@ -132,7 +120,7 @@ def load_ring_spec(path_or_dict) -> RingSpec:
         check_characteristic(char)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
-    s2 = None
+    summands = None
     if "s2_ification" in data:
         raw_s2 = data["s2_ification"]
         if not isinstance(raw_s2, dict) or "summands" not in raw_s2:
@@ -141,8 +129,16 @@ def load_ring_spec(path_or_dict) -> RingSpec:
         if not isinstance(summands, list) or not summands:
             raise PreconditionError(
                 f"s2_ification summands must be a nonempty list, got {summands!r:.60}")
-        s2 = tuple(_strings(g, "each s2_ification summand") for g in summands)
-    return RingSpec(label, char, variables, ideal_strings, s2)
+        summands = [_strings(g, "each s2_ification summand") for g in summands]
+    R = ring(variables, char)
+    ideal = Ideal(R, [_parse_homogeneous(R, s, "generator") for s in ideal_strings])
+    if ideal.is_unit():
+        raise PreconditionError("the ideal is the unit ideal; the module is zero")
+    s2 = None
+    if summands is not None:
+        s2 = tuple(Ideal(R, [_parse_homogeneous(R, s, "S2 summand generator") for s in gens])
+                   for gens in summands)
+    return RingSpec(label, char, ideal, s2)
 
 
 def base_report(spec: RingSpec, seed: int) -> dict:
@@ -175,7 +171,7 @@ def _filtration_payload(ideal: Ideal):
 
 
 def analyze_payload(spec: RingSpec, seed: int) -> dict:
-    ideal = spec.ideal()
+    ideal = spec.ideal
     M = Module.cyclic(ideal)
     report = base_report(spec, seed)
     report["dim"] = M.dim()
@@ -248,8 +244,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_ir(args) -> int:
     spec = load_ring_spec(args.file)
-    ideal = spec.ideal()
-    R = spec.ambient()
+    ideal = spec.ideal
+    R = ideal.ring
     report = base_report(spec, args.seed)
     if args.params:
         parsed = [_parse_homogeneous(R, s.strip(), "parameter")
@@ -283,9 +279,9 @@ def cmd_ir(args) -> int:
 
 def cmd_stable(args) -> int:
     spec = load_ring_spec(args.file)
-    ideal = spec.ideal()
+    ideal = spec.ideal
     report = base_report(spec, args.seed)
-    sv = stable_value(ideal, seed=args.seed, s2=spec.s2())
+    sv = stable_value(ideal, seed=args.seed, s2=spec.s2)
     trials = stability_suite(ideal, trials=args.trials, seed=args.seed)
     report["stable_value"] = sv.value
     report["socle_dims"] = list(sv.socle)
@@ -305,7 +301,7 @@ def cmd_stable(args) -> int:
 
 def cmd_limit(args) -> int:
     spec = load_ring_spec(args.file)
-    ideal = spec.ideal()
+    ideal = spec.ideal
     report = base_report(spec, args.seed)
     profile = limit_profile(ideal, n_max=args.nmax, samples_per_n=args.samples,
                             seed=args.seed)
@@ -338,17 +334,16 @@ def golden_assertions():
 
     def two_planes_structure():
         spec = load_corpus_spec("two_planes_3d.json")
-        M = Module.cyclic(spec.ideal())
+        M = Module.cyclic(spec.ideal)
         assert M.dim() == 3, f"dim {M.dim()} != 3"
         assert M.depth() == 2, f"depth {M.depth()} != 2"
-        assert tuple(socle_dimensions(M)) == (0, 0, 1, 2), \
-            f"socle {tuple(socle_dimensions(M))}"
+        assert socle_dimensions(M) == (0, 0, 1, 2), f"socle {socle_dimensions(M)}"
         assert cm_flags(M).is_unmixed, "should be unmixed"
         return "dim 3, depth 2, socle (0,0,1,2), unmixed"
 
     def two_planes_stable():
         spec = load_corpus_spec("two_planes_3d.json")
-        sv = stable_value(spec.ideal(), seed=0, s2=spec.s2())
+        sv = stable_value(spec.ideal, seed=0, s2=spec.s2)
         assert sv.value == 4, f"stable value {sv.value} != 4"
         c = sv.cross_checks["dim3_closure"]
         assert c.applicable and c.value == 4 and c.matches, f"closure formula {c}"
@@ -356,37 +351,37 @@ def golden_assertions():
 
     def two_planes_socle_additivity():
         spec = load_corpus_spec("two_planes_3d.json")
-        ideal = spec.ideal()
+        ideal = spec.ideal
         system = construct_c_sop(ideal, 1, seed=0)
         x = system.elements[-1]  # drawn from the annihilator cube of M itself
         quotient = Module.cyclic(ideal + x)
-        got = tuple(socle_dimensions(quotient))
+        got = socle_dimensions(quotient)
         assert got == (0, 1, 3), f"socle of M/xM is {got}, want (0, 1, 3)"
         return "socle additivity under a certified parameter element"
 
     def plane_line_structure():
         spec = load_corpus_spec("plane_and_line.json")
-        ideal = spec.ideal()
+        ideal = spec.ideal
         cls = classify_sequential(ideal)
         assert cls.is_sequentially_cm, "should be sequentially CM"
         filt = cls.filtration
-        R = spec.ambient()
+        R = ideal.ring
         assert list(filt.ideals) == [ideal, Ideal(R, [R.variable("x")])], \
             f"filtration {[str(k) for k in filt.ideals]}"
         return "filtration 0 < (x)/I < M, sequentially CM"
 
     def plane_line_stable():
         spec = load_corpus_spec("plane_and_line.json")
-        ideal = spec.ideal()
+        ideal = spec.ideal
         M = Module.cyclic(ideal)
         sv = stable_value(ideal, seed=0)
-        total = socle_dimensions(M).total()
+        total = sum(socle_dimensions(M))
         assert sv.value == 2 == total, f"N {sv.value}, socle sum {total}"
         return "stable value 2 = socle sum (sequential CM equality)"
 
     def plane_line_profile():
         spec = load_corpus_spec("plane_and_line.json")
-        profile = limit_profile(spec.ideal(), n_max=3, samples_per_n=15, seed=0)
+        profile = limit_profile(spec.ideal, n_max=3, samples_per_n=15, seed=0)
         for lv in profile.levels:
             assert max(lv.histogram) <= 2, f"level {lv.n} exceeded 2: {lv.histogram}"
             if lv.n >= 2:
@@ -395,7 +390,7 @@ def golden_assertions():
 
     def buchsbaum_binomial():
         spec = load_corpus_spec("two_planes_origin.json")
-        ideal = spec.ideal()
+        ideal = spec.ideal
         M = Module.cyclic(ideal)
         from .stable import formula_gcm
         got = formula_gcm(M)
@@ -406,13 +401,13 @@ def golden_assertions():
 
     def cm_control():
         spec = load_corpus_spec("cm_three_lines.json")
-        ideal = spec.ideal()
+        ideal = spec.ideal
         M = Module.cyclic(ideal)
         s = socle_dimensions(M)
         sv = stable_value(ideal, seed=0)
         betti = M.resolution().betti_numbers()
-        assert sv.value == s.top() == betti[-1] == 2, \
-            f"N {sv.value}, top socle {s.top()}, last Betti {betti[-1]}"
+        assert sv.value == s[-1] == betti[-1] == 2, \
+            f"N {sv.value}, top socle {s[-1]}, last Betti {betti[-1]}"
         return "CM control: stable value = type = last Betti number = 2"
 
     return [
@@ -522,8 +517,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (PolynomialParseError, PreconditionError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (PolynomialParseError, PreconditionError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ResourceBudgetExceeded, SearchExhausted) as exc:

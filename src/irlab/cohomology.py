@@ -6,6 +6,8 @@ For a module M over the ambient ring S in n variables:
   * annihilator of H^i      =  annihilator of Ext^{n-i}(M, S)
   * Hilbert function of H^i in degree j  =  that of Ext^{n-i}(M, S) in -n-j
 
+`socle_dimensions` returns the plain tuple (s_0, ..., s_d), cached on M.
+
 The Stanley-Reisner route (links of the associated simplicial complex) gives
 an independent oracle for the Hilbert functions when the defining ideal is
 square-free monomial; everything is over the same prime field, and the
@@ -28,34 +30,15 @@ from .modules import Module
 from .ring import Poly
 
 
-@dataclass(frozen=True)
-class SocleVector:
-    """s_i = socle dimension of the i-th local cohomology, i = 0..dim."""
-
-    values: tuple
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def total(self) -> int:
-        return sum(self.values)
-
-    def top(self) -> int:
-        return self.values[-1]
-
-
-def socle_dimensions(M: Module) -> SocleVector:
-    """Socle dimensions of H^0..H^d, as generator counts of the dual Ext modules."""
+def socle_dimensions(M: Module) -> tuple:
+    """(s_0, ..., s_d): the socle dimension of H^i, as the generator count of
+    the dual Ext module; cached on M."""
     if M.is_zero():
         raise ZeroModuleError("socle dimensions of the zero module")
     n = M.ring.nvars
     d = M.dim()
     if M._socle is None:
-        M._socle = SocleVector(tuple(M.ext(n - i).minimal_generator_count()
-                                     for i in range(d + 1)))
+        M._socle = tuple(M.ext(n - i).minimal_generator_count() for i in range(d + 1))
     return M._socle
 
 
@@ -339,7 +322,7 @@ def hochster_hilbert(ideal: Ideal, i: int, degrees) -> dict:
     the empty face contributes only in degree 0.
     """
     R = ideal.ring
-    p = R.field.p
+    p = R.p
     complex_ = SimplicialComplex.from_squarefree_ideal(ideal)
     face_dims = {}
     for face in complex_.faces:

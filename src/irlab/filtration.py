@@ -55,15 +55,9 @@ class DimensionFiltration:
     with -1 standing for the zero module; `top_dim` is dim M.
     """
 
-    base: Ideal
     ideals: tuple
     dims: tuple
     top_dim: int
-
-    @property
-    def length(self) -> int:
-        """Number of quotient steps D_i/D_{i-1}, i = 1..t."""
-        return len(self.ideals)
 
     def step_modules(self):
         """The quotients D_1/D_0, ..., D_t/D_{t-1} as presented modules."""
@@ -93,7 +87,7 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
         raise ZeroModuleError("dimension filtration of the zero module")
     d = M.dim()
     if d == 0:
-        return DimensionFiltration(ideal, (), (), 0)
+        return DimensionFiltration((), (), 0)
     ann = annihilator_data(M)
     kept = []
     K = ideal
@@ -107,7 +101,7 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
             dims.append(-1)
         else:
             dims.append(ideal.colon(K).krull_dimension())
-    filt = DimensionFiltration(ideal, tuple(kept), tuple(dims), d)
+    filt = DimensionFiltration(tuple(kept), tuple(dims), d)
     if not filt.satisfies_dimension_condition():
         raise InternalInvariantError("dimension filtration failed the dimension condition")
     return filt

@@ -406,7 +406,7 @@ class ModuleGB:
             self._by_pos = {}
             for lt, g in zip(self.leads, self.elements):
                 _file_reducer(self._by_pos, L, L.pack(lt), L.pack_vec(g))
-        rem = _normal_form(L.pack_vec(raw_vec), self._by_pos, L, self.ring.field.p)
+        rem = _normal_form(L.pack_vec(raw_vec), self._by_pos, L, self.ring.p)
         return L.unpack_vec(rem)
 
     def contains(self, raw_vec) -> bool:
@@ -417,7 +417,7 @@ class ModuleGB:
 
 
 def module_groebner(vecs, rank, ring_: Ring) -> ModuleGB:
-    return ModuleGB(ring_, rank, module_buchberger_raw(vecs, ring_.field.p))
+    return ModuleGB(ring_, rank, module_buchberger_raw(vecs, ring_.p))
 
 
 def _lift(f: Poly, position=0):
@@ -471,7 +471,7 @@ def buchberger(gens) -> GroebnerBasis:
     for g in polys:
         if g.ring is not R:
             raise RingMismatchError("generators over different rings")
-    return GroebnerBasis(R, module_buchberger_raw([_lift(g) for g in polys], R.field.p))
+    return GroebnerBasis(R, module_buchberger_raw([_lift(g) for g in polys], R.p))
 
 
 def syzygies_raw(vecs, rank, ring_: Ring, relations=()):
@@ -488,7 +488,7 @@ def syzygies_raw(vecs, rank, ring_: Ring, relations=()):
         g = dict(v)
         g[(rank + i, zero_expo)] = 1
         graph.append(g)
-    gb = module_buchberger_raw(graph + list(relations), ring_.field.p)
+    gb = module_buchberger_raw(graph + list(relations), ring_.p)
     out = []
     for g in gb:
         if all(pos >= rank for pos, _ in g):
@@ -718,7 +718,7 @@ class Ideal:
                 raise PreconditionError("minimal generators need homogeneous generators")
             last = len(gens) - 1
             kept = {last - k for k in minimal_generators_raw(
-                [_lift(g) for g in reversed(gens)], [0], self.ring.field.p)}
+                [_lift(g) for g in reversed(gens)], [0], self.ring.p)}
             self._mingens = tuple(g for k, g in enumerate(gens) if k in kept)
         return self._mingens
 
@@ -728,9 +728,6 @@ class Ideal:
         out = Ideal(self.ring, self.minimal_generators())
         out._mingens = out.gens
         return out
-
-    def normal_form(self, f: Poly) -> Poly:
-        return self.groebner().normal_form(f)
 
 
 def maximal_ideal(ring_: Ring) -> Ideal:

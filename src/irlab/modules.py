@@ -92,7 +92,7 @@ def minimal_vec_generators(vecs, shifts, ring_: Ring):
     """
     for v in filter(None, vecs):
         vec_degree(v, shifts)
-    return [vecs[k] for k in minimal_generators_raw(vecs, shifts, ring_.field.p)]
+    return [vecs[k] for k in minimal_generators_raw(vecs, shifts, ring_.p)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def minimalize_complex(res: FreeResolution) -> FreeResolution:
     and d_k picks up the correction term -c u^{-1} b.  Exact over a field, no
     tolerances involved.  Homology is unchanged.
     """
-    p = res.ring.field.p
+    p = res.ring.p
     zero = (0,) * res.ring.nvars
     shifts = [list(s) for s in res.shifts]
     diffs = [[dict(c) for c in cols] for cols in res.diffs]
@@ -495,21 +495,9 @@ def taylor_resolution(ideal: Ideal) -> FreeResolution:
                 sub = tuple(x for x in f if x != i)
                 small = lcm_of(sub)
                 quot = tuple(a - b for a, b in zip(big, small))
-                coeff = 1 if idx % 2 == 0 else R.field.p - 1
+                coeff = 1 if idx % 2 == 0 else R.p - 1
                 col[(prev_faces[sub], quot)] = coeff
             cols.append(col)
         diffs.append(cols)
         prev_faces = index
     return FreeResolution(R, shifts, diffs)
-
-
-def module_invariants(M: Module):
-    """dim, depth, annihilator and Hilbert-series numerator in one record."""
-    if M.is_zero():
-        raise ZeroModuleError("invariants of the zero module requested")
-    return {
-        "dim": M.dim(),
-        "depth": M.depth(),
-        "annihilator": M.annihilator(),
-        "hilbert_numerator": M.hilbert_numerator(),
-    }

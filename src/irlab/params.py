@@ -177,7 +177,7 @@ def find_parameter_element(ideal: Ideal, constraint: Ideal, min_degree: int,
     exhaustion raises SearchExhausted with the attempted degrees.
     """
     R = ideal.ring
-    p = R.field.p
+    p = R.p
     if constraint.is_zero():
         raise PreconditionError("parameter search needs a nonzero constraint ideal")
     d = ideal.krull_dimension()
@@ -326,7 +326,7 @@ def _socle_by_degreewise_spans(gens, ring_):
     Artinian quotient are required (the loop stops at the first empty degree
     of S/J); a nonzero constant gives the unit ideal, (0, 0).
     """
-    p = ring_.field.p
+    p = ring_.p
     n = ring_.nvars
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
@@ -416,7 +416,7 @@ def _multiplication_maps(artinian: Ideal):
     NF(b) is the sum of c NF(x_w s) over the terms c s of NF(t); each x_w s
     lies below b, so it is standard or was visited already.
     """
-    p = artinian.ring.field.p
+    p = artinian.ring.p
     n = artinian.ring.nvars
     basis = artinian.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
@@ -449,7 +449,7 @@ def _socle_by_kernels(artinian: Ideal):
         for j, form in enumerate(row):
             for k, c in form.items():
                 stacked[v * length + k, j] = c
-    return nullity_mod_p(stacked, artinian.ring.field.p), length
+    return nullity_mod_p(stacked, artinian.ring.p), length
 
 
 def socle_dimension_artinian(artinian: Ideal) -> IrResult:
@@ -497,8 +497,3 @@ def is_d_sequence(elements, ideal: Ideal):
             if lhs != rhs:
                 return False, (i, j + 1)
     return True, None
-
-
-def power_perturbation(system: ParameterSystem, exponents) -> list:
-    """Element-wise powers of a deep system (still a deep system, same ir)."""
-    return [x ** k for x, k in zip(system.elements, exponents)]

@@ -1,9 +1,10 @@
-"""Prime fields, the grevlex order, multivariate polynomials, parsing and printing.
+"""Polynomial rings over Z/p, the grevlex order, polynomials, parsing and printing.
 
-Monomials are dense exponent tuples (one slot per ambient variable).  A
-polynomial is a map from exponent tuples to nonzero field elements; the zero
-polynomial is the empty map.  All values are immutable after construction and
-safe to share.
+A ring is its prime characteristic p (a plain int, checked by `ring`) and its
+ordered variable names; field elements are ints in [0, p).  Monomials are
+dense exponent tuples (one slot per ambient variable).  A polynomial is a map
+from exponent tuples to nonzero field elements; the zero polynomial is the
+empty map.  All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -44,30 +45,6 @@ def check_characteristic(p: int) -> None:
         raise ValueError(f"characteristic {p} is not prime")
 
 
-class PrimeField:
-    """Arithmetic in Z/p for a prime p; elements are ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int = DEFAULT_CHARACTERISTIC):
-        check_characteristic(p)
-        self.p = p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
 # ---------------------------------------------------------------------------
 # The one monomial order: graded reverse lexicographic, variables in ring
 # order (x_1 > ... > x_n).  Bigger key == bigger monomial.
@@ -80,16 +57,16 @@ _RING_CACHE: dict = {}
 
 
 class Ring:
-    """Ambient polynomial ring: a prime field and ordered variable names.
+    """Ambient polynomial ring: the prime characteristic p and ordered variable names.
 
     Instances are interned: `ring(...)` with equal arguments returns the same
     object, so identity comparison is safe.
     """
 
-    __slots__ = ("field", "variables", "nvars", "_var_index")
+    __slots__ = ("p", "variables", "nvars", "_var_index")
 
-    def __init__(self, variables, field):
-        self.field = field
+    def __init__(self, variables, p):
+        self.p = p
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
@@ -104,7 +81,7 @@ class Ring:
         return self.constant(1)
 
     def constant(self, c):
-        c %= self.field.p
+        c %= self.p
         return Poly(self, {(0,) * self.nvars: c} if c else {})
 
     def variable(self, name_or_index):
@@ -116,7 +93,7 @@ class Ring:
         return [self.variable(i) for i in range(self.nvars)]
 
     def monomial(self, expo, coeff=1):
-        coeff %= self.field.p
+        coeff %= self.p
         if len(expo) != self.nvars:
             raise ValueError("exponent length does not match variable count")
         return Poly(self, {tuple(expo): coeff} if coeff else {})
@@ -125,14 +102,15 @@ class Ring:
         return parse_polynomial(text, self)
 
     def __repr__(self):
-        return f"F{self.field.p}[{','.join(self.variables)}]"
+        return f"F{self.p}[{','.join(self.variables)}]"
 
 
 def ring(variables, p: int = DEFAULT_CHARACTERISTIC) -> Ring:
     key = (tuple(variables), p)
     R = _RING_CACHE.get(key)
     if R is None:
-        R = Ring(variables, PrimeField(p))
+        check_characteristic(p)
+        R = Ring(variables, p)
         _RING_CACHE[key] = R
     return R
 
@@ -185,7 +163,7 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         res = dict(self.terms)
         for m, c in other.terms.items():
             v = (res.get(m, 0) + c) % p
@@ -197,7 +175,7 @@ class Poly:
 
     def __sub__(self, other):
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         res = dict(self.terms)
         for m, c in other.terms.items():
             v = (res.get(m, 0) - c) % p
@@ -208,14 +186,14 @@ class Poly:
         return Poly(self.ring, res)
 
     def __neg__(self):
-        p = self.ring.field.p
+        p = self.ring.p
         return Poly(self.ring, {m: p - c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -230,7 +208,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        p = self.ring.field.p
+        p = self.ring.p
         c %= p
         if c == 0:
             return self.ring.zero()
@@ -248,7 +226,7 @@ class Poly:
 
     def term_mul(self, expo, coeff):
         """Multiply by the single term coeff * x^expo."""
-        p = self.ring.field.p
+        p = self.ring.p
         coeff %= p
         if coeff == 0:
             return self.ring.zero()
@@ -289,11 +267,11 @@ def format_polynomial(f: Poly) -> str:
     if not f.terms:
         return "0"
     ringv = f.ring.variables
-    half = f.ring.field.p // 2
+    half = f.ring.p // 2
     pieces = []
     for expo in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[expo]
-        signed = c if c <= half else c - f.ring.field.p
+        signed = c if c <= half else c - f.ring.p
         mono = _monomial_str(expo, ringv)
         mag = abs(signed)
         if not mono:
@@ -360,7 +338,7 @@ def parse_polynomial(text: str, ring_: Ring) -> Poly:
         pos += 1
         return tok
 
-    p = ring_.field.p
+    p = ring_.p
     nv = ring_.nvars
     result: dict = {}
 

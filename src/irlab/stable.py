@@ -112,11 +112,11 @@ def formula_seq(ideal: Ideal, cls):
         d_i, d_next = dims[i], dims[i + 1]
         for j in range(1, d_next + 1):
             weight = comb(d_next, j) - comb(d_i, j)
-            if weight and j < len(s_q.values):
+            if weight and j < len(s_q):
                 value += weight * s_q[j]
     collapse = None
     if cls.is_sequentially_cm:
-        collapse = s_m.total()
+        collapse = sum(s_m)
         if collapse != value:
             raise InternalInvariantError(
                 f"filtration formula {value} disagrees with socle sum {collapse} "
@@ -138,7 +138,7 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
     """Stable value of an unmixed module of dimension 3 and depth 2, from its
     supplied S2-closure: 2*s_2(M) + s_3(M) + s_2(S2).
 
-    `s2` is a list of ideals: the closure splits as a direct sum of their
+    `s2` is a sequence of ideals: the closure splits as a direct sum of their
     cyclic quotients, and M injects diagonally.  The injection is verified
     (the summand intersection must be exactly I), and the cokernel is checked
     to be zero or Cohen-Macaulay of dimension <= 1.
@@ -195,7 +195,7 @@ def deep_element_kills_h2(s2, element, ring_) -> bool:
 
 def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     """The stable value from one certified deep system, with every applicable
-    closed formula evaluated against it.  `s2`, a list of ideals as in
+    closed formula evaluated against it.  `s2`, a sequence of ideals as in
     `formula_dim3`, adds the dimension-3 closure check."""
     M = Module.cyclic(ideal)
     witness = construct_c_sop(ideal, 1, seed)
@@ -206,7 +206,7 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     checks = {}
 
     if flags.is_cm:
-        checks["cm_top_socle"] = CrossCheck("cm_top_socle", True, s.top(), s.top() == N)
+        checks["cm_top_socle"] = CrossCheck("cm_top_socle", True, s[-1], s[-1] == N)
     else:
         checks["cm_top_socle"] = CrossCheck("cm_top_socle", False)
 
@@ -229,7 +229,7 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     else:
         checks["seq_filtration_sum"] = CrossCheck("seq_filtration_sum", False)
 
-    total = s.total()
+    total = sum(s)
     checks["socle_sum"] = CrossCheck(
         "socle_sum", cls.is_sequentially_cm, total,
         (total == N) if cls.is_sequentially_cm else None,
@@ -247,7 +247,7 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
         except PreconditionError as exc:
             checks["dim3_closure"] = CrossCheck("dim3_closure", False, note=str(exc))
 
-    return StableValueReport(N, witness, ir, tuple(s), checks, seed)
+    return StableValueReport(N, witness, ir, s, checks, seed)
 
 
 def stability_suite(ideal: Ideal, trials: int = 5, seed: int = 0) -> list:
@@ -274,7 +274,7 @@ def goto_suzuki_bound(M: Module):
         return None
     d = M.dim()
     s = socle_dimensions(M)
-    total = s.top()
+    total = s[-1]
     for i in range(d):
         li = local_cohomology_length(M, i)
         if li is None:
@@ -332,7 +332,7 @@ def random_sop(ideal: Ideal, degree: int, rng: Rng):
     and the elements are found one at a time by `params._first_cut`.
     """
     R = ideal.ring
-    p = R.field.p
+    p = R.p
     d = ideal.krull_dimension()
     monos = monomials_of_degree(R.nvars, degree)
 
@@ -404,7 +404,7 @@ def limit_profile(ideal: Ideal, n_max: int = 4, samples_per_n: int = 25,
         else:
             histogram[deep_ir] = histogram.get(deep_ir, 0) + 1
             min_ir = deep_ir if min_ir is None else min(min_ir, deep_ir)
-        below = sum(cnt for v, cnt in histogram.items() if v < s.top())
+        below = sum(cnt for v, cnt in histogram.items() if v < s[-1])
         levels.append(LimitLevel(n, samples_per_n, completed, min_ir, deep_ir,
                                  histogram, below, failures))
-    return LimitProfile(tuple(levels), s.top(), stable, seed)
+    return LimitProfile(tuple(levels), s[-1], stable, seed)

@@ -30,7 +30,7 @@ def membership_bruteforce(f, gens, degree_bound):
     plain linear algebra over the prime field, with no division or bases.
     """
     R = f.ring
-    p = R.field.p
+    p = R.p
     products = []
     for g in gens:
         if g.is_zero():
@@ -61,7 +61,7 @@ def minimal_vec_generators_greedy(vecs, shifts, ring_):
     it lies outside the span of the monomial multiples of the kept
     lower-degree vectors and the degree-d vectors before it.
     """
-    p, n = ring_.field.p, ring_.nvars
+    p, n = ring_.p, ring_.nvars
 
     def degree(vec):
         pos, mono = next(iter(vec))
@@ -101,7 +101,7 @@ def multiply_bruteforce(a, b):
 
 def quotient_dimension_bruteforce(gens, ring_, degree_bound):
     """Vector-space dimension of (S/I)_{<= bound} by spanning the ideal's slice."""
-    p = ring_.field.p
+    p = ring_.p
     monos = monomials_up_to_degree(ring_.nvars, degree_bound)
     index = {m: i for i, m in enumerate(monos)}
     tracker = SpanTracker(len(monos), p)
@@ -146,7 +146,7 @@ def rref_exact(rows, p):
 
 def check_complex(res):
     """Assert that consecutive differentials of a FreeResolution compose to zero."""
-    p = res.ring.field.p
+    p = res.ring.p
     for k in range(len(res.diffs) - 1):
         lower = res.diffs[k]
         for col in res.diffs[k + 1]:
@@ -237,7 +237,7 @@ def triangular_change(R, rng, expos):
     """The monomials x^e for e in `expos` after a random triangular change of
     coordinates x_i -> x_i + sum_{j>i} c_j x_j: no longer monomial, but the
     ideal keeps its depth, dimension, socle and length."""
-    n, p = R.nvars, R.field.p
+    n, p = R.nvars, R.p
     xs = R.gens()
     forms = []
     for i in range(n):
@@ -283,7 +283,7 @@ def random_sop_stepwise(ideal, degree, rng, retries=40):
     nonzero draw of random coefficients on the degree's monomials that cuts
     the dimension by one.  Returns (elements, I + (elements)), or None."""
     R = ideal.ring
-    p = R.field.p
+    p = R.p
     d = ideal.krull_dimension()
     monos = monomials_of_degree(R.nvars, degree)
     current = ideal
@@ -328,7 +328,7 @@ def socle_by_full_slices(gens, ring_):
     generators and an Artinian quotient are required (the loop stops at the
     first empty slice of S/J); a nonzero constant gives the unit ideal, (0, 0).
     """
-    p = ring_.field.p
+    p = ring_.p
     n = ring_.nvars
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
@@ -407,7 +407,7 @@ def socle_by_normal_forms(artinian):
         for j, form in enumerate(row):
             for k, c in form.items():
                 stacked[v * length + k, j] = c
-    return length - rank_mod_p(stacked, artinian.ring.field.p), length
+    return length - rank_mod_p(stacked, artinian.ring.p), length
 
 
 def standard_levels_by_filter(leads, n, top=None):

@@ -53,13 +53,13 @@ def test_analyze_plane_line(spec_file, capsys):
 
 
 def test_analyze_two_planes_corpus(capsys, tmp_path):
-    spec = load_corpus_spec("two_planes_3d.json")
+    data = json.loads((resources.files("irlab") / "corpus" / "two_planes_3d.json").read_text())
     path = tmp_path / "tp.json"
     path.write_text(json.dumps({
-        "label": spec.label,
-        "characteristic": spec.characteristic,
-        "variables": list(spec.variables),
-        "ideal": list(spec.ideal_strings),
+        "label": data["label"],
+        "characteristic": data["characteristic"],
+        "variables": data["variables"],
+        "ideal": data["ideal"],
     }))
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == EXIT_OK
@@ -202,13 +202,12 @@ def test_internal_invariant_exits_3(spec_file, capsys, monkeypatch):
     # Skew every quotient's socle vector above H^0 so the filtration formula
     # of formula_seq disagrees with the socle sum it must collapse to.
     import irlab.stable as stable_mod
-    from irlab.cohomology import SocleVector
     real = stable_mod.socle_dimensions
 
     def skewed(M):
         s = real(M)
         if M.cyclic_ideal is not None and M.cyclic_ideal.gens == (M.ring.parse("x"),):
-            return SocleVector((s[0],) + tuple(v + 1 for v in s.values[1:]))
+            return (s[0],) + tuple(v + 1 for v in s[1:])
         return s
 
     monkeypatch.setattr(stable_mod, "socle_dimensions", skewed)
@@ -283,7 +282,7 @@ def test_corpus_specs_all_load():
         for name in index[group]:
             spec = load_corpus_spec(name)
             assert spec.characteristic == 32003
-            assert not spec.ideal().is_unit()
+            assert not spec.ideal.is_unit()
 
 
 def test_reproduce_filter(capsys):
@@ -379,6 +378,42 @@ def test_malformed_spec_shape_is_input_error(text, tmp_path, capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["", "2", "z w", "x*y"],
+                         ids=["empty", "digit", "space", "product"])
+def test_unreadable_variable_name_is_input_error(name, tmp_path, capsys):
+    # the empty name certified -13155*x + 5584*y - 1414, a homogeneous element
+    # printed as if it had a constant term, which ir --params could not read back
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"variables": ["x", "y", name], "ideal": ["x*y"]}))
+    code, out, err = run(capsys, "ir", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("input error: variable name") and err.count("\n") == 1
+
+
+def test_underscore_digit_variable_name_loads():
+    spec = load_ring_spec({"variables": ["x_1", "y"], "ideal": ["x_1*y"]})
+    assert spec.ideal.ring.variables == ("x_1", "y")
+
+
+def test_spec_file_not_utf8_is_input_error(tmp_path, capsys):
+    # died with UnicodeDecodeError
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(PLANE_LINE | {"label": "caf\u00e9"},
+                                ensure_ascii=False).encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"input error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["", "missing.json"], ids=["directory", "missing"])
+def test_unopenable_spec_path_is_input_error(name, tmp_path, capsys):
+    # a directory died with IsADirectoryError
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("input error: ") and path in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
 def test_malformed_budget_is_input_error(spec_file, capsys, monkeypatch, raw):
     # "abc" and "1.5" used to fall back to the default budget, "0" and "-3"
@@ -451,7 +486,7 @@ def test_ring_spec_parses_once(capsys, monkeypatch):
     monkeypatch.setattr(ring_mod, "parse_polynomial", counted)
     spec = load_ring_spec(PLANE_LINE | {"s2_ification": {"summands": [["x"], ["y", "z"]]}})
     assert calls == ["x*y", "x*z", "x", "y", "z"]
-    assert spec.ideal() is spec.ideal() and spec.ideal()._gb is not None
-    assert [J.gens for J in spec.s2()] == [J.gens for J in spec.s2()]
-    assert spec.ambient() is spec.ideal().ring
+    assert spec.ideal._gb is not None
+    assert [[str(g) for g in J.gens] for J in spec.s2] == [["x"], ["y", "z"]]
+    assert all(J.ring is spec.ideal.ring for J in spec.s2)
     assert len(calls) == 5

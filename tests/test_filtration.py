@@ -55,7 +55,7 @@ def test_module_unmixedness_agrees_with_component():
         for group in ("golden", "cm_controls", "random_squarefree"):
             for name in corpus_index()[group]:
                 spec = replace(load_corpus_spec(name), characteristic=p)
-                I = spec.ideal()
+                I = spec.ideal
                 M = Module.cyclic(I)
                 verdict = module_is_unmixed(M)
                 if M.dim() >= 1:

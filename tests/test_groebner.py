@@ -19,7 +19,7 @@ def random_homogeneous(R, rng, degree):
     from irlab.ring import monomials_of_degree
     f = R.zero()
     for m in monomials_of_degree(R.nvars, degree):
-        c = rng.below(R.field.p)
+        c = rng.below(R.p)
         if c and rng.below(2):
             f = f + R.monomial(m, c)
     return f
@@ -75,7 +75,7 @@ def test_spolynomials_reduce_to_zero(R3):
             continue
         gb = Ideal(R3, gens).groebner()
         elems = list(gb.elements)
-        p = R3.field.p
+        p = R3.p
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
                 li, lj = gb.leads[i], gb.leads[j]
@@ -186,7 +186,7 @@ def test_packed_engine_matches_tuple_oracle(p, rank):
 
 def test_packed_engine_matches_tuple_oracle_on_syzygies(R4):
     """The graph vectors of a syzygy run, monomial and moved, as rank grows."""
-    p = R4.field.p
+    p = R4.p
     rng = Rng(41)
     for _ in range(4):
         for gens in random_monomial_ideal(R4, rng):
@@ -200,7 +200,7 @@ def test_packed_engine_matches_tuple_oracle_on_syzygies(R4):
 def test_exponent_past_the_field_fails_closed(R3):
     """No degree above B enters a packed field: not from the input, not from an
     S-polynomial, not from a reduction step."""
-    p = R3.field.p
+    p = R3.p
     with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
         module_buchberger_raw([{(0, (_B + 1, 0, 0)): 1}], p)
     with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
@@ -273,7 +273,7 @@ def test_normal_form_is_reduced_and_canonical(R3):
 
 
 def test_module_normal_form_rank_two(R3):
-    p = R3.field.p
+    p = R3.p
     vecs = [
         {(0, (2, 0, 0)): 1, (0, (0, 1, 1)): p - 1, (1, (1, 0, 0)): 3},
         {(0, (0, 2, 0)): 1, (1, (0, 0, 1)): 5},
@@ -738,7 +738,7 @@ def test_module_groebner_reduced_and_contains(R3):
     # Coprime leads x*e0, y*e0 at rank 2: the S-pair (yz - xw)*e1 must survive,
     # so the product criterion may not prune it.
     R = ring(("x", "y", "z", "w"))
-    p = R.field.p
+    p = R.p
     gb = module_groebner([{(0, (1, 0, 0, 0)): 1, (1, (0, 0, 1, 0)): 1},
                           {(0, (0, 1, 0, 0)): 1, (1, (0, 0, 0, 1)): 1}], 2, R)
     assert len(gb) == 3

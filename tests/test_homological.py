@@ -8,8 +8,8 @@ from oracles import (annihilator_by_colons, check_complex, has_unit_entries,
 from irlab.errors import PreconditionError, ResourceBudgetExceeded, ZeroModuleError
 from irlab.groebner import Ideal
 from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
-                           module_invariants, poly_times_vec, subquotient_presentation,
-                           taylor_resolution, vec_degree, vec_sub)
+                           poly_times_vec, subquotient_presentation, taylor_resolution,
+                           vec_degree, vec_sub)
 from irlab.params import Rng
 from irlab.ring import Poly, monomials_of_degree, ring
 
@@ -31,7 +31,7 @@ def hilbert_from_numerator(numer, nvars, degrees):
 
 def random_raw_vector(R, rng, shifts, degree):
     """A random homogeneous raw vector of the given degree with at least one term."""
-    p = R.field.p
+    p = R.p
     terms = [(pos, mono) for pos, shift in enumerate(shifts) if degree >= shift
              for mono in monomials_of_degree(R.nvars, degree - shift)]
     vec = {t: 1 + rng.below(p - 1) for t in terms if rng.below(3) == 0}
@@ -40,7 +40,7 @@ def random_raw_vector(R, rng, shifts, degree):
 
 def planted_vectors(R, rng, trial):
     """A few dense random vectors over rank <= 3, plus planted dependents."""
-    p = R.field.p
+    p = R.p
     shifts = [rng.below(2) for _ in range(1 + trial % 3)]
     degs = [1 + rng.below(3) for _ in range(3 + rng.below(4))]
     vecs = [random_raw_vector(R, rng, shifts, d) for d in degs]
@@ -68,7 +68,7 @@ def sparse_gapped_vectors(R, rng, rank):
     degrees 1 and 2, candidates in degree 4, and planted dependents that add
     monomial multiples of low generators, across gaps of 2 and 3, to a
     candidate."""
-    p, n = R.field.p, R.nvars
+    p, n = R.p, R.nvars
     shifts = [rng.below(2) for _ in range(rank)]
 
     def sparse(degree, terms):
@@ -93,7 +93,7 @@ def sparse_gapped_vectors(R, rng, rank):
 def single_term_vectors(R, rng, rank):
     """Single-term vectors spread over the positions of a rank `rank` free
     module, plus planted scalar and monomial multiples of some of them."""
-    p, n = R.field.p, R.nvars
+    p, n = R.p, R.nvars
     shifts = [rng.below(3) for _ in range(rank)]
     vecs = []
     for _ in range(8):
@@ -359,22 +359,23 @@ def test_ext_zero_outside_codim_projdim_window(two_planes_3d):
 # -- invariants ------------------------------------------------------------------------
 
 def test_invariants_two_planes_3d(two_planes_3d):
-    rec = module_invariants(Module.cyclic(two_planes_3d))
-    assert rec["dim"] == 3
-    assert rec["depth"] == 2
+    M = Module.cyclic(two_planes_3d)
+    assert M.dim() == 3
+    assert M.depth() == 2
 
 
 def test_invariants_plane_line(plane_and_line):
-    rec = module_invariants(Module.cyclic(plane_and_line))
-    assert rec["dim"] == 2
-    assert rec["depth"] == 1
+    M = Module.cyclic(plane_and_line)
+    assert M.dim() == 2
+    assert M.depth() == 1
 
 
 def test_invariants_ambient_ring(R3):
-    rec = module_invariants(Module.free(R3))
-    assert rec["dim"] == 3
-    assert rec["depth"] == 3
-    assert rec["annihilator"].is_zero()
+    M = Module.free(R3)
+    assert M.dim() == 3
+    assert M.depth() == 3
+    assert M.annihilator().is_zero()
+    assert M.hilbert_numerator() == {0: 1}
 
 
 def test_zero_module_flagged(R3):
@@ -382,7 +383,7 @@ def test_zero_module_flagged(R3):
     Z = Module.cyclic(unit_ideal(R3))
     assert Z.is_zero()
     with pytest.raises(ZeroModuleError):
-        module_invariants(Z)
+        Z.dim()
 
 
 def test_auslander_buchsbaum(R3, plane_and_line, two_planes_3d, two_planes_origin, mixed6):
@@ -455,7 +456,7 @@ def test_minimal_presentation_cancels_unit_entry(R2):
     assert Module(R2, (0, 1), [unit_rel]).minimal_presentation() == ((0,), ())
     # A second relation y e_1 becomes -x*y e_0 after the cancellation.
     M = Module(R2, (0, 1), [unit_rel, {(1, (0, 1)): 1}])
-    p = R2.field.p
+    p = R2.p
     assert M.minimal_presentation() == ((0,), ({(0, (1, 1)): p - 1},))
 
 
