@@ -10,7 +10,7 @@ Input files are UTF-8 JSON ring specifications:
       "s2_ification": {"summands": [["a", "b"], ["c", "d"]]}
     }
 
-Variable names match [A-Za-z_][A-Za-z0-9_]*, the parser's name rule.
+Variable names match [A-Za-z_][A-Za-z0-9_]* (`ring.is_variable_name`).
 Generators, S2 summand generators included, and `ir --params` must be homogeneous.
 `load_ring_spec` checks and parses a spec once; the `RingSpec` it returns holds
 the parsed ideal and S2 summand ideals as plain fields.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -40,7 +39,7 @@ from .groebner import Ideal
 from .modules import Module
 from .params import (ParameterList, construct_c_sop, index_of_reducibility,
                      is_system_of_parameters)
-from .ring import check_characteristic, ring
+from .ring import check_characteristic, is_variable_name, ring
 from .stable import (goto_suzuki_bound, limit_profile, stability_suite,
                      stable_value)
 
@@ -64,11 +63,11 @@ def _parse_homogeneous(R, text, what):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """A loaded ring spec: the report label, the characteristic, the ideal (proper,
-    homogeneous generators, parsed once) and the S2 summand ideals or None."""
+    """A loaded ring spec: the report label, the ideal (proper, homogeneous
+    generators, parsed once; its ring carries the characteristic) and the S2
+    summand ideals or None."""
 
     label: str
-    characteristic: int
     ideal: Ideal
     s2: tuple | None
 
@@ -108,8 +107,8 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     if len(set(variables)) != len(variables):
         raise PreconditionError("variables must be distinct")
     for v in variables:
-        # The parser's name rule; anything else would print ambiguously.
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
+        # Anything the parser cannot read back would print ambiguously.
+        if not is_variable_name(v):
             raise PreconditionError(
                 f"variable name {v!r:.60} must match [A-Za-z_][A-Za-z0-9_]*")
     char = data.get("characteristic", 32003)
@@ -138,13 +137,13 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     if summands is not None:
         s2 = tuple(Ideal(R, [_parse_homogeneous(R, s, "S2 summand generator") for s in gens])
                    for gens in summands)
-    return RingSpec(label, char, ideal, s2)
+    return RingSpec(label, ideal, s2)
 
 
 def base_report(spec: RingSpec, seed: int) -> dict:
     return {
         "input": spec.label,
-        "char": spec.characteristic,
+        "char": spec.ideal.ring.p,
         "dim": None,
         "depth": None,
         "socle_dims": None,
@@ -517,7 +516,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (PolynomialParseError, PreconditionError, json.JSONDecodeError) as exc:
+    except (PolynomialParseError, PreconditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ResourceBudgetExceeded, SearchExhausted) as exc:

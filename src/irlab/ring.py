@@ -9,6 +9,7 @@ empty map.  All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -43,6 +44,11 @@ def check_characteristic(p: int) -> None:
                          f"2 <= p < 2^31")
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
+
+
+def is_variable_name(name: str) -> bool:
+    """True iff `name` matches [A-Za-z_][A-Za-z0-9_]*, the rule for ring variables."""
+    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
 
 
 # ---------------------------------------------------------------------------

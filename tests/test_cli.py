@@ -281,7 +281,7 @@ def test_corpus_specs_all_load():
     for group in ("golden", "cm_controls", "random_squarefree"):
         for name in index[group]:
             spec = load_corpus_spec(name)
-            assert spec.characteristic == 32003
+            assert spec.ideal.ring.p == 32003
             assert not spec.ideal.is_unit()
 
 
@@ -426,7 +426,7 @@ def test_malformed_budget_is_input_error(spec_file, capsys, monkeypatch, raw):
 
 
 def test_largest_supported_characteristic_loads():
-    assert load_ring_spec(PLANE_LINE | {"characteristic": 2**31 - 1}).characteristic == 2**31 - 1
+    assert load_ring_spec(PLANE_LINE | {"characteristic": 2**31 - 1}).ideal.ring.p == 2**31 - 1
 
 
 # -- usage and count options ------------------------------------------------------------

@@ -1,9 +1,10 @@
-from dataclasses import replace
+import json
+from importlib import resources
 
 import pytest
 from oracles import top_dimensional_intersection
 
-from irlab.cli import corpus_index, load_corpus_spec
+from irlab.cli import corpus_index, load_ring_spec
 from irlab.cohomology import _sum_of_variables_saturation, module_is_unmixed
 from irlab.errors import PreconditionError
 from irlab.filtration import (classify_sequential, dimension_filtration,
@@ -54,8 +55,9 @@ def test_module_unmixedness_agrees_with_component():
     for p in (2, 32003):
         for group in ("golden", "cm_controls", "random_squarefree"):
             for name in corpus_index()[group]:
-                spec = replace(load_corpus_spec(name), characteristic=p)
-                I = spec.ideal
+                data = json.loads((resources.files("irlab") / "corpus" / name).read_text())
+                I = load_ring_spec(data | {"characteristic": p}).ideal
+                assert I.ring.p == p
                 M = Module.cyclic(I)
                 verdict = module_is_unmixed(M)
                 if M.dim() >= 1:
