@@ -10,10 +10,12 @@ Input files are UTF-8 JSON ring specifications:
       "s2_ification": {"summands": [["a", "b"], ["c", "d"]]}
     }
 
-Variable names match [A-Za-z_][A-Za-z0-9_]* (`ring.is_variable_name`).
-Generators, S2 summand generators included, and `ir --params` must be homogeneous.
-`load_ring_spec` checks and parses a spec once; the `RingSpec` it returns holds
-the parsed ideal and S2 summand ideals as plain fields.
+`load_ring_spec` checks the JSON shape of a spec; `ring.ring` owns the rest of
+the input grammar (variable names match [A-Za-z_][A-Za-z0-9_]*, distinct; a
+prime characteristic below 2^31; ASCII polynomial tokens).  Generators, S2
+summand generators included, and `ir --params` must be homogeneous.  A spec is
+checked and parsed once; the `RingSpec` returned holds the parsed ideal and S2
+summand ideals as plain fields.
 
 Every command emits the same fixed-schema JSON report (text mode renders the
 same data); reruns with equal (input, seed, version) are byte-identical.
@@ -39,7 +41,7 @@ from .groebner import Ideal
 from .modules import Module
 from .params import (ParameterList, construct_c_sop, index_of_reducibility,
                      is_system_of_parameters)
-from .ring import check_characteristic, is_variable_name, ring
+from .ring import ring
 from .stable import (goto_suzuki_bound, limit_profile, stability_suite,
                      stable_value)
 
@@ -80,8 +82,9 @@ def _strings(value, what):
 
 
 def load_ring_spec(path_or_dict) -> RingSpec:
-    """Check a ring spec's shape, then parse it over its ring (so bad input fails
-    with a position).  Every generator, S2 summands too, must be homogeneous;
+    """Check a ring spec's JSON shape, then build its ring (`ring` checks the names
+    and the characteristic) and parse over it (so bad input fails with a
+    position).  Every generator, S2 summands too, must be homogeneous;
     the ideal must not be S."""
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -104,21 +107,10 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     # Every shape is checked before anything is parsed.
     variables = _strings(data["variables"], "variables")
     ideal_strings = _strings(data["ideal"], "ideal")
-    if len(set(variables)) != len(variables):
-        raise PreconditionError("variables must be distinct")
-    for v in variables:
-        # Anything the parser cannot read back would print ambiguously.
-        if not is_variable_name(v):
-            raise PreconditionError(
-                f"variable name {v!r:.60} must match [A-Za-z_][A-Za-z0-9_]*")
     char = data.get("characteristic", 32003)
     # Only a JSON integer: int() would truncate 32003.7 and accept true as 1.
     if not isinstance(char, int) or isinstance(char, bool):
         raise PreconditionError(f"characteristic must be an integer, got {char!r}")
-    try:
-        check_characteristic(char)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
     summands = None
     if "s2_ification" in data:
         raw_s2 = data["s2_ification"]
@@ -129,7 +121,10 @@ def load_ring_spec(path_or_dict) -> RingSpec:
             raise PreconditionError(
                 f"s2_ification summands must be a nonempty list, got {summands!r:.60}")
         summands = [_strings(g, "each s2_ification summand") for g in summands]
-    R = ring(variables, char)
+    try:
+        R = ring(variables, char)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
     ideal = Ideal(R, [_parse_homogeneous(R, s, "generator") for s in ideal_strings])
     if ideal.is_unit():
         raise PreconditionError("the ideal is the unit ideal; the module is zero")
@@ -200,6 +195,9 @@ def analyze_payload(spec: RingSpec, seed: int) -> dict:
         }
         diag: dict = {}
         unm = unmixed_component(ideal, seed=seed, report=diag)
+        if unm != cls.filtration.ideals[-1]:
+            raise InternalInvariantError(
+                "the unmixed component disagrees with the filtration's top step")
         report["diagnostics"]["unmixed_component"] = {
             "ideal": [str(g) for g in unm.gens] or ["0"], **diag}
     return report

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import PreconditionError, ZeroModuleError
-from .groebner import Ideal, buchberger, maximal_ideal, standard_levels, unit_ideal
+from .groebner import Ideal, buchberger, standard_levels, unit_ideal
 from .linalg import rank_mod_p
 from .modules import Module
 from .ring import Poly
@@ -117,8 +117,9 @@ def _sum_of_variables_saturation(I: Ideal) -> Ideal:
     return I + _substitute_last(quotients, back) if quotients else I
 
 
-def _ann_h0(I: Ideal) -> Ideal:
-    """Ann H^0 of S/I, which is (I : sat I) for sat I the saturation at m.
+def _ann_h0(I: Ideal) -> Ideal | None:
+    """Ann H^0 of S/I, which is (I : sat I) for sat I the saturation at m, or
+    None when this shortcut cannot decide.
 
     The finite-length part is sat(I)/I, so no Ext computation is needed; the
     duality route Ann Ext^n must agree, and is cross-checked in tests.  First
@@ -128,19 +129,13 @@ def _ann_h0(I: Ideal) -> Ideal:
     sat I, and equals it exactly when A = I : K is m-primary or the unit
     ideal (then K/I has finite length); A is then the answer.  Failing that,
     l lies in an associated prime other than m (more often over small
-    fields), and the colon runs against the minimal generators of the full
-    saturation.
+    fields), and the caller reads Ann Ext^n instead.
     """
     K = _sum_of_variables_saturation(I)
     if K is I:
         return unit_ideal(I.ring)
     A = I.colon(K)
-    if A.is_unit() or A.krull_dimension() == 0:
-        return A
-    sat = I.saturation(maximal_ideal(I.ring))
-    if sat == I:
-        return unit_ideal(I.ring)
-    return I.colon(Ideal(I.ring, sat.minimal_generators()))
+    return A if A.is_unit() or A.krull_dimension() == 0 else None
 
 
 def annihilator_data(M: Module) -> AnnihilatorData:
@@ -155,11 +150,11 @@ def annihilator_data(M: Module) -> AnnihilatorData:
     n = M.ring.nvars
     anns = []
     for i in range(d):
-        if i == 0 and M.cyclic_ideal is not None:
-            anns.append(_ann_h0(M.cyclic_ideal))
-            continue
-        E = M.ext(n - i)
-        anns.append(unit_ideal(M.ring) if E.is_zero() else E.annihilator())
+        A = _ann_h0(M.cyclic_ideal) if i == 0 and M.cyclic_ideal is not None else None
+        if A is None:
+            E = M.ext(n - i)
+            A = unit_ideal(M.ring) if E.is_zero() else E.annihilator()
+        anns.append(A)
     product = unit_ideal(M.ring)
     for a in anns:
         product = product.product(Ideal(M.ring, a.minimal_generators()))

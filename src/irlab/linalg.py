@@ -19,8 +19,8 @@ nonzero pattern and no second int64 matrix of the full size.
 Overflow contract: entries are int64 residues in [0, p), and every product of
 two residues is reduced mod p before the next addition, so no intermediate
 value leaves (-p^2, p^2 + p).  That fits int64 for p < 2^31, the range
-`ring.check_characteristic` enforces for every field.  The prepass does no
-arithmetic, so the contract is the same with it.
+`ring.ring` enforces for every field.  The prepass does no arithmetic, so
+the contract is the same with it.
 """
 
 from __future__ import annotations

@@ -87,7 +87,6 @@ class ParameterSystem:
     stages: tuple
     min_degree: int
     seed: int
-    method: str = "ann-product-cube"
     # (I, elements, I + (elements)) as the construction left them, so that
     # index_of_reducibility need not rebuild the Artinian quotient.
     cut: tuple | None = field(default=None, compare=False, repr=False)
@@ -110,7 +109,7 @@ class ParameterSystem:
             } for s in self.stages],
             "min_degree": self.min_degree,
             "seed": self.seed,
-            "method": self.method,
+            "method": "ann-product-cube",
         }
 
 

@@ -1,10 +1,12 @@
 """Polynomial rings over Z/p, the grevlex order, polynomials, parsing and printing.
 
-A ring is its prime characteristic p (a plain int, checked by `ring`) and its
-ordered variable names; field elements are ints in [0, p).  Monomials are
-dense exponent tuples (one slot per ambient variable).  A polynomial is a map
-from exponent tuples to nonzero field elements; the zero polynomial is the
-empty map.  All values are immutable after construction and safe to share.
+A ring is its prime characteristic p and its ordered variable names, both
+checked by `ring`, the one place that says what valid ring input is; the
+parser reads ASCII tokens by the same name rule.  Field elements are ints in
+[0, p).  Monomials are dense exponent tuples (one slot per ambient variable).
+A polynomial is a map from exponent tuples to nonzero field elements; the zero
+polynomial is the empty map.  All values are immutable after construction and
+safe to share.
 """
 
 from __future__ import annotations
@@ -37,18 +39,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_characteristic(p: int) -> None:
-    """Raise ValueError unless 2 <= p < 2^31 and p is prime."""
-    if not 2 <= p < MAX_CHARACTERISTIC:
-        raise ValueError(f"characteristic {p} is outside the supported range "
-                         f"2 <= p < 2^31")
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
-
-
-def is_variable_name(name: str) -> bool:
-    """True iff `name` matches [A-Za-z_][A-Za-z0-9_]*, the rule for ring variables."""
-    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
+# The one rule for variable names, shared by `ring` and the tokenizer: anything
+# the parser cannot read back would print ambiguously.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +68,6 @@ class Ring:
     def __init__(self, variables, p):
         self.p = p
         self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
         self.nvars = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
 
@@ -112,12 +104,26 @@ class Ring:
 
 
 def ring(variables, p: int = DEFAULT_CHARACTERISTIC) -> Ring:
+    """The interned ring F_p[variables].
+
+    ValueError unless the names are distinct and each matches
+    [A-Za-z_][A-Za-z0-9_]*, and p is a prime with 2 <= p < 2^31.
+    """
     key = (tuple(variables), p)
     R = _RING_CACHE.get(key)
     if R is None:
-        check_characteristic(p)
-        R = Ring(variables, p)
-        _RING_CACHE[key] = R
+        names = key[0]
+        if len(set(names)) != len(names):
+            raise ValueError("variables must be distinct")
+        for v in names:
+            if not _NAME_RE.fullmatch(v):
+                raise ValueError(f"variable name {v!r:.60} must match {_NAME}")
+        if not 2 <= p < MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} is outside the supported range "
+                             f"2 <= p < 2^31")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        R = _RING_CACHE[key] = Ring(names, p)
     return R
 
 
@@ -296,113 +302,70 @@ def format_polynomial(f: Poly) -> str:
 
 # ---------------------------------------------------------------------------
 # Parsing.  Grammar: poly := [sign] term (sign term)* ; term := factor ('*' factor)* ;
-# factor := INT | VAR ['^' INT].  Whitespace is free.  Errors carry positions.
+# factor := INT | VAR ['^' INT].  Tokens are ASCII: INT is [0-9]+ and VAR a
+# name by the rule of `ring`.  Whitespace is free.  Errors carry positions,
+# and the first character outside every token is reported before any grammar
+# error.
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise PolynomialParseError(f"unexpected character {ch!r}", i)
-    return tokens
+_INT, _VAR, _OP, _BAD, _END = 1, 2, 3, 4, 5
+_TOKEN = re.compile(rf"([0-9]+)|({_NAME})|([-+*^])|(\S)")
+
+
+def _int(text, at):
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise PolynomialParseError(f"integer literal of {len(text)} digits is too long",
+                                   at) from None
 
 
 def parse_polynomial(text: str, ring_: Ring) -> Poly:
     """Parse a polynomial in the canonical grammar over the given ring."""
-    tokens = _tokenize(text)
+    tokens = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, tok, at in tokens:
+        if kind == _BAD:
+            raise PolynomialParseError(f"unexpected character {tok!r}", at)
     if not tokens:
         raise PolynomialParseError("empty polynomial text", 0)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    p = ring_.p
-    nv = ring_.nvars
-    result: dict = {}
-
-    def add_term(expo, coeff):
-        coeff %= p
+    if tokens[0][1] not in ("+", "-"):
+        tokens.insert(0, (_OP, "+", 0))
+    tokens.append((_END, None, len(text)))
+    p, index = ring_.p, ring_._var_index
+    terms: dict = {}
+    i = 0
+    while tokens[i][0] != _END:
+        kind, tok, at = tokens[i]
+        if tok not in ("+", "-"):
+            raise PolynomialParseError(f"expected '+' or '-', found {tok!r}", at)
+        coeff, expo = -1 if tok == "-" else 1, [0] * ring_.nvars
+        while True:  # tokens[i] is the sign or the '*' before a factor
+            i += 1
+            kind, tok, at = tokens[i]
+            if kind == _VAR:
+                v = index.get(tok)
+                if v is None:
+                    raise PolynomialParseError(f"unknown variable {tok!r}", at)
+            elif kind == _INT:
+                c = _int(tok, at)
+            else:
+                raise PolynomialParseError("expected a coefficient or variable", at)
+            k = 1
+            if tokens[i + 1][1] == "^":
+                i += 2
+                if tokens[i][0] != _INT:
+                    raise PolynomialParseError("expected an integer exponent after '^'",
+                                               tokens[i][2])
+                k = _int(*tokens[i][1:])
+            if kind == _VAR:
+                expo[v] += k
+            else:
+                coeff = coeff * pow(c, k, p) % p
+            i += 1
+            if tokens[i][1] != "*":
+                break
         key = tuple(expo)
-        v = (result.get(key, 0) + coeff) % p
-        if v:
-            result[key] = v
-        else:
-            result.pop(key, None)
-
-    def parse_factor():
-        kind, val, at = take()
-        if kind == "int":
-            base_c, base_e = int(val), [0] * nv
-        elif kind == "name":
-            if val not in ring_._var_index:
-                raise PolynomialParseError(f"unknown variable {val!r}", at)
-            base_c, base_e = 1, [0] * nv
-            base_e[ring_._var_index[val]] = 1
-        else:
-            raise PolynomialParseError("expected a coefficient or variable", at)
-        kind, val, at = peek()
-        if kind == "^":
-            take()
-            kind, val, at = take()
-            if kind != "int":
-                raise PolynomialParseError("expected an integer exponent after '^'", at)
-            k = int(val)
-            base_c = pow(base_c, k, p)
-            base_e = [e * k for e in base_e]
-        return base_c, base_e
-
-    def parse_term(sign):
-        coeff, expo = parse_factor()
-        while peek()[0] == "*":
-            take()
-            c2, e2 = parse_factor()
-            coeff = coeff * c2
-            expo = [a + b for a, b in zip(expo, e2)]
-        add_term(expo, sign * coeff)
-
-    sign = 1
-    kind, val, at = peek()
-    if kind in ("+", "-"):
-        take()
-        sign = -1 if kind == "-" else 1
-    parse_term(sign)
-    while pos < len(tokens):
-        kind, val, at = take()
-        if kind == "+":
-            parse_term(1)
-        elif kind == "-":
-            parse_term(-1)
-        else:
-            raise PolynomialParseError(f"expected '+' or '-', found {val!r}", at)
-    return Poly(ring_, result)
+        terms[key] = (terms.get(key, 0) + coeff) % p
+    return Poly(ring_, {m: c for m, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

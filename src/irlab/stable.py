@@ -30,8 +30,8 @@ from .errors import InternalInvariantError, PreconditionError, SearchExhausted
 from .filtration import classify_sequential
 from .groebner import Ideal, _lift
 from .modules import Module
-from .params import (IrResult, ParameterList, ParameterSystem, Rng, _first_cut,
-                     construct_c_sop, index_of_reducibility)
+from .params import (ParameterList, ParameterSystem, Rng, _first_cut, construct_c_sop,
+                     index_of_reducibility)
 from .ring import Poly, monomials_of_degree
 
 SUITE_MIN_DEGREES = (1, 2, 3)  # stability_suite's minimum degrees, in turn
@@ -40,7 +40,6 @@ SOP_RETRIES = 40  # random_sop's draws per element before it gives up
 
 @dataclass(frozen=True)
 class CrossCheck:
-    name: str
     applicable: bool
     value: int | None = None
     matches: bool | None = None
@@ -55,10 +54,8 @@ class CrossCheck:
 class StableValueReport:
     value: int
     witness: ParameterSystem
-    ir: IrResult
     socle: tuple
     cross_checks: dict
-    seed: int
 
     def all_applicable_match(self) -> bool:
         return all(c.matches for c in self.cross_checks.values()
@@ -199,39 +196,37 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
     `formula_dim3`, adds the dimension-3 closure check."""
     M = Module.cyclic(ideal)
     witness = construct_c_sop(ideal, 1, seed)
-    ir = index_of_reducibility(witness, ideal)
-    N = ir.value
+    N = index_of_reducibility(witness, ideal).value
     s = socle_dimensions(M)
     flags = cm_flags(M)
     checks = {}
 
     if flags.is_cm:
-        checks["cm_top_socle"] = CrossCheck("cm_top_socle", True, s[-1], s[-1] == N)
+        checks["cm_top_socle"] = CrossCheck(True, s[-1], s[-1] == N)
     else:
-        checks["cm_top_socle"] = CrossCheck("cm_top_socle", False)
+        checks["cm_top_socle"] = CrossCheck(False)
 
     g = formula_gcm(M)
     if g is not None:
         value, threshold = g
-        checks["gcm_binomial"] = CrossCheck(
-            "gcm_binomial", True, value, value == N,
-            note=f"deep threshold 2*n0 = {threshold}")
+        checks["gcm_binomial"] = CrossCheck(True, value, value == N,
+                                            note=f"deep threshold 2*n0 = {threshold}")
     else:
-        checks["gcm_binomial"] = CrossCheck("gcm_binomial", False)
+        checks["gcm_binomial"] = CrossCheck(False)
 
     cls = classify_sequential(ideal)
     fs = formula_seq(ideal, cls)
     if fs is not None:
         value, collapse = fs
         checks["seq_filtration_sum"] = CrossCheck(
-            "seq_filtration_sum", True, value, value == N,
+            True, value, value == N,
             note="collapses to the socle sum" if collapse is not None else "")
     else:
-        checks["seq_filtration_sum"] = CrossCheck("seq_filtration_sum", False)
+        checks["seq_filtration_sum"] = CrossCheck(False)
 
     total = sum(s)
     checks["socle_sum"] = CrossCheck(
-        "socle_sum", cls.is_sequentially_cm, total,
+        cls.is_sequentially_cm, total,
         (total == N) if cls.is_sequentially_cm else None,
         note=f"lower bound {total} <= {N}" if total <= N else
              f"BOUND VIOLATED: {total} > {N}")
@@ -242,12 +237,12 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
             value = formula_dim3(ideal, s2, notes)
             killed = deep_element_kills_h2(s2, witness.elements[0], ideal.ring)
             checks["dim3_closure"] = CrossCheck(
-                "dim3_closure", True, value, value == N,
+                True, value, value == N,
                 note=f"{notes.get('cokernel', '')}; deep element kills closure H^2: {killed}")
         except PreconditionError as exc:
-            checks["dim3_closure"] = CrossCheck("dim3_closure", False, note=str(exc))
+            checks["dim3_closure"] = CrossCheck(False, note=str(exc))
 
-    return StableValueReport(N, witness, ir, s, checks, seed)
+    return StableValueReport(N, witness, s, checks)
 
 
 def stability_suite(ideal: Ideal, trials: int = 5, seed: int = 0) -> list:

@@ -85,6 +85,31 @@ def test_analyze_bad_polynomial(tmp_path, capsys):
     assert "position" in err
 
 
+def test_analyze_unmixed_component_disagreeing_with_the_filtration_exits_3(
+        spec_file, capsys, monkeypatch):
+    # the filtration's top step of plane_and_line is (x), not the ideal itself
+    monkeypatch.setattr(cli, "unmixed_component", lambda ideal, seed, report: ideal)
+    code, out, err = run(capsys, "analyze", spec_file)
+    assert code == EXIT_CROSSCHECK and out == ""
+    assert err.startswith("internal cross-check failure: the unmixed component")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra,argv", [
+    ([], ("--params", "y,\u00b2")),
+    (["1" * 5000 + "*x*y"], ()),
+    (["x^" + "1" * 5000], ()),
+], ids=["superscript-param", "long-coefficient", "long-exponent"])
+def test_unreadable_literal_is_one_input_error(extra, argv, tmp_path, capsys):
+    # each ended in a ValueError traceback: int() refused the superscript two
+    # and any literal past the interpreter's 4,300-digit conversion limit
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(PLANE_LINE | {"ideal": PLANE_LINE["ideal"] + extra}))
+    code, out, err = run(capsys, "ir", str(path), *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_analyze_corrupt_json(tmp_path, capsys):
     path = tmp_path / "corrupt.json"
     path.write_text("{not json")

@@ -3,7 +3,7 @@ from oracles import least_power_inside_by_membership, random_monomial_ideal, tri
 
 from irlab import filtration, modules, params
 from irlab.cli import load_corpus_spec
-from irlab.cohomology import (SimplicialComplex, _least_power_inside,
+from irlab.cohomology import (SimplicialComplex, _ann_h0, _least_power_inside,
                               _sum_of_variables_saturation, annihilator_data, cm_flags,
                               hochster_hilbert, local_cohomology_hilbert,
                               local_cohomology_length, socle_dimensions)
@@ -146,13 +146,15 @@ def test_h0_slot_equals_colon_by_the_saturation_on_depth_zero_ideals(p):
 @pytest.mark.parametrize("p", [2, 32003])
 def test_h0_slot_falls_back_when_the_sum_of_variables_saturates_to_s(p):
     # I = l (x, y, z) with l = x + y + z: I : l^infinity = S, so the colon
-    # I : S = I is not m-primary and the slot takes the full saturation (l)
+    # I : S = I is not m-primary, _ann_h0 cannot decide and the slot reads
+    # Ann Ext^3, the annihilator of H^0 = (l)/I
     R = ring(("x", "y", "z"), p)
     x, y, z = R.gens()
     ell = x + y + z
     I = Ideal(R, [ell * v for v in (x, y, z)])
     K = _sum_of_variables_saturation(I)
     assert K.is_unit() and I.colon(K) == I and I.krull_dimension() == 2
+    assert _ann_h0(I) is None
     assert annihilator_data(Module.cyclic(I))[0] == maximal_ideal(R)
 
 

@@ -38,6 +38,13 @@ def test_characteristic_outside_range_rejected(p):
         ring(("x",), p)
 
 
+@pytest.mark.parametrize("names", [("x", "2"), ("x", "x"), ("x", "\u00e9"), ("x", "x\u00b2")],
+                         ids=["digit", "repeated", "accented", "superscript"])
+def test_unreadable_or_repeated_names_rejected(names):
+    with pytest.raises(ValueError):
+        ring(names)
+
+
 def test_largest_supported_characteristic_resolves_exactly():
     from irlab.groebner import Ideal
     from irlab.modules import Module
@@ -82,10 +89,34 @@ def test_parse_empty_input(R3):
 
 
 def test_parse_malformed(R3):
-    with pytest.raises(PolynomialParseError):
-        R3.parse("x + * y")
-    with pytest.raises(PolynomialParseError):
-        R3.parse("x ^ y")
+    # the superscript two died in int(), and the Arabic-Indic three read as 3
+    for text in ("x + * y", "x ^ y", "(x)", "x^\u00b2", "x + \u0663"):
+        with pytest.raises(PolynomialParseError):
+            R3.parse(text)
+
+
+def test_parse_long_literal_reports_its_position(R3):
+    with pytest.raises(PolynomialParseError) as err:
+        R3.parse("x^2 + " + "7" * 5000 + "*y^2")
+    assert err.value.position == 6
+
+
+def test_parse_random_text_raises_only_parse_errors(R3):
+    # tokens are ASCII: non-ASCII digits and letters are bad characters
+    alphabet = ["x", "y", "z", "w", "_", "0", "7", "12", "+", "-", "*", "^", " ", "(",
+                "\u00b2", "\u0663", "\u00e9", "\u2124", "x\u00e9", "\u00a0"]
+    rng = Rng(2024)
+    parsed = 0
+    for _ in range(3000):
+        text = "".join(alphabet[rng.below(len(alphabet))] for _ in range(rng.below(10)))
+        try:
+            f = R3.parse(text)
+        except PolynomialParseError:
+            continue
+        assert all(ch.isascii() or ch.isspace() for ch in text)
+        assert R3.parse(str(f)) == f
+        parsed += 1
+    assert parsed > 100
 
 
 def test_canonical_print(R3):
