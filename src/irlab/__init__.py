@@ -18,8 +18,7 @@ from .errors import (IrlabError, MethodDisagreement, NotArtinianError,
 from .filtration import (DimensionFiltration, classify_sequential,
                          dimension_filtration, is_good_sop,
                          monomial_primary_decomposition, unmixed_component)
-from .groebner import (GroebnerBasis, Ideal, buchberger, maximal_ideal,
-                       syzygies, unit_ideal)
+from .groebner import GroebnerBasis, Ideal, buchberger, maximal_ideal, unit_ideal
 from .modules import (FreeResolution, Module, minimalize_complex,
                       subquotient_presentation, taylor_resolution)
 from .params import (IrResult, ParameterSystem, Rng, construct_c_sop,

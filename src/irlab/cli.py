@@ -107,10 +107,6 @@ def load_ring_spec(path_or_dict) -> RingSpec:
     # Every shape is checked before anything is parsed.
     variables = _strings(data["variables"], "variables")
     ideal_strings = _strings(data["ideal"], "ideal")
-    char = data.get("characteristic", 32003)
-    # Only a JSON integer: int() would truncate 32003.7 and accept true as 1.
-    if not isinstance(char, int) or isinstance(char, bool):
-        raise PreconditionError(f"characteristic must be an integer, got {char!r}")
     summands = None
     if "s2_ification" in data:
         raw_s2 = data["s2_ification"]
@@ -122,7 +118,7 @@ def load_ring_spec(path_or_dict) -> RingSpec:
                 f"s2_ification summands must be a nonempty list, got {summands!r:.60}")
         summands = [_strings(g, "each s2_ification summand") for g in summands]
     try:
-        R = ring(variables, char)
+        R = ring(variables, data.get("characteristic", 32003))
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     ideal = Ideal(R, [_parse_homogeneous(R, s, "generator") for s in ideal_strings])

@@ -25,13 +25,13 @@ x^a times a term is the addition of K(x^a) - K(1); divisibility is one masked
 subtraction whose guard bits (the top bit of each variable field) survive
 exactly when every exponent is large enough.  Reduction pops the negated
 terms from a heap, so each step takes the next leading term instead of
-scanning.  Terms are packed where raw vectors enter the engine
-(`module_buchberger_raw`, `minimal_generators_raw`, and `ModuleGB.normal_form`,
-which packs its reducers on first use) and unpacked where they leave; everything
-outside sees exponent tuples.  No degree above B may reach a field: the
-input is checked as it is packed, and every S-polynomial and reduction step
-first bounds the degree of the terms it makes by the lcm's (or the reduced
-term's) degree plus the reducer's tail excess.  Past B the run raises
+scanning.  Terms are packed where they enter the engine (`module_buchberger_raw`,
+`minimal_generators_raw`, and `GroebnerBasis.normal_form`, which files its packed
+reducers on first use) and unpacked where they leave; everything outside sees
+exponent tuples.  No degree above B may reach a field: the input is checked
+as it is packed, and every S-polynomial and reduction step first bounds the
+degree of the terms it makes by the lcm's (or the reduced term's) degree plus
+the reducer's tail excess.  Past B the run raises
 ResourceBudgetExceeded instead of carrying into the next field.
 
 Minimal generators are picked inside one run (`minimal_generators_raw`): each
@@ -87,11 +87,6 @@ def _divides(a, b):
 
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _vkey(pm):
-    """Position-over-term key of a (position, exponent) term; position 0 highest."""
-    return (-pm[0], grevlex_key(pm[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +353,8 @@ def module_buchberger_raw(vecs, p):
     Only same-position pairs are formed.  The chain criterion always applies;
     the product criterion only when every input vector lies in position 0 (it
     is unsound for modules of higher rank).  The run packs its input, works on
-    packed terms throughout and unpacks the basis it returns.
+    packed terms throughout and unpacks the basis it returns: each vector
+    monic, its terms in descending order, so its first term is its lead.
     """
     L, G, leads, _ = _buchberger(vecs, p)
     # Minimalize, then tail-reduce to the unique reduced basis.  A lead divides
@@ -384,42 +380,6 @@ def minimal_generators_raw(vecs, shifts, p):
     return _buchberger(vecs, p, shifts)[3]
 
 
-class ModuleGB:
-    """Reduced Groebner basis of a submodule of a rank-r free module.
-
-    `elements` are raw vectors; their packed reducers are built on the first
-    `normal_form`, which packs its argument.
-    """
-
-    __slots__ = ("ring", "rank", "elements", "leads", "_by_pos")
-
-    def __init__(self, ring_: Ring, rank: int, raw_elements):
-        self.ring = ring_
-        self.rank = rank
-        self.elements = tuple(raw_elements)
-        self.leads = tuple(max(g, key=_vkey) for g in raw_elements)
-        self._by_pos = None
-
-    def normal_form(self, raw_vec):
-        L = _layout(self.ring.nvars)
-        if self._by_pos is None:
-            self._by_pos = {}
-            for lt, g in zip(self.leads, self.elements):
-                _file_reducer(self._by_pos, L, L.pack(lt), L.pack_vec(g))
-        rem = _normal_form(L.pack_vec(raw_vec), self._by_pos, L, self.ring.p)
-        return L.unpack_vec(rem)
-
-    def contains(self, raw_vec) -> bool:
-        return not self.normal_form(raw_vec)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def module_groebner(vecs, rank, ring_: Ring) -> ModuleGB:
-    return ModuleGB(ring_, rank, module_buchberger_raw(vecs, ring_.p))
-
-
 def _lift(f: Poly, position=0):
     """The polynomial f as a raw vector, every term in `position`."""
     return {(position, m): c for m, c in f.terms.items()}
@@ -428,24 +388,32 @@ def _lift(f: Poly, position=0):
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal, bound to a ring.
 
-    A view of the rank-1 module basis: `elements` are Polys, `leads` their
-    lead exponents.
+    Built from rank-1 raw vectors as `module_buchberger_raw` returns them,
+    lead first: `elements` are their Polys, `leads` the exponents of their
+    first terms.  The first `normal_form` files the packed reducers.
     """
 
-    __slots__ = ("ring", "elements", "leads", "_module")
+    __slots__ = ("ring", "elements", "leads", "_by_pos")
 
     def __init__(self, ring_: Ring, raw_vecs):
         self.ring = ring_
-        self._module = ModuleGB(ring_, 1, raw_vecs)
         self.elements = tuple(Poly(ring_, {m: c for (_, m), c in v.items()})
                               for v in raw_vecs)
-        self.leads = tuple(lt[1] for lt in self._module.leads)
+        self.leads = tuple(next(iter(g.terms)) for g in self.elements)
+        self._by_pos = None
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring is not self.ring:
             raise RingMismatchError("polynomial over a different ring")
-        raw = self._module.normal_form(_lift(f))
-        return Poly(self.ring, {m: c for (_, m), c in raw.items()})
+        L = _layout(self.ring.nvars)
+        if self._by_pos is None:
+            self._by_pos = {}
+            for g in self.elements:
+                packed = {L.pack((0, m)): c for m, c in g.terms.items()}
+                _file_reducer(self._by_pos, L, next(iter(packed)), packed)
+        rem = _normal_form({L.pack((0, m)): c for m, c in f.terms.items()},
+                           self._by_pos, L, self.ring.p)
+        return Poly(self.ring, {L.unpack(t)[1]: c for t, c in rem.items()})
 
     def contains(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero()
@@ -453,12 +421,6 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant() \
             and not self.elements[0].is_zero()
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -494,15 +456,6 @@ def syzygies_raw(vecs, rank, ring_: Ring, relations=()):
         if all(pos >= rank for pos, _ in g):
             out.append({(pos - rank, m): c for (pos, m), c in g.items()})
     return out
-
-
-def syzygies(polys):
-    """Syzygy module of a list of polynomials, as raw vectors of rank len(polys)."""
-    polys = list(polys)
-    if not polys:
-        return []
-    R = polys[0].ring
-    return syzygies_raw([_lift(f) for f in polys], 1, R)
 
 
 def vector_colon(vs, relations, rank, ring_: Ring) -> "Ideal":

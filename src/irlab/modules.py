@@ -15,7 +15,7 @@ is finite data, so the dual is what we compute.
 from __future__ import annotations
 
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
-from .groebner import (Ideal, _divides, _lift, minimal_generators_raw, module_groebner,
+from .groebner import (Ideal, _divides, _lift, minimal_generators_raw, module_buchberger_raw,
                        standard_levels, syzygies_raw, vector_colon)
 from .ring import Ring
 
@@ -370,12 +370,13 @@ class Module:
         """(shift, standard_levels) per generator of the minimal presentation.
 
         Each position's levels run against the leads, in that position, of a
-        Groebner basis of the relations; `top` bounds the total degree.
+        Groebner basis of the relations (each basis vector's first term);
+        `top` bounds the total degree.
         """
         shifts, rels = self.minimal_presentation()
-        gb = module_groebner(list(rels), len(shifts), self.ring)
+        gb_leads = [next(iter(g)) for g in module_buchberger_raw(rels, self.ring.p)]
         for pos, s in enumerate(shifts):
-            leads = [m for (q, m) in gb.leads if q == pos]
+            leads = [m for (q, m) in gb_leads if q == pos]
             yield s, standard_levels(leads, self.ring.nvars, None if top is None else top - s)
 
     def hilbert_function(self, degrees):

@@ -106,9 +106,12 @@ class Ring:
 def ring(variables, p: int = DEFAULT_CHARACTERISTIC) -> Ring:
     """The interned ring F_p[variables].
 
-    ValueError unless the names are distinct and each matches
-    [A-Za-z_][A-Za-z0-9_]*, and p is a prime with 2 <= p < 2^31.
+    ValueError unless p is an int (not a bool) and a prime with 2 <= p < 2^31,
+    and the names are distinct and each matches [A-Za-z_][A-Za-z0-9_]*.  The
+    type is checked before the cache lookup, where 32003.0 would find 32003.
     """
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"characteristic must be an integer, got {p!r}")
     key = (tuple(variables), p)
     R = _RING_CACHE.get(key)
     if R is None:

@@ -9,11 +9,11 @@ import numpy as np
 from irlab.errors import PreconditionError, ResourceBudgetExceeded
 from irlab.filtration import (_mono_intersect, _monomial_gens,
                               monomial_primary_decomposition)
-from irlab.groebner import (Ideal, _divides, _mono_lcm, _vkey, spair_budget, syzygies_raw,
-                            unit_ideal, vector_colon)
+from irlab.groebner import (Ideal, _divides, _mono_lcm, spair_budget, syzygies_raw, unit_ideal,
+                            vector_colon)
 from irlab.linalg import SpanTracker, rank_mod_p, rref_mod_p
 from irlab.modules import FreeResolution, poly_times_vec, vec_degree, vec_sub
-from irlab.ring import monomials_of_degree
+from irlab.ring import grevlex_key, monomials_of_degree
 
 
 def monomials_up_to_degree(nvars, d):
@@ -438,6 +438,11 @@ def _desc(m):
     return (-sum(m), m[::-1])
 
 
+def _vkey(pm):
+    """Position-over-term key of a (position, exponent) term; position 0 highest."""
+    return (-pm[0], grevlex_key(pm[1]))
+
+
 def _v_divides(a, b):
     return a[0] == b[0] and _divides(a[1], b[1])
 
@@ -522,8 +527,8 @@ def module_buchberger_tuples(vecs, p):
 
     The engine as it was before terms were packed into ints: exponent tuples,
     a heap on (position, descending key) and a per-run key cache.  Same pair
-    order, criteria and reducer choice, so its bases and remainders must equal
-    `groebner.module_buchberger_raw` and `ModuleGB.normal_form` exactly.
+    order, criteria and reducer choice, so its bases and `normal_form_tuples`
+    must equal `groebner.module_buchberger_raw` and `groebner._normal_form` exactly.
 
     Only same-position pairs are formed.  The chain criterion always applies;
     the product criterion only when every input vector lies in position 0 (it

@@ -1,18 +1,17 @@
 import pytest
-from oracles import (membership_bruteforce, module_buchberger_tuples,
+from oracles import (_vkey, membership_bruteforce, module_buchberger_tuples,
                      normal_form_tuples, quotient_dimension_bruteforce,
                      random_monomial_ideal, standard_levels_by_filter,
                      tagged_projection)
 
 from irlab.cohomology import _sum_of_variables_saturation
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
-from irlab.groebner import (_B, Ideal, ModuleGB, _divides, _layout, _vkey, buchberger,
-                            maximal_ideal, module_buchberger_raw, module_groebner,
-                            standard_levels, syzygies, syzygies_raw, unit_ideal,
-                            vector_colon)
+from irlab.groebner import (_B, GroebnerBasis, Ideal, _divides, _file_reducer, _layout, _lift,
+                            _normal_form, buchberger, maximal_ideal, module_buchberger_raw,
+                            standard_levels, syzygies_raw, unit_ideal, vector_colon)
 from irlab.modules import Module
 from irlab.params import Rng
-from irlab.ring import grevlex_key, monomials_of_degree, ring
+from irlab.ring import Poly, grevlex_key, monomials_of_degree, ring
 
 
 def random_homogeneous(R, rng, degree):
@@ -23,6 +22,15 @@ def random_homogeneous(R, rng, degree):
         if c and rng.below(2):
             f = f + R.monomial(m, c)
     return f
+
+
+def module_normal_form(R, basis, f):
+    """Remainder of raw vector f by the raw reduced basis, in the packed engine."""
+    L = _layout(R.nvars)
+    by_pos = {}
+    for g in map(L.pack_vec, basis):
+        _file_reducer(by_pos, L, next(iter(g)), g)
+    return L.unpack_vec(_normal_form(L.pack_vec(f), by_pos, L, R.p))
 
 
 # -- buchberger -----------------------------------------------------------------
@@ -101,7 +109,7 @@ def test_budget_guard(R3, monkeypatch):
     with pytest.raises(ResourceBudgetExceeded):
         buchberger(gens)
     with pytest.raises(ResourceBudgetExceeded):
-        module_groebner(vecs, 2, R3)
+        module_buchberger_raw(vecs, R3.p)
     with pytest.raises(ResourceBudgetExceeded):
         Ideal(R3, gens).groebner()
 
@@ -163,7 +171,8 @@ def random_raw_vector(rng, n, rank, p, degree, homogeneous):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_packed_engine_matches_tuple_oracle(p, rank):
-    """Bases and remainders equal the tuple engine's, term order included."""
+    """Bases and remainders equal the tuple engine's, term order included;
+    rank 1 reduces through GroebnerBasis."""
     rng = Rng(100 * rank + p % 97)
     for n in range(2, 7):
         R = ring(tuple(f"x{i}" for i in range(n)), p)
@@ -177,11 +186,17 @@ def test_packed_engine_matches_tuple_oracle(p, rank):
             want = module_buchberger_tuples(vecs, p)
             got = module_buchberger_raw(vecs, p)
             assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
-            gb = module_groebner(vecs, rank, R)
+            # Each vector comes lead first, as GroebnerBasis reads it.
+            assert all(next(iter(g)) == max(g, key=_vkey) for g in got)
+            gb = GroebnerBasis(R, got) if rank == 1 else None
             for _ in range(3):
                 f = random_raw_vector(rng, n, rank, p, degree + 1, homogeneous)
-                assert list(gb.normal_form(f).items()) == \
-                    list(normal_form_tuples(f, gb.elements, p).items())
+                rem = list(normal_form_tuples(f, got, p).items())
+                if gb is None:
+                    assert list(module_normal_form(R, got, f).items()) == rem
+                else:
+                    nf = gb.normal_form(Poly(R, {m: c for (_, m), c in f.items()}))
+                    assert [((0, m), c) for m, c in nf.terms.items()] == rem
 
 
 def test_packed_engine_matches_tuple_oracle_on_syzygies(R4):
@@ -213,13 +228,16 @@ def test_exponent_past_the_field_fails_closed(R3):
     # Degree B itself is fine: x^B + z^B and y^B + 2 z^B are a reduced basis.
     vecs = [{(0, (_B, 0, 0)): 1, (0, (0, 0, _B)): 1}, {(0, (0, _B, 0)): 1, (0, (0, 0, _B)): 2}]
     assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p) == vecs[::-1]
-    # x e_0 + y^B e_1: reducing x^2 e_0 would bring in x y^B e_1.
-    gb = ModuleGB(R3, 2, [{(0, (1, 0, 0)): 1, (1, (0, _B, 0)): 1}])
-    assert gb.normal_form({(0, (1, 0, 0)): 1}) == {(1, (0, _B, 0)): p - 1}
+    # x e_0 + y^B e_1: reducing x^2 e_0 would bring in x y^B e_1, in a
+    # remainder and in the S-polynomial of a run.
+    basis = [{(0, (1, 0, 0)): 1, (1, (0, _B, 0)): 1}]
+    assert module_normal_form(R3, basis, {(0, (1, 0, 0)): 1}) == {(1, (0, _B, 0)): p - 1}
     with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
-        gb.normal_form({(0, (2, 0, 0)): 1})
+        module_normal_form(R3, basis, {(0, (2, 0, 0)): 1})
     with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
-        gb.normal_form({(1, (0, 0, _B + 1)): 1})
+        module_normal_form(R3, basis, {(1, (0, 0, _B + 1)): 1})
+    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+        module_buchberger_raw(basis + [{(0, (2, 0, 0)): 1}], p)
 
 
 # -- normal form ------------------------------------------------------------------
@@ -279,29 +297,30 @@ def test_module_normal_form_rank_two(R3):
         {(0, (0, 2, 0)): 1, (1, (0, 0, 1)): 5},
         {(1, (0, 1, 0)): 1, (1, (0, 0, 1)): 2},
     ]
-    gb = module_groebner(vecs, 2, R3)
+    gb = module_buchberger_raw(vecs, p)
+    leads = [next(iter(g)) for g in gb]
     rng = Rng(9)
     for _ in range(6):
         f = {(rng.below(2), tuple(rng.below(3) for _ in range(3))): 1 + rng.below(p - 1)
              for _ in range(5)}
-        nf = gb.normal_form(f)
+        nf = module_normal_form(R3, gb, f)
         # Terms come out descending in position-over-term, lead first.
         assert list(nf) == sorted(nf, key=lambda t: (-t[0], grevlex_key(t[1])),
                                   reverse=True)
         assert not any(q == pos and _divides(lm, m)
-                       for q, lm in gb.leads for pos, m in nf)
+                       for q, lm in leads for pos, m in nf)
         # f - NF(f) is a member, and adding a multiple of a generator is invisible.
         diff = dict(f)
         for t, c in nf.items():
             diff[t] = (diff.get(t, 0) - c) % p
-        assert gb.contains({t: c for t, c in diff.items() if c})
+        assert not module_normal_form(R3, gb, {t: c for t, c in diff.items() if c})
         shift = tuple(rng.below(2) for _ in range(3))
         for v in vecs:
             g = dict(f)
             for (pos, m), c in v.items():
                 t = (pos, tuple(a + b for a, b in zip(m, shift)))
                 g[t] = (g.get(t, 0) + 7 * c) % p
-            assert gb.normal_form({t: c for t, c in g.items() if c}) == nf
+            assert module_normal_form(R3, gb, {t: c for t, c in g.items() if c}) == nf
 
 
 # -- ideal operations --------------------------------------------------------------
@@ -675,14 +694,14 @@ def _pairs_to_zero(syz, polys):
 
 def test_koszul_syzygy(R2):
     x, y = R2.gens()
-    syz = syzygies([x, y])
+    syz = syzygies_raw([_lift(x), _lift(y)], 1, R2)
     assert len(syz) == 1
     _pairs_to_zero(syz, [x, y])
 
 
 def test_syzygy_of_plane_line_generators(R3):
     x, y, z = R3.gens()
-    syz = syzygies([x * y, x * z])
+    syz = syzygies_raw([_lift(x * y), _lift(x * z)], 1, R3)
     assert len(syz) == 1
     (only,) = syz
     # the relation z*(xy) - y*(xz) up to scalar
@@ -692,7 +711,7 @@ def test_syzygy_of_plane_line_generators(R3):
 
 def test_single_nonzerodivisor_has_no_syzygies(R3):
     x, y, _ = R3.gens()
-    assert syzygies([x * x + y * y]) == []
+    assert syzygies_raw([_lift(x * x + y * y)], 1, R3) == []
 
 
 def test_syzygies_pair_to_zero_random(R3):
@@ -702,7 +721,7 @@ def test_syzygies_pair_to_zero_random(R3):
         polys = [g for g in polys if not g.is_zero()]
         if len(polys) < 2:
             continue
-        _pairs_to_zero(syzygies(polys), polys)
+        _pairs_to_zero(syzygies_raw([_lift(f) for f in polys], 1, R3), polys)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -730,27 +749,27 @@ def test_module_groebner_reduced_and_contains(R3):
         {(0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1},
         {(0, (0, 1, 0)): 1, (1, (0, 0, 1)): 1},
     ]
-    gb = module_groebner(vecs, 2, R3)
+    gb = module_buchberger_raw(vecs, R3.p)
     for v in vecs:
-        assert gb.contains(v)
-    assert not gb.contains({(0, (0, 0, 0)): 1})
+        assert not module_normal_form(R3, gb, v)
+    assert module_normal_form(R3, gb, {(0, (0, 0, 0)): 1})
 
     # Coprime leads x*e0, y*e0 at rank 2: the S-pair (yz - xw)*e1 must survive,
     # so the product criterion may not prune it.
     R = ring(("x", "y", "z", "w"))
     p = R.p
-    gb = module_groebner([{(0, (1, 0, 0, 0)): 1, (1, (0, 0, 1, 0)): 1},
-                          {(0, (0, 1, 0, 0)): 1, (1, (0, 0, 0, 1)): 1}], 2, R)
+    gb = module_buchberger_raw([{(0, (1, 0, 0, 0)): 1, (1, (0, 0, 1, 0)): 1},
+                                {(0, (0, 1, 0, 0)): 1, (1, (0, 0, 0, 1)): 1}], p)
     assert len(gb) == 3
-    assert {(1, (0, 1, 1, 0)): 1, (1, (1, 0, 0, 1)): p - 1} in gb.elements
+    assert {(1, (0, 1, 1, 0)): 1, (1, (1, 0, 0, 1)): p - 1} in gb
 
     # Single-term vectors: the minimal set, monic, position 1 before position 0,
     # ascending in the term order within a position.
     x_, y_, z_ = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     terms = [((1, x_), 3), ((0, y_), 1), ((1, (2, 0, 0)), 1), ((0, (0, 1, 1)), 5),
              ((1, z_), 2)]
-    gb = module_groebner([{t: c} for t, c in terms], 2, R3)
-    assert list(gb.elements) == [{(1, z_): 1}, {(1, x_): 1}, {(0, y_): 1}]
+    gb = module_buchberger_raw([{t: c} for t, c in terms], R3.p)
+    assert gb == [{(1, z_): 1}, {(1, x_): 1}, {(0, y_): 1}]
 
 
 def test_equal_ideals_hash_equal(R3):

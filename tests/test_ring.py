@@ -29,13 +29,27 @@ def test_nonprime_characteristic_rejected():
         ring(("x",), 32004)
 
 
-@pytest.mark.parametrize("p", [-7, 0, 1, 2**31 + 11, 4294967311, 18446744073709551629])
+@pytest.mark.parametrize("p", [-7, 0, 1, 2**31 + 11, 4294967311, 18446744073709551629,
+                               2.5, 32003.0, True, [2], "5"])
 def test_characteristic_outside_range_rejected(p):
     # Above 2^31 int64 elimination overflows: at p = 4294967311 the resolution
     # of (x^2+yz, y^2+xz, z^2+xy) came out (1, 3, 4, 3, 1).  Near 2^64 trial
     # division never finished.  Both are now refused before any primality test.
-    with pytest.raises(ValueError, match="2 <= p < 2\\^31"):
+    # A non-int was once a ring (F2.5[x]) or a bare TypeError.
+    match = "2 <= p < 2\\^31" if type(p) is int else "must be an integer"
+    with pytest.raises(ValueError, match=match):
         ring(("x",), p)
+
+
+def test_float_characteristic_does_not_intern():
+    # 32003.0 == 32003 as a dict key: had the float ring been interned, the int
+    # call would return F32003.0 and its parse would fail on pow().
+    names = ("u_float", "v_float")
+    with pytest.raises(ValueError, match="must be an integer"):
+        ring(names, 32003.0)
+    R = ring(names, 32003)
+    assert type(R.p) is int and R.p == 32003
+    assert str(R.parse("u_float + 2*v_float")) == "u_float + 2*v_float"
 
 
 @pytest.mark.parametrize("names", [("x", "2"), ("x", "x"), ("x", "\u00e9"), ("x", "x\u00b2")],
