@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
+from . import __version__
 from .cohomology import cm_flags, socle_dimensions
 from .errors import (InternalInvariantError, IrlabError, MethodDisagreement,
                      PolynomialParseError, PreconditionError, ResourceBudgetExceeded,
@@ -44,8 +45,6 @@ from .params import (ParameterList, construct_c_sop, index_of_reducibility,
 from .ring import ring
 from .stable import (goto_suzuki_bound, limit_profile, stability_suite,
                      stable_value)
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -145,7 +144,7 @@ def base_report(spec: RingSpec, seed: int) -> dict:
         "alpha_profile": None,
         "diagnostics": {},
         "seed": seed,
-        "version": VERSION,
+        "version": __version__,
     }
 
 

@@ -1,12 +1,16 @@
 """Local-cohomology-derived numbers, all read through graded duality.
 
-For a module M over the ambient ring S in n variables:
+For a module M over the ambient ring S in n variables, `dual(M, i)` is
+Ext^{n-i}(M, S), the finitely generated dual of H^i(M), and every reading of
+H^i goes through it:
 
-  * socle dimension of H^i  =  minimal generator count of Ext^{n-i}(M, S)
-  * annihilator of H^i      =  annihilator of Ext^{n-i}(M, S)
-  * Hilbert function of H^i in degree j  =  that of Ext^{n-i}(M, S) in -n-j
+  * socle dimension of H^i  =  minimal generator count of dual(M, i)
+  * annihilator of H^i      =  annihilator of dual(M, i)
+  * Hilbert function of H^i in degree j  =  that of dual(M, i) in -n-j
 
-`socle_dimensions` returns the plain tuple (s_0, ..., s_d), cached on M.
+`socle_dimensions` returns the plain tuple (s_0, ..., s_d).  The three flags
+of `cm_flags` come from depth and dim and one table, the dimensions of
+dual(M, i) for i < dim M (`_dual_dims`).
 
 The Stanley-Reisner route (links of the associated simplicial complex) gives
 an independent oracle for the Hilbert functions when the defining ideal is
@@ -23,23 +27,22 @@ from math import comb
 
 import numpy as np
 
-from .errors import PreconditionError, ZeroModuleError
+from .errors import PreconditionError
 from .groebner import Ideal, buchberger, standard_levels, unit_ideal
 from .linalg import rank_mod_p
 from .modules import Module
 from .ring import Poly
 
 
+def dual(M: Module, i: int) -> Module:
+    """Ext^{n-i}(M, S) for n the variable count: the graded dual of H^i(M)."""
+    return M.ext(M.ring.nvars - i)
+
+
 def socle_dimensions(M: Module) -> tuple:
     """(s_0, ..., s_d): the socle dimension of H^i, as the generator count of
-    the dual Ext module; cached on M."""
-    if M.is_zero():
-        raise ZeroModuleError("socle dimensions of the zero module")
-    n = M.ring.nvars
-    d = M.dim()
-    if M._socle is None:
-        M._socle = tuple(M.ext(n - i).minimal_generator_count() for i in range(d + 1))
-    return M._socle
+    dual(M, i)."""
+    return tuple(dual(M, i).minimal_generator_count() for i in range(M.dim() + 1))
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,19 @@ class AnnihilatorData:
         return self.product.power(3).minimalized()
 
 
-def _least_power_inside(target: Ideal, cap: int = 64) -> int | None:
-    """Least k <= cap with m^k inside `target`, else None; homogeneous input only.
+POWER_CAP = 64  # the largest power of m that `_least_power_inside` tries
+
+
+def _least_power_inside(target: Ideal) -> int | None:
+    """Least k <= POWER_CAP with m^k inside `target`, else None; homogeneous input only.
 
     m^k lies in a homogeneous J exactly when J has no standard monomial of
     degree k, so k counts the nonempty levels below it.  Listing them costs
     the length of S/J up to the cap, which is small for the m-primary J here.
     """
-    levels = standard_levels(target.groebner().leads, target.ring.nvars, cap)
+    levels = standard_levels(target.groebner().leads, target.ring.nvars, POWER_CAP)
     k = sum(1 for _ in levels)
-    return k if k <= cap else None
+    return k if k <= POWER_CAP else None
 
 
 def _substitute_last(polys, form):
@@ -142,17 +148,14 @@ def annihilator_data(M: Module) -> AnnihilatorData:
     """Annihilators of H^0..H^{d-1} and their product; cached on the module."""
     if M._ann_data is not None:
         return M._ann_data
-    if M.is_zero():
-        raise ZeroModuleError("annihilator data of the zero module")
     d = M.dim()
     if d < 1:
         raise PreconditionError("annihilator data needs positive dimension")
-    n = M.ring.nvars
     anns = []
     for i in range(d):
         A = _ann_h0(M.cyclic_ideal) if i == 0 and M.cyclic_ideal is not None else None
         if A is None:
-            E = M.ext(n - i)
+            E = dual(M, i)
             A = unit_ideal(M.ring) if E.is_zero() else E.annihilator()
         anns.append(A)
     product = unit_ideal(M.ring)
@@ -182,41 +185,24 @@ class CmFlags:
     is_unmixed: bool
 
 
-def is_generalized_cm(M: Module) -> bool:
-    """Every Ext^{n-i}(M, S) with i < dim M has finite length."""
-    n = M.ring.nvars
-    for i in range(M.dim()):
-        E = M.ext(n - i)
-        if not E.is_zero() and E.dim() > 0:
-            return False
-    return True
+def _dual_dims(M: Module) -> tuple:
+    """dim dual(M, i) for each i < dim M, with -1 where it vanishes.
 
-
-def module_is_unmixed(M: Module) -> bool:
-    """No associated primes below the top dimension.
-
-    An associated prime of dimension i shows up exactly as an i-dimensional
-    component of Ext^{n-i}(M, S) (Eisenbud-Huneke-Vasconcelos), so
-    unmixedness reads off the same Ext dimensions as `is_generalized_cm`.
+    H^i has finite length exactly when its dual has dimension <= 0.  An
+    associated prime of dimension i shows up exactly as an i-dimensional
+    component of Ext^{n-i}(M, S), and no component of it is bigger
+    (Eisenbud-Huneke-Vasconcelos), so M is unmixed exactly when no entry
+    equals its index.
     """
-    if M.is_zero():
-        raise ZeroModuleError("unmixedness of the zero module")
-    n = M.ring.nvars
-    for i in range(M.dim()):
-        E = M.ext(n - i)
-        if not E.is_zero() and E.dim() == i:
-            return False
-    return True
+    return tuple(-1 if E.is_zero() else E.dim()
+                 for E in (dual(M, i) for i in range(M.dim())))
 
 
 def cm_flags(M: Module) -> CmFlags:
-    """Cohen-Macaulay, generalized-CM, and unmixedness of a nonzero module; cached."""
-    if M._flags is not None:
-        return M._flags
-    if M.is_zero():
-        raise ZeroModuleError("flags of the zero module")
-    M._flags = CmFlags(M.depth() == M.dim(), is_generalized_cm(M), module_is_unmixed(M))
-    return M._flags
+    """Cohen-Macaulay, generalized-CM, and unmixedness of a nonzero module."""
+    dims = _dual_dims(M)
+    return CmFlags(M.is_cohen_macaulay(), all(e <= 0 for e in dims),
+                   all(e != i for i, e in enumerate(dims)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +334,16 @@ def local_cohomology_hilbert(M: Module, i: int, degrees) -> dict:
     dim H^i(M)_j equals dim Ext^{n-i}(M, S)_{-n-j}.
     """
     n = M.ring.nvars
-    E = M.ext(n - i)
+    E = dual(M, i)
     if E.is_zero():
         return {d: 0 for d in degrees}
-    dual = E.hilbert_function([-n - d for d in degrees])
-    return {d: dual[-n - d] for d in degrees}
+    h = E.hilbert_function([-n - d for d in degrees])
+    return {d: h[-n - d] for d in degrees}
 
 
 def local_cohomology_length(M: Module, i: int):
     """Length of H^i(M) when finite (the dual Ext is Artinian), else None."""
-    n = M.ring.nvars
-    E = M.ext(n - i)
+    E = dual(M, i)
     if E.is_zero():
         return 0
     return E.length()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import is_generalized_cm
+from .cohomology import cm_flags
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import Ideal, _divides, _mono_lcm
 from .modules import Module, subquotient_presentation
@@ -196,19 +196,19 @@ class SequentialClassification:
 
 
 def classify_sequential(ideal: Ideal) -> SequentialClassification:
-    """Test the dimension-filtration quotients for (generalized) CM-ness."""
+    """Test the dimension-filtration quotients for (generalized) CM-ness.  The
+    dimension of D_i/D_{i-1} must be the filtration's colon-based `dims[i]`, and
+    that of M/D_{t-1} its `top_dim`; InternalInvariantError otherwise."""
     filt = dimension_filtration(ideal)
     steps = []
-    all_cm = True
-    all_gcm = True
-    for Q in filt.step_modules():
-        dim_q, depth_q = Q.dim(), Q.depth()
-        cm = dim_q == depth_q
-        gcm = cm or is_generalized_cm(Q)
-        steps.append((dim_q, depth_q, cm, gcm))
-        all_cm = all_cm and cm
-        all_gcm = all_gcm and gcm
-    return SequentialClassification(all_cm, all_gcm, tuple(steps), filt)
+    for Q, want in zip(filt.step_modules(), filt.dims[1:] + (filt.top_dim,)):
+        if Q.dim() != want:
+            raise InternalInvariantError(
+                f"dimension filtration step has dimension {Q.dim()}, its colon gave {want}")
+        flags = cm_flags(Q)
+        steps.append((want, Q.depth(), flags.is_cm, flags.is_generalized_cm))
+    return SequentialClassification(all(s[2] for s in steps), all(s[3] for s in steps),
+                                    tuple(steps), filt)
 
 
 def is_good_sop(elements, ideal: Ideal, filtration=None):

@@ -644,15 +644,12 @@ class Ideal:
         self._dim = best
         return best
 
-    def standard_monomials(self, degree_bound=None):
-        """Monomials outside the initial ideal, ascending in grevlex.
-
-        With no bound the quotient must be Artinian (NotArtinianError otherwise);
-        the result is then the full finite monomial basis of S/I.
-        """
-        if degree_bound is None and self.krull_dimension() > 0:
-            raise NotArtinianError("quotient is not Artinian; pass a degree bound")
-        levels = standard_levels(self.groebner().leads, self.ring.nvars, degree_bound)
+    def standard_monomials(self):
+        """The monomial basis of an Artinian S/I: the monomials outside the
+        initial ideal, ascending in grevlex.  NotArtinianError otherwise."""
+        if self.krull_dimension() > 0:
+            raise NotArtinianError("quotient is not Artinian")
+        levels = standard_levels(self.groebner().leads, self.ring.nvars)
         return sorted((m for _, level in levels for m in level), key=grevlex_key)
 
     def minimal_generators(self):

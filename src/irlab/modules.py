@@ -181,7 +181,12 @@ def minimalize_complex(res: FreeResolution) -> FreeResolution:
 # ---------------------------------------------------------------------------
 
 class Module:
-    """Finitely presented graded module over the ambient polynomial ring."""
+    """Finitely presented graded module over the ambient polynomial ring.
+
+    It caches only what it computes: its minimal presentation, resolution, Ext
+    modules, annihilator and annihilator data (`cohomology.annihilator_data`).
+    Dimension and depth are read off those caches on each call.
+    """
 
     def __init__(self, ring_: Ring, shifts, relations, cyclic_ideal: Ideal | None = None,
                  check=True):
@@ -196,15 +201,10 @@ class Module:
         if check:
             for r in self.relations:
                 vec_degree(r, self.shifts)  # raises when inhomogeneous
+        self._min_pres = None
         self._resolution: FreeResolution | None = None
         self._ext: dict = {}
-        self._min_pres = None
         self._ann: Ideal | None = None
-        self._dim = None
-        self._depth = None
-        # Filled by the cohomology layer: socle vector, flags, annihilator data.
-        self._socle = None
-        self._flags = None
         self._ann_data = None
 
     # -- constructors ---------------------------------------------------------
@@ -338,29 +338,18 @@ class Module:
         return self._ann
 
     def dim(self) -> int:
-        """Krull dimension; ZeroModuleError for the zero module."""
-        if self._dim is None:
-            if self.is_zero():
-                raise ZeroModuleError("dimension of the zero module")
-            if self.cyclic_ideal is not None:
-                self._dim = self.cyclic_ideal.krull_dimension()
-            else:
-                self._dim = self.annihilator().krull_dimension()
-        return self._dim
+        """Krull dimension, that of S/I or S/Ann M; ZeroModuleError for the zero module."""
+        if self.is_zero():
+            raise ZeroModuleError("dimension of the zero module")
+        ideal = self.cyclic_ideal if self.cyclic_ideal is not None else self.annihilator()
+        return ideal.krull_dimension()
 
     def depth(self) -> int:
         """depth = n - max{j : Ext^j(M, S) != 0}; consistent with Auslander-Buchsbaum."""
-        if self._depth is None:
-            if self.is_zero():
-                raise ZeroModuleError("depth of the zero module")
-            n = self.ring.nvars
-            for j in range(self.projective_dimension(), -1, -1):
-                if not self.ext(j).is_zero():
-                    self._depth = n - j
-                    break
-            else:
-                raise InternalInvariantError("no nonvanishing Ext against a nonzero module")
-        return self._depth
+        for j in range(self.projective_dimension(), -1, -1):
+            if not self.ext(j).is_zero():
+                return self.ring.nvars - j
+        raise InternalInvariantError("no nonvanishing Ext against a nonzero module")
 
     def is_cohen_macaulay(self) -> bool:
         return self.depth() == self.dim()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cohomology import (annihilator_data, cm_flags, local_cohomology_length,
+from .cohomology import (annihilator_data, cm_flags, dual, local_cohomology_length,
                          socle_dimensions)
 from .errors import InternalInvariantError, PreconditionError, SearchExhausted
 from .filtration import classify_sequential
@@ -149,7 +149,6 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
         raise PreconditionError(f"depth is {M.depth()}, need 2")
     if not cm_flags(M).is_unmixed:
         raise PreconditionError("module is not unmixed")
-    n = ideal.ring.nvars
     s = socle_dimensions(M)
     if s2[0].intersect(*s2[1:]) != ideal:
         raise PreconditionError(
@@ -165,14 +164,14 @@ def formula_dim3(ideal: Ideal, s2, checks: dict | None = None) -> int:
                 f"cokernel of the closure is not CM of dimension <= 1 "
                 f"(dim {dim_d}, depth {D.depth()})")
         cok_note = f"cokernel is CM of dimension {dim_d}"
-    s2_socle = sum(Module.cyclic(J).ext(n - 2).minimal_generator_count() for J in s2)
+    s2_socle = sum(dual(Module.cyclic(J), 2).minimal_generator_count() for J in s2)
     if checks is not None:
         checks["cokernel"] = cok_note
         checks["s2_h2_socle"] = s2_socle
     return 2 * s[2] + s[3] + s2_socle
 
 
-def deep_element_kills_h2(s2, element, ring_) -> bool:
+def deep_element_kills_h2(s2, element) -> bool:
     """Whether the given element annihilates H^2 of the supplied closure, the
     direct sum of the cyclic quotients by the ideals in `s2`.
 
@@ -180,14 +179,8 @@ def deep_element_kills_h2(s2, element, ring_) -> bool:
     that the dimension-3 formula leans on; it is checked directly as membership
     of the element in the Ext annihilators.
     """
-    n = ring_.nvars
-    for J in s2:
-        E = Module.cyclic(J).ext(n - 2)
-        if E.is_zero():
-            continue
-        if not E.annihilator().contains(element):
-            return False
-    return True
+    return all(E.is_zero() or E.annihilator().contains(element)
+               for E in (dual(Module.cyclic(J), 2) for J in s2))
 
 
 def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
@@ -235,7 +228,7 @@ def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:
         notes: dict = {}
         try:
             value = formula_dim3(ideal, s2, notes)
-            killed = deep_element_kills_h2(s2, witness.elements[0], ideal.ring)
+            killed = deep_element_kills_h2(s2, witness.elements[0])
             checks["dim3_closure"] = CrossCheck(
                 True, value, value == N,
                 note=f"{notes.get('cokernel', '')}; deep element kills closure H^2: {killed}")

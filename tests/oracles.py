@@ -6,6 +6,7 @@ from operator import add
 
 import numpy as np
 
+from irlab.cohomology import CmFlags
 from irlab.errors import PreconditionError, ResourceBudgetExceeded
 from irlab.filtration import (_mono_intersect, _monomial_gens,
                               monomial_primary_decomposition)
@@ -198,6 +199,22 @@ def annihilator_by_colons(M):
         if ann.is_zero():
             break
     return ann
+
+
+def flags_by_ext_loops(M):
+    """CmFlags of a nonzero module with one loop per flag over Ext^{n-i}(M, S),
+    i < dim M, and Cohen-Macaulay read as depth == dim."""
+    n = M.ring.nvars
+    gcm = unmixed = True
+    for i in range(M.dim()):
+        E = M.ext(n - i)
+        if not E.is_zero() and E.dim() > 0:
+            gcm = False
+    for i in range(M.dim()):
+        E = M.ext(n - i)
+        if not E.is_zero() and E.dim() == i:
+            unmixed = False
+    return CmFlags(M.depth() == M.dim(), gcm, unmixed)
 
 
 def least_power_inside_by_membership(target, cap=64):

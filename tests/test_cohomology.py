@@ -1,13 +1,17 @@
+import json
+from importlib import resources
+
 import pytest
-from oracles import least_power_inside_by_membership, random_monomial_ideal, triangular_change
+from oracles import (flags_by_ext_loops, least_power_inside_by_membership,
+                     random_monomial_ideal, triangular_change)
 
 from irlab import filtration, modules, params
-from irlab.cli import load_corpus_spec
-from irlab.cohomology import (SimplicialComplex, _ann_h0, _least_power_inside,
+from irlab.cli import corpus_index, load_corpus_spec, load_ring_spec
+from irlab.cohomology import (CmFlags, SimplicialComplex, _ann_h0, _least_power_inside,
                               _sum_of_variables_saturation, annihilator_data, cm_flags,
                               hochster_hilbert, local_cohomology_hilbert,
                               local_cohomology_length, socle_dimensions)
-from irlab.errors import PreconditionError
+from irlab.errors import PreconditionError, ZeroModuleError
 from irlab.groebner import Ideal, maximal_ideal, unit_ideal
 from irlab.modules import Module
 from irlab.params import Rng
@@ -222,6 +226,29 @@ def test_flags_buchsbaum(two_planes_origin):
     assert not flags.is_cm
     assert flags.is_generalized_cm
     assert flags.is_unmixed
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_flags_table_matches_ext_loops(p):
+    # one table of Ext dimensions against one loop per flag, and the socle
+    # tuple against the Ext generator counts, on every corpus spec
+    R = ring(("x", "y", "z"), p)
+    x, y, z = R.gens()
+    modules_ = [Module.free(R), Module.cyclic(Ideal(R, [x**2, y**2, z**2]))]
+    for group in ("golden", "cm_controls", "random_squarefree"):
+        for name in corpus_index()[group]:
+            data = json.loads((resources.files("irlab") / "corpus" / name).read_text())
+            modules_.append(Module.cyclic(load_ring_spec(data | {"characteristic": p}).ideal))
+    for M in modules_:
+        assert cm_flags(M) == flags_by_ext_loops(M), M
+        n = M.ring.nvars
+        assert socle_dimensions(M) == tuple(M.ext(n - i).minimal_generator_count()
+                                            for i in range(M.dim() + 1)), M
+    assert modules_[1].dim() == 0 and cm_flags(modules_[1]) == CmFlags(True, True, True)
+    zero = Module.cyclic(unit_ideal(R))
+    for reading in (cm_flags, socle_dimensions, annihilator_data):
+        with pytest.raises(ZeroModuleError):
+            reading(zero)
 
 
 def test_flags_and_dim3_formula_run_no_parameter_search(monkeypatch):

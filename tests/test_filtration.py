@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 from oracles import top_dimensional_intersection
 
-from irlab.cli import corpus_index, load_ring_spec
-from irlab.cohomology import _sum_of_variables_saturation, module_is_unmixed
-from irlab.errors import PreconditionError
+from irlab import filtration
+from irlab.cli import EXIT_CROSSCHECK, corpus_index, load_ring_spec, main
+from irlab.cohomology import _sum_of_variables_saturation, cm_flags
+from irlab.errors import InternalInvariantError, PreconditionError
 from irlab.filtration import (classify_sequential, dimension_filtration,
                               is_good_sop, monomial_primary_decomposition,
                               unmixed_component)
@@ -59,7 +61,7 @@ def test_module_unmixedness_agrees_with_component():
                 I = load_ring_spec(data | {"characteristic": p}).ideal
                 assert I.ring.p == p
                 M = Module.cyclic(I)
-                verdict = module_is_unmixed(M)
+                verdict = cm_flags(M).is_unmixed
                 if M.dim() >= 1:
                     assert verdict is (unmixed_component(I) == I), (name, p)
                 else:
@@ -196,6 +198,24 @@ def test_classify_buchsbaum(two_planes_origin):
     cls = classify_sequential(two_planes_origin)
     assert not cls.is_sequentially_cm
     assert cls.is_sequentially_gcm
+
+
+def test_classify_checks_step_dims_against_the_filtration(monkeypatch, plane_and_line, capsys):
+    # a filtration whose colon dims disagree with its step modules: (x)/I has
+    # dimension 1, here claimed 0
+    real = filtration.dimension_filtration
+
+    def skewed(ideal):
+        filt = real(ideal)
+        assert filt.dims == (-1, 1)
+        return replace(filt, dims=(-1, 0))
+
+    monkeypatch.setattr(filtration, "dimension_filtration", skewed)
+    with pytest.raises(InternalInvariantError):
+        classify_sequential(plane_and_line)
+    spec = resources.files("irlab") / "corpus" / "plane_and_line.json"
+    assert main(["analyze", str(spec)]) == EXIT_CROSSCHECK
+    assert "internal cross-check failure" in capsys.readouterr().err
 
 
 # -- good systems of parameters -----------------------------------------------------------

@@ -630,17 +630,13 @@ def test_standard_monomials_not_artinian(R2):
         Ideal(R2, [x]).standard_monomials()
 
 
-def test_standard_monomials_with_bound(R2):
-    x, _ = R2.gens()
-    got = Ideal(R2, [x]).standard_monomials(degree_bound=2)
-    assert got == [(0, 0), (0, 1), (0, 2)]
+def test_standard_levels_stop_after_top():
+    def levels(leads, top):
+        return {e: sorted(level) for e, level in standard_levels(leads, 2, top)}
 
-
-def test_standard_monomials_degree_bound_zero(R2):
-    x, y = R2.gens()
-    assert Ideal(R2, [x]).standard_monomials(degree_bound=0) == [(0, 0)]
-    assert Ideal(R2, [x, y]).standard_monomials(degree_bound=0) == [(0, 0)]
-    assert Ideal(R2, [R2.one()]).standard_monomials(degree_bound=0) == []
+    assert levels([(1, 0)], 2) == {0: [(0, 0)], 1: [(0, 1)], 2: [(0, 2)]}
+    assert levels([(1, 0)], 0) == levels([(1, 0), (0, 1)], 0) == {0: [(0, 0)]}
+    assert levels([(0, 0)], 0) == {}
 
 
 @pytest.mark.parametrize("artinian", [False, True], ids=["top=5", "top=None"])

@@ -186,8 +186,15 @@ def test_formula_dim3_rejects_mixed_module(R5):
 
 def test_deep_element_kills_h2_trivially_for_cm_closure(two_planes_3d, R5):
     x = R5.parse("a^3 + c^3")
-    assert deep_element_kills_h2([Ideal(R5, ["a", "b"]), Ideal(R5, ["c", "d"])],
-                                 x, R5)
+    assert deep_element_kills_h2([Ideal(R5, ["a", "b"]), Ideal(R5, ["c", "d"])], x)
+
+
+def test_deep_element_kills_h2_reads_the_annihilator(two_planes_3d, R5):
+    # two_planes_3d as its own closure: H^2 is dual to Ext^3, whose
+    # annihilator is (a, b, c, d)
+    for v in "abcd":
+        assert deep_element_kills_h2([two_planes_3d], R5.parse(v))
+    assert not deep_element_kills_h2([two_planes_3d], R5.parse("e"))
 
 
 def test_stable_report_with_closure(two_planes_3d, R5):
