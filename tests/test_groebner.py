@@ -630,13 +630,21 @@ def test_standard_monomials_not_artinian(R2):
         Ideal(R2, [x]).standard_monomials()
 
 
-def test_standard_levels_stop_after_top():
-    def levels(leads, top):
-        return {e: sorted(level) for e, level in standard_levels(leads, 2, top)}
+def _levels_up_to(leads, top):
+    """The standard monomials in k[x, y] of degree <= top, level by level."""
+    return {e: sorted(level) for e, level in standard_levels(leads, 2, top)}
 
-    assert levels([(1, 0)], 2) == {0: [(0, 0)], 1: [(0, 1)], 2: [(0, 2)]}
-    assert levels([(1, 0)], 0) == levels([(1, 0), (0, 1)], 0) == {0: [(0, 0)]}
-    assert levels([(0, 0)], 0) == {}
+
+def test_standard_monomials_with_bound():
+    # (x) is not Artinian; bounded at 2 its standard monomials are 1, y, y^2
+    assert _levels_up_to([(1, 0)], 2) == {0: [(0, 0)], 1: [(0, 1)], 2: [(0, 2)]}
+
+
+def test_standard_monomials_degree_bound_zero():
+    # (x), (x, y) and the unit ideal, bounded at degree 0
+    assert _levels_up_to([(1, 0)], 0) == {0: [(0, 0)]}
+    assert _levels_up_to([(1, 0), (0, 1)], 0) == {0: [(0, 0)]}
+    assert _levels_up_to([(0, 0)], 0) == {}
 
 
 @pytest.mark.parametrize("artinian", [False, True], ids=["top=5", "top=None"])
