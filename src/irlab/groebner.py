@@ -2,8 +2,11 @@
 
 One Buchberger, with normal selection and the classical pair criteria (no
 F4/F5), serves ideals and submodules of free modules alike: an ideal runs as
-rank-1 input, every polynomial lifted to position 0.  The chain criterion
-always applies; the product criterion only at rank 1, where it is sound.
+rank-1 input, every polynomial lifted to position 0.  A pair whose S-vector
+reduces to 0 by construction is settled when it is formed and never queued:
+two single terms in one position (their S-vector is 0) and, at rank 1 only,
+where it is sound, two coprime leads (the product criterion).  The chain
+criterion runs when a pair is popped (Buchberger 1979).
 There is one monomial order, grevlex (`ring.grevlex_key`); the module order
 is position-over-term over it (position 0 highest), which doubles as the
 elimination device behind syzygies.  Every colon, intersection and
@@ -246,8 +249,8 @@ def _buchberger(raw, p, shifts=None):
     Pairs go by sugar, lcm degree plus the shift of its position.  With shifts
     None the vectors seed the basis and `picked` is None; otherwise they are
     the candidates of a selection (module docstring), and `picked` lists the
-    indices into `raw` of those kept.  Single terms form no pairs (S-vectors
-    of terms vanish): a plain run returns them, a selection picks by `_first_undivided`.
+    indices into `raw` of those kept.  Single terms alone need no pairs: a
+    plain run returns them, a selection picks by `_first_undivided`.
     """
     idx = [k for k, v in enumerate(raw) if v]
     if not idx:
@@ -266,6 +269,7 @@ def _buchberger(raw, p, shifts=None):
     by_pos: dict = {}
     same_pos: dict = {}  # position key -> indices of the elements leading there
     heap = []
+    done = set()
 
     def add(g, lt):
         g = _monic(g, lt, p)
@@ -275,12 +279,18 @@ def _buchberger(raw, p, shifts=None):
         reducers.append(_file_reducer(by_pos, L, lt, g))
         m = L.unpack(lt)[1]
         expos.append(m)
-        degs.append(sum(m))
+        deg = sum(m)
+        degs.append(deg)
         same = same_pos.setdefault(lt >> s_bits, [])
         sh = shifts[-(lt >> s_bits)] if shifts else 0
         for t in same:
             d = sum(map(max, expos[t], m))
-            heapq.heappush(heap, (d + sh, 0, new, t, d))
+            # Settled when formed: the S-vector of two terms is 0, and coprime
+            # leads reduce to 0 in the ring case (product criterion).
+            if (len(g) == 1 and len(G[t]) == 1) or (rank1 and d == degs[t] + deg):
+                done.add((t, new))
+            else:
+                heapq.heappush(heap, (d + sh, 0, new, t, d))
         same.append(new)
 
     if shifts is None:
@@ -291,7 +301,6 @@ def _buchberger(raw, p, shifts=None):
         heap = [(_degree(L, max(g), shifts), 1, k) for k, g in enumerate(vecs)]
         heapq.heapify(heap)
         waiting, picked = len(vecs), []
-    done = set()
     spent = 0
     varmask, guard, degmask = L.varmask, L.guard, L.degmask
     positions = -(1 << s_bits)  # the bits of a packed term that hold -position
@@ -306,9 +315,6 @@ def _buchberger(raw, p, shifts=None):
             continue
         _, _, j, i, d = entry  # d: the degree of the lcm, unshifted
         done.add((i, j))
-        # Product criterion: coprime leads reduce to 0 in the ring case.
-        if rank1 and d == degs[i] + degs[j]:
-            continue
         # The lcm keeps the smaller field of the two leads in every variable.
         a, b = leads[i] & varmask, leads[j] & varmask
         ge = ((a | guard) - b) & guard
@@ -350,11 +356,12 @@ def _buchberger(raw, p, shifts=None):
 def module_buchberger_raw(vecs, p):
     """Reduced Groebner basis of raw vectors under position-over-term.
 
-    Only same-position pairs are formed.  The chain criterion always applies;
-    the product criterion only when every input vector lies in position 0 (it
-    is unsound for modules of higher rank).  The run packs its input, works on
-    packed terms throughout and unpacks the basis it returns: each vector
-    monic, its terms in descending order, so its first term is its lead.
+    Only same-position pairs are formed.  Term-term pairs are settled when
+    formed; so are coprime pairs when every input vector lies in position 0
+    (the product criterion is unsound for modules of higher rank).  The chain
+    criterion applies to every pair that is popped.  The run packs its input,
+    works on packed terms throughout and unpacks the basis it returns: each
+    vector monic, its terms in descending order, so its first term is its lead.
     """
     L, G, leads, _ = _buchberger(vecs, p)
     # Minimalize, then tail-reduce to the unique reduced basis.  A lead divides

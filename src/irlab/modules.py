@@ -303,8 +303,7 @@ class Module:
         res = self.resolution()
         length = res.length
         if j > length or self.is_zero():
-            out = Module(self.ring, (), [], check=False)
-            self._ext[j] = out
+            out = self._ext[j] = _zero_module(self.ring)
             return out
         dual_shifts = tuple(-s for s in res.shifts[j])
         rank_j = len(res.shifts[j])
@@ -409,6 +408,13 @@ class Module:
         return f"Module(rank {self.rank}, {len(self.relations)} relations)"
 
 
+def _zero_module(ring_: Ring) -> Module:
+    """The zero module, which knows its (empty) minimal presentation."""
+    out = Module(ring_, (), [], check=False)
+    out._min_pres = ((), ())
+    return out
+
+
 def module_subquotient(gens, image, ambient_rank, ambient_shifts, ring_: Ring) -> Module:
     """Present span(gens)/span(image) inside a free module, via one syzygy run.
 
@@ -417,7 +423,7 @@ def module_subquotient(gens, image, ambient_rank, ambient_shifts, ring_: Ring) -
     returned minimalized, and knows that its presentation is minimal.
     """
     if not gens:
-        return Module(ring_, (), [], check=False)
+        return _zero_module(ring_)
     degs = [vec_degree(g, ambient_shifts) for g in gens]
     rels = syzygies_raw(gens, ambient_rank, ring_, image)
     shifts, min_rels = Module(ring_, tuple(degs), rels).minimal_presentation()

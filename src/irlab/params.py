@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -151,13 +152,32 @@ def _quotient(elems: list, ideal: Ideal, cut) -> Ideal:
     return ideal + elems
 
 
+def _supports(f: Poly) -> set:
+    """The variable sets of the terms of f, as bit masks."""
+    return {sum(1 << i for i, e in enumerate(m) if e) for m in f.terms}
+
+
 def _first_cut(ideal: Ideal, candidates, target: int):
     """(x, I + (x)) for the first nonzero candidate x whose cut has dimension
     `target`, or None when the candidates run out.  Candidates are drawn one
-    at a time, so a lazy stream is consumed only up to the accepted one."""
+    at a time, so a lazy stream is consumed only up to the accepted one.
+
+    A candidate is passed over with no basis computed when a set V of
+    n - target - 1 variables meets every term of every generator of I and of
+    x (a cover): then I + (x) lies in the prime (V), so dim S/(I + (x)) >=
+    n - |V| > target.  The covers of I are found once, as bit masks.
+    """
+    n = ideal.ring.nvars
+    terms = set().union(*map(_supports, ideal.gens))
+    masks = (sum(1 << i for i in vs) for vs in combinations(range(n), n - target - 1))
+    covers = [V for V in masks if all(s & V for s in terms)]
     for x in candidates:
         if x.is_zero():
             continue
+        if covers:
+            xs = _supports(x)
+            if any(all(s & V for s in xs) for V in covers):
+                continue
         cut = ideal + x
         if cut.krull_dimension() == target:
             return x, cut

@@ -295,6 +295,18 @@ def is_sop_stepwise(elements, ideal):
     return True
 
 
+def first_cut_uncovered(ideal, candidates, target):
+    """`params._first_cut` with no cover test: (x, I + (x)) for the first
+    nonzero candidate whose cut has dimension `target`, or None."""
+    for x in candidates:
+        if x.is_zero():
+            continue
+        cut = ideal + x
+        if cut.krull_dimension() == target:
+            return x, cut
+    return None
+
+
 def random_sop_stepwise(ideal, degree, rng, retries=40):
     """`stable.random_sop` one element at a time: each element is the first
     nonzero draw of random coefficients on the degree's monomials that cuts
@@ -543,9 +555,11 @@ def module_buchberger_tuples(vecs, p):
     """Reduced Groebner basis of raw vectors under position-over-term, on tuples.
 
     The engine as it was before terms were packed into ints: exponent tuples,
-    a heap on (position, descending key) and a per-run key cache.  Same pair
-    order, criteria and reducer choice, so its bases and `normal_form_tuples`
-    must equal `groebner.module_buchberger_raw` and `groebner._normal_form` exactly.
+    a heap on (position, descending key) and a per-run key cache.  Every pair
+    is queued, and the criteria run when it is popped, so the pair order may
+    differ from `groebner.module_buchberger_raw`'s; the reduced basis is
+    unique, so the bases must be equal, term order included.  The same
+    reducer choice makes `normal_form_tuples` equal `groebner._normal_form`.
 
     Only same-position pairs are formed.  The chain criterion always applies;
     the product criterion only when every input vector lies in position 0 (it

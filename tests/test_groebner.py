@@ -4,6 +4,7 @@ from oracles import (_vkey, membership_bruteforce, module_buchberger_tuples,
                      random_monomial_ideal, standard_levels_by_filter,
                      tagged_projection)
 
+from irlab import groebner
 from irlab.cohomology import _sum_of_variables_saturation
 from irlab.errors import NotArtinianError, PreconditionError, ResourceBudgetExceeded
 from irlab.groebner import (_B, GroebnerBasis, Ideal, _divides, _file_reducer, _layout, _lift,
@@ -210,6 +211,45 @@ def test_packed_engine_matches_tuple_oracle_on_syzygies(R4):
             got = module_buchberger_raw(vecs, p)
             assert [list(g.items()) for g in got] == \
                 [list(g.items()) for g in module_buchberger_tuples(vecs, p)]
+
+
+def random_terms_and_binomials(rng, n, rank, p):
+    """Two to six single terms and one to three binomials with random nonzero
+    coefficients, each term in a random position below `rank` with exponents
+    up to 2 (a binomial whose two terms coincide is a single term)."""
+    def term():
+        return rng.below(rank), tuple(rng.below(3) for _ in range(n))
+
+    vecs = [{term(): 1 + rng.below(p - 1)} for _ in range(2 + rng.below(5))]
+    for _ in range(1 + rng.below(3)):
+        a, b = term(), term()
+        vecs.append({a: 1 + rng.below(p - 1)} if a == b
+                    else {a: 1 + rng.below(p - 1), b: 1 + rng.below(p - 1)})
+    return vecs
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rank", [1, 2])
+def test_settled_pairs_keep_the_bases(p, rank):
+    """Term-term pairs (and coprime ones at rank 1) settled when formed leave
+    the reduced basis of the tuple engine, which queues every pair."""
+    rng = Rng(2600 + 10 * rank + p % 97)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            vecs = random_terms_and_binomials(rng, n, rank, p)
+            got = module_buchberger_raw(vecs, p)
+            assert [list(g.items()) for g in got] == \
+                [list(g.items()) for g in module_buchberger_tuples(vecs, p)]
+
+
+def test_settled_pairs_spend_no_budget(R4, monkeypatch):
+    """x^2, xy, y^2 and u^2 + uv, v^3: every pair is term-term or coprime, so
+    the run reduces none and completes on a budget of one pair."""
+    x, y, u, v = R4.gens()
+    vecs = [_lift(g) for g in (x * x, x * y, y * y, u * u + u * v, v ** 3)]
+    want = module_buchberger_tuples(vecs, R4.p)  # it reduces the term-term pairs
+    monkeypatch.setenv("IRLAB_BUDGET", "1")
+    assert module_buchberger_raw(vecs, R4.p) == want
 
 
 def test_exponent_past_the_field_fails_closed(R3):
@@ -747,7 +787,7 @@ def test_syzygies_with_relations_match_tagged_projection(p):
         assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
-def test_module_groebner_reduced_and_contains(R3):
+def test_module_groebner_reduced_and_contains(R3, monkeypatch):
     x, y, z = R3.gens()
     vecs = [
         {(0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1},
@@ -759,13 +799,19 @@ def test_module_groebner_reduced_and_contains(R3):
     assert module_normal_form(R3, gb, {(0, (0, 0, 0)): 1})
 
     # Coprime leads x*e0, y*e0 at rank 2: the S-pair (yz - xw)*e1 must survive,
-    # so the product criterion may not prune it.
+    # so the product criterion may not prune it, and the pair is reduced.
     R = ring(("x", "y", "z", "w"))
     p = R.p
+    reduced = []
+    real = groebner._normal_form
+    monkeypatch.setattr(groebner, "_normal_form",
+                        lambda f, by_pos, L, p: reduced.append(L.unpack_vec(f))
+                        or real(f, by_pos, L, p))
     gb = module_buchberger_raw([{(0, (1, 0, 0, 0)): 1, (1, (0, 0, 1, 0)): 1},
                                 {(0, (0, 1, 0, 0)): 1, (1, (0, 0, 0, 1)): 1}], p)
     assert len(gb) == 3
     assert {(1, (0, 1, 1, 0)): 1, (1, (1, 0, 0, 1)): p - 1} in gb
+    assert {(1, (0, 1, 1, 0)): 1, (1, (1, 0, 0, 1)): p - 1} in reduced
 
     # Single-term vectors: the minimal set, monic, position 1 before position 0,
     # ascending in the term order within a position.

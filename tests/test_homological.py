@@ -5,6 +5,7 @@ from oracles import (annihilator_by_colons, check_complex, has_unit_entries,
                      minimal_vec_generators_greedy, quotient_dimension_bruteforce,
                      random_monomial_ideal, syzygy_chain)
 
+from irlab import modules
 from irlab.errors import PreconditionError, ResourceBudgetExceeded, ZeroModuleError
 from irlab.groebner import Ideal
 from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
@@ -354,6 +355,24 @@ def test_ext_zero_outside_codim_projdim_window(two_planes_3d):
         assert M.ext(j).is_zero()
     for j in range(M.projective_dimension() + 1, M.ring.nvars + 1):
         assert M.ext(j).is_zero()
+
+
+def test_zero_modules_know_their_presentation(two_planes_3d, R3, monkeypatch):
+    """Ext past the resolution length and a subquotient with no generators
+    are zero modules that answer is_zero with no minimalization."""
+    M = Module(two_planes_3d.ring, (0,), [{(0, m): c for m, c in g.terms.items()}
+                                          for g in two_planes_3d.gens])
+    length = M.resolution().length
+    assert length < M.ring.nvars
+
+    def refuse(*args):
+        raise AssertionError("a zero module minimalized its presentation")
+
+    monkeypatch.setattr(modules, "minimalize_complex", refuse)
+    monkeypatch.setattr(modules, "minimal_vec_generators", refuse)
+    for j in range(length + 1, M.ring.nvars + 1):
+        assert M.ext(j).is_zero()
+    assert modules.module_subquotient([], [], 1, (0,), R3).is_zero()
 
 
 # -- invariants ------------------------------------------------------------------------

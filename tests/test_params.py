@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from oracles import (is_sop_stepwise, multiplication_maps_by_normal_forms,
+from oracles import (first_cut_uncovered, is_sop_stepwise, multiplication_maps_by_normal_forms,
                      random_monomial_ideal, rref_exact, socle_by_full_slices,
                      socle_by_normal_forms, triangular_change)
 
@@ -158,6 +158,85 @@ def test_search_exhausts_inside_top_component(plane_and_line, monkeypatch):
     with pytest.raises(SearchExhausted) as err:
         find_parameter_element(plane_and_line, x, 1, Rng(0))
     assert err.value.attempted_degrees == (1, 2, 3)
+
+
+# -- the cover certificate of _first_cut -----------------------------------------------
+
+def sparse_candidates(R, rng, count):
+    """`count` random homogeneous candidates of degree 1 or 2 with one to three
+    terms, so that some lie in a variable prime and some escape every one."""
+    for _ in range(count):
+        monos = monomials_of_degree(R.nvars, 1 + rng.below(2))
+        f = R.zero()
+        for _ in range(1 + rng.below(3)):
+            f = f + R.monomial(monos[rng.below(len(monos))], rng.below(R.p))
+        yield f
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_cover_passes_over_only_non_parameters(p, monkeypatch):
+    """A candidate passed over by a cover, which builds no cut, really fails
+    to cut: (I + x) has dimension above the target."""
+    rng = Rng(2600 + p % 1000)
+    real = Ideal.krull_dimension
+    cuts = []
+    monkeypatch.setattr(Ideal, "krull_dimension", lambda self: cuts.append(self) or real(self))
+    passed_over = reached = 0
+    for n in (3, 4, 5):
+        R = ring(tuple(f"x{i}" for i in range(n)), p)
+        for _ in range(3):
+            for gens in random_monomial_ideal(R, rng):
+                I = Ideal(R, gens)
+                target = I.krull_dimension() - 1
+                if target < 0:
+                    continue
+                for x in sparse_candidates(R, rng, 8):
+                    if x.is_zero():
+                        continue
+                    before = len(cuts)
+                    params._first_cut(I, [x], target)
+                    if len(cuts) > before:
+                        reached += 1
+                    else:
+                        passed_over += 1
+                        assert (I + x).krull_dimension() > target
+    assert passed_over and reached
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_first_cut_matches_the_uncovered_loop(p):
+    """Same x, an equal cut and the same random state as the loop with no
+    cover test, on monomial ideals and their moved images."""
+    rng = Rng(2700 + p % 1000)
+    for n in (3, 4, 5):
+        R = ring(tuple(f"x{i}" for i in range(n)), p)
+        for _ in range(3):
+            for gens in random_monomial_ideal(R, rng):
+                I = Ideal(R, gens)
+                d = I.krull_dimension()
+                for target in range(d):
+                    seed = rng.next_int()
+                    a, b = Rng(seed), Rng(seed)
+                    got = params._first_cut(I, sparse_candidates(R, a, 12), target)
+                    want = first_cut_uncovered(I, sparse_candidates(R, b, 12), target)
+                    assert a.state == b.state
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_candidate_escaping_the_cover_is_accepted(plane_and_line, monkeypatch):
+    """(xy, xz) lies in (x), its one cover of n - target - 1 = 1 variable:
+    x is passed over with no cut built, and y + z, which escapes (x), cuts."""
+    R = plane_and_line.ring
+    x, y, z = R.gens()
+    real = Ideal.krull_dimension
+    cuts = []
+    monkeypatch.setattr(Ideal, "krull_dimension", lambda self: cuts.append(self) or real(self))
+    got, cut = params._first_cut(plane_and_line, [x, y + z], 1)
+    assert got == y + z and cut.gens == (plane_and_line + (y + z)).gens
+    assert cuts == [cut]
 
 
 # -- certified deep systems -----------------------------------------------------------

@@ -46,7 +46,10 @@ CORPUS = ROOT / "src" / "irlab" / "corpus"
 
 DIGEST_OPS = [("stable", s, 32003, ())
               for s in ("two_planes_origin", "sqfree_13", "sqfree_15")]
-DIGEST_OPS += [("limit", "two_planes_origin", 32003, ("--nmax", "4", "--samples", "25"))]
+DIGEST_OPS += [("limit", "two_planes_origin", p, ("--nmax", "4", "--samples", "25"))
+               for p in (32003, 2147483647)]
+DIGEST_OPS += [("limit", "sqfree_13", p, ("--nmax", "3", "--samples", "10"))
+               for p in (32003, 2147483647)]
 DIGEST_OPS += [("analyze", name[:-len(".json")], 2, ())
                for group in ("golden", "cm_controls", "random_squarefree")
                for name in cli.corpus_index()[group]]
