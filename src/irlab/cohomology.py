@@ -12,6 +12,13 @@ H^i goes through it:
 of `cm_flags` come from depth and dim and one table, the dimensions of
 dual(M, i) for i < dim M (`_dual_dims`).
 
+Ann H^0 of a cyclic S/I is read without Ext where it can be (`_ann_h0`), in
+order: S when the leads of the cached grevlex basis of I leave no socle
+monomial, since depth S/I >= depth S/in(I) (Bayer & Stillman 1987; Herzog &
+Hibi, Monomial Ideals, 2011, section 3.3); S when K = I : l^infinity, l the
+sum of the variables, is I itself; I : K when that is m-primary or S; and
+otherwise Ann Ext^n, as in every other slot.
+
 The Stanley-Reisner route (links of the associated simplicial complex) gives
 an independent oracle for the Hilbert functions when the defining ideal is
 square-free monomial; everything is over the same prime field, and the
@@ -128,15 +135,26 @@ def _ann_h0(I: Ideal) -> Ideal | None:
     None when this shortcut cannot decide.
 
     The finite-length part is sat(I)/I, so no Ext computation is needed; the
-    duality route Ann Ext^n must agree, and is cross-checked in tests.  First
-    K = I : l^infinity, l the sum of the variables, is read off one grevlex
-    basis (`_sum_of_variables_saturation`).  K = I certifies depth S/I >= 1
-    and gives the unit ideal with no colon at all.  Otherwise K contains
-    sat I, and equals it exactly when A = I : K is m-primary or the unit
-    ideal (then K/I has finite length); A is then the answer.  Failing that,
-    l lies in an associated prime other than m (more often over small
-    fields), and the caller reads Ann Ext^n instead.
+    duality route Ann Ext^n must agree, and is cross-checked in tests.  The
+    outcomes, in order:
+
+      1. The unit ideal when S/in(I) has no socle monomial, read off the
+         leads of the basis I already caches
+         (`GroebnerBasis.initial_socle_free`): then depth S/I >= 1, since
+         depth S/I >= depth S/in(I) (Bayer & Stillman 1987; Herzog & Hibi,
+         Monomial Ideals, 2011, section 3.3).  No basis is computed.
+      2. The unit ideal when K = I : l^infinity, l the sum of the variables,
+         read off one grevlex basis of the moved generators
+         (`_sum_of_variables_saturation`), is I itself: l is then a
+         nonzerodivisor, which covers depth >= 1 ideals whose initial ideal
+         has a socle monomial, such as (x^2, xy - z^2).
+      3. A = I : K when it is m-primary or the unit ideal: K contains sat I,
+         and equals it exactly then (K/I has finite length).
+      4. None otherwise: l lies in an associated prime other than m (more
+         often over small fields), and the caller reads Ann Ext^n instead.
     """
+    if I.groebner().initial_socle_free():
+        return unit_ideal(I.ring)
     K = _sum_of_variables_saturation(I)
     if K is I:
         return unit_ideal(I.ring)

@@ -146,6 +146,14 @@ class _Layout:
             (((a & self.varmask) | self.guard) - (b & self.varmask)) & self.guard == self.guard
 
 
+def _lcm_fields(a, b, guard):
+    """The lcm of two terms given by their variable fields (t & varmask): the
+    smaller field of the two in every variable."""
+    ge = ((a | guard) - b) & guard
+    ge |= ge - (ge >> (_W - 1))
+    return (b & ge) | (a & ~ge)
+
+
 _LAYOUTS: dict = {}
 
 
@@ -315,11 +323,8 @@ def _buchberger(raw, p, shifts=None):
             continue
         _, _, j, i, d = entry  # d: the degree of the lcm, unshifted
         done.add((i, j))
-        # The lcm keeps the smaller field of the two leads in every variable.
-        a, b = leads[i] & varmask, leads[j] & varmask
-        ge = ((a | guard) - b) & guard
-        ge |= ge - (ge >> (_W - 1))
-        lcm_t = (d << nw) + ((b & ge) | (a & ~ge)) + (leads[i] & positions)
+        lcm_t = (d << nw) + _lcm_fields(leads[i] & varmask, leads[j] & varmask, guard) \
+            + (leads[i] & positions)
         # Chain criterion.
         glcm = lcm_t & varmask
         skip = False
@@ -428,6 +433,39 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant() \
             and not self.elements[0].is_zero()
+
+    def initial_socle_free(self) -> bool:
+        """Whether S/in(I) has no socle monomial, that is depth S/in(I) >= 1;
+        then depth S/I >= 1 too, as depth S/I >= depth S/in(I) (Bayer &
+        Stillman 1987; Herzog & Hibi, Monomial Ideals, 2011, section 3.3).
+
+        With N = in(I), spanned by the leads, the socle monomials are those of
+        (N : m) = cap_i (N : x_i) outside N.  Q holds the generators outside N
+        of the intersection over the variables taken so far, starting from
+        {1} - N: each variable x_i replaces Q by the lcms of its members with
+        the g / x_i for the leads g that x_i divides (the generators of
+        N : x_i outside N, the leads being minimal), less the members of N.
+        The answer is yes as soon as Q is empty, at once when a variable
+        divides no lead; the variables go in order of how few leads they
+        divide.  The work is on the variable fields of packed terms: N
+        membership by guard bits, and the lcm as the field-wise minimum.
+        """
+        L = _layout(self.ring.nvars)
+        guard = L.guard
+        packed = [L.pack((0, m)) & L.varmask for m in self.leads]
+        gleads = [t | guard for t in packed]
+
+        def outside(terms):
+            return {u for u in terms if not any((g - u) & guard == guard for g in gleads)}
+
+        by_var = sorted(([t + (1 << sh) for t, m in zip(packed, self.leads) if m[i]]
+                         for i, sh in enumerate(L.shifts)), key=len)
+        Q = outside([L.base])
+        for D in by_var:
+            if not Q:
+                break
+            Q = outside([_lcm_fields(a, b, guard) for a in Q for b in D])
+        return not Q
 
 
 def buchberger(gens) -> GroebnerBasis:

@@ -5,7 +5,7 @@ import pytest
 from oracles import (flags_by_ext_loops, least_power_inside_by_membership,
                      random_monomial_ideal, triangular_change)
 
-from irlab import filtration, modules, params
+from irlab import cohomology, filtration, modules, params
 from irlab.cli import corpus_index, load_corpus_spec, load_ring_spec
 from irlab.cohomology import (CmFlags, SimplicialComplex, _ann_h0, _least_power_inside,
                               _sum_of_variables_saturation, annihilator_data, cm_flags,
@@ -114,16 +114,31 @@ def test_h0_annihilator_agrees_with_duality_route_on_random_ideals(p):
 
 
 def test_h0_slot_runs_no_colon_on_depth_one_inputs(monkeypatch):
-    # depth >= 1 is certified by one grevlex basis: no saturation, no colon
+    # depth >= 1 is certified by the leads of the cached grevlex basis: no
+    # substituted basis, no saturation, no colon
     def refuse(*args, **kwargs):
         raise AssertionError("the H^0 slot ran a colon on a depth >= 1 input")
 
+    sqfree = load_corpus_spec("sqfree_15.json").ideal
+    # a stage quotient I + (x) of construct_c_sop: depth 1, not monomial
+    stage = sqfree + params.construct_c_sop(sqfree, 1, seed=0).elements[-1]
+    assert not stage.is_monomial()
     monkeypatch.setattr(modules, "_CYCLIC_CACHE", {})
     monkeypatch.setattr(Ideal, "saturation", refuse)
     monkeypatch.setattr(Ideal, "colon", refuse)
-    for name in ("cm_plane.json", "sqfree_15.json"):
-        M = Module.cyclic(load_corpus_spec(name).ideal)
-        assert annihilator_data(M)[0].is_unit()
+    monkeypatch.setattr(cohomology, "_sum_of_variables_saturation", refuse)
+    for I in (load_corpus_spec("cm_plane.json").ideal, sqfree, stage):
+        assert annihilator_data(Module.cyclic(I))[0].is_unit()
+    monkeypatch.undo()
+    # one-sided: in(I) = (x^2, xy, xz^2, z^4) has the socle monomial xz, so the
+    # check declines, yet depth S/I = 1 and the slot still reads S
+    for p in (2, 3, 32003, 2**31 - 1):
+        R = ring(("x", "y", "z"), p)
+        x, y, z = R.gens()
+        I = Ideal(R, [x * x, x * y - z * z])
+        assert not I.groebner().initial_socle_free()
+        M = Module.cyclic(I)
+        assert M.depth() == 1 and annihilator_data(M)[0].is_unit()
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])

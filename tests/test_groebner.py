@@ -622,6 +622,34 @@ def test_depth_certificate_hand_cases(p):
         assert I.saturation(m) is I
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_initial_socle_free_against_colon_and_ext(p):
+    # in(I) = I for a monomial ideal, so the check fires exactly when I : m = I;
+    # on a moved copy it may decline, but when it fires H^0 = 0, so Ext^n = 0
+    rng = Rng(p + 17)
+    fired = declined = 0
+    for trial in range(16):
+        R = ring(("x", "y", "z", "w")[:2 + trial % 3], p)
+        monos, moved = random_monomial_ideal(R, rng)
+        I = Ideal(R, monos)
+        socle_free = I.groebner().initial_socle_free()
+        assert socle_free == (I.colon(maximal_ideal(R)) == I)
+        fired += socle_free
+        declined += not socle_free
+        J = Ideal(R, moved)
+        if J.groebner().initial_socle_free():
+            assert Module.cyclic(J).ext(R.nvars).is_zero()
+    assert fired and declined
+    R2, R3 = ring(("x", "y"), p), ring(("x", "y", "z"), p)
+    x, y = R2.gens()
+    a, b, c = R3.gens()
+    ell = a + b + c
+    for I in (Ideal(R2, []), Ideal(R2, [x * y]), Ideal(R3, [a, b]).power(2)):
+        assert I.groebner().initial_socle_free()
+    for I in (Ideal(R2, [x * x, x * y]), Ideal(R3, [ell * v for v in (a, b, c)])):
+        assert not I.groebner().initial_socle_free()
+
+
 # -- dimension ----------------------------------------------------------------------
 
 def test_dimension_plane_and_line(plane_and_line):
