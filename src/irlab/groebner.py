@@ -6,7 +6,9 @@ rank-1 input, every polynomial lifted to position 0.  A pair whose S-vector
 reduces to 0 by construction is settled when it is formed and never queued:
 two single terms in one position (their S-vector is 0) and, at rank 1 only,
 where it is sound, two coprime leads (the product criterion).  The chain
-criterion runs when a pair is popped (Buchberger 1979).
+criterion runs when a pair is popped (Buchberger 1979).  A plain run reduces
+each input by the basis so far before it enters, in input order, and drops it
+when it reduces to 0 (Becker & Weispfenning 1993); selection runs do not.
 There is one monomial order, grevlex (`ring.grevlex_key`); the module order
 is position-over-term over it (position 0 highest), which doubles as the
 elimination device behind syzygies.  Every colon, intersection and
@@ -45,7 +47,8 @@ is kept when its remainder is nonzero, which is exact (La Scala & Stillman
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
 variable, a positive integer).  The budget caps every run alike and counts
-only the S-pairs it reduces; a selection run's candidates never count.
+only the S-pairs it reduces; a plain run's entry reductions and a selection
+run's candidates never count.
 """
 
 from __future__ import annotations
@@ -257,7 +260,10 @@ def _buchberger(raw, p, shifts=None):
     Pairs go by sugar, lcm degree plus the shift of its position.  With shifts
     None the vectors seed the basis and `picked` is None; otherwise they are
     the candidates of a selection (module docstring), and `picked` lists the
-    indices into `raw` of those kept.  Single terms alone need no pairs: a
+    indices into `raw` of those kept.  A plain run reduces each vector, in
+    order, by the basis so far and adds its nonzero remainder, so terms the
+    earlier vectors already cancel never reach an S-pair; these reductions
+    are no S-pairs and spend no budget.  Single terms alone need no pairs: a
     plain run returns them, a selection picks by `_first_undivided`.
     """
     idx = [k for k, v in enumerate(raw) if v]
@@ -303,7 +309,9 @@ def _buchberger(raw, p, shifts=None):
 
     if shifts is None:
         for g in vecs:
-            add(g, max(g))
+            rem = _normal_form(g, by_pos, L, p)
+            if rem:
+                add(rem, next(iter(rem)))
         picked = None
     else:
         heap = [(_degree(L, max(g), shifts), 1, k) for k, g in enumerate(vecs)]

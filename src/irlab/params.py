@@ -19,6 +19,13 @@ Groebner engine: the maps are read off the reduced basis by border
 induction, with no polynomial reduction).  Their lengths are cross-checked
 too; any disagreement aborts loudly.
 
+The span route resumes from its previous call.  Its state after degree step
+e depends only on n, p and the generators of degree <= e + 1, so it is keyed
+by (n, p) and their sorted term tuples, coefficients included: the random
+systems I + (f_1, .., f_d) of one degree that `limit` draws share every step
+below that degree.  `_SPAN_MEMO` holds one call's states below its top
+generator degree, and never more.
+
 One search serves every stage: `find_parameter_element` hands back x with the
 cut I + (x) it tested, and the next stage continues from that cut.  A finished
 system hands its Artinian quotient to `index_of_reducibility`, which always
@@ -313,6 +320,12 @@ def _shift_table(n: int, e: int):
     return shifts, rep_v, rep_m, index
 
 
+# The states of the last span-route call, keyed by its ring's (n, p): one
+# (key, total_socle, total_length, residue, std) per degree step e with
+# e + 1 below the call's top generator degree (`_socle_by_degreewise_spans`).
+_SPAN_MEMO: dict = {}
+
+
 def _socle_by_degreewise_spans(gens, ring_):
     """(socle dimension, length) of S/(gens) by raw degreewise linear algebra.
 
@@ -341,9 +354,22 @@ def _socle_by_degreewise_spans(gens, ring_):
     gathered from the border residues without any product.  Every product of
     two residues is reduced mod p before it is summed, and no sum has more
     terms than q_e or than one generator has, both far below 2^32, so every
-    intermediate fits int64 for p < 2^31.  Homogeneous generators and an
-    Artinian quotient are required (the loop stops at the first empty degree
-    of S/J); a nonzero constant gives the unit ideal, (0, 0).
+    intermediate fits int64 for p < 2^31; the relations are left unreduced,
+    in (-p, p) or such a sum, since `rref_mod_p` reduces its own copy.
+    Homogeneous generators and an Artinian quotient are required (the loop
+    stops at the first empty degree of S/J); a nonzero constant gives the
+    unit ideal, (0, 0).
+
+    The state after step e, (total socle, total length, residue, std) of
+    degree e + 1, depends only on n, p and the generators of degree <= e + 1.
+    So a call resumes from the last one: step e is skipped and that call's
+    state e loaded when its key, the sorted term tuples (coefficients
+    included) of every generator of degree <= e + 1, is this call's.  A call
+    that returns replaces `_SPAN_MEMO` with its own states for e + 1 below
+    its top generator degree: the prefix that the draws J = I + (f_1, ..,
+    f_d) of one degree share with their siblings.  The memo holds one call
+    and never grows, its arrays are read-only, and a call that raises leaves
+    it as it was.
     """
     p = ring_.p
     n = ring_.nvars
@@ -356,70 +382,91 @@ def _socle_by_degreewise_spans(gens, ring_):
         by_degree.setdefault(g.degree(), []).append(g)
     if 0 in by_degree:
         return 0, 0
+    top = max(by_degree, default=0)
+    previous = _SPAN_MEMO.get((n, p), ())
+    states = []
 
     total_socle = 0
     total_length = 0
     residue = np.ones((1, 1), dtype=np.int64)  # degree-e monomials in standard coordinates
     std = np.zeros(1, dtype=np.intp)  # positions of the standard monomials of degree e
+    key = ()
     e = 0
     while std.size:
         if e > 600:
             raise PreconditionError("degreewise socle diverged; quotient not Artinian?")
-        q = std.size
-        total_length += q
-        shifts, rep_v, rep_m, index = _shift_table(n, e)
-        # border columns, in monomial order; col[v, j] is the column of x_v s_j
-        border, col = np.unique(shifts[:, std], return_inverse=True)
-        col = col.reshape(n, q)
-        slot = np.full(len(residue), -1)
-        slot[std] = np.arange(q)
-        zero = ~residue.any(axis=1)
-        # the representations u = x_v m, one per entry of shifts; Phi(u) takes
-        # a standard m (a unit column) first, then one in J_e (the zero image)
-        rep_u = shifts.ravel()
-        priority = np.where(slot >= 0, 0, np.where(zero, 1, 2))[rep_m]
-        order = np.lexsort((priority, rep_u))
-        first = np.ones(rep_u.size, dtype=bool)
-        first[1:] = rep_u[order[1:]] != rep_u[order[:-1]]
-        phi = order[first]  # the representation chosen for each u
-        rest = order[~first]
-        base = phi[rep_u[rest]]
         new_gens = by_degree.get(e + 1, [])
-        relations = np.zeros((rest.size + len(new_gens), border.size), dtype=np.int64)
-        rows = np.arange(rest.size)[:, None]
-        relations[rows, col[rep_v[rest]]] = residue[rep_m[rest]]
-        relations[rows, col[rep_v[base]]] -= residue[rep_m[base]]
-        for r, g in enumerate(new_gens, rest.size):
-            reps = phi[[index[m] for m in g.terms]]
-            coeffs = np.array(list(g.terms.values()), dtype=np.int64)
-            np.add.at(relations[r], col[rep_v[reps]],
-                      (coeffs[:, None] * residue[rep_m[reps]]) % p)
-        relations %= p
-        reduced, pivots = rref_mod_p(relations[relations.any(axis=1)], p)
-        is_free = np.ones(border.size, dtype=bool)
-        is_free[pivots] = False
-        free = np.nonzero(is_free)[0]
-        q_next = free.size
-        # residues of the border monomials in the standard basis of degree e + 1
-        res_border = np.zeros((border.size, q_next), dtype=np.int64)
-        res_border[pivots] = (-reduced[:len(pivots)][:, free]) % p
-        res_border[free, np.arange(q_next)] = 1
-        multiplication = res_border[col].transpose(0, 2, 1).reshape(n * q_next, q)
-        total_socle += nullity_mod_p(multiplication, p)
-        # residue of every degree-(e + 1) monomial: Phi(u) times res_border
-        phi_v, phi_m = rep_v[phi], rep_m[phi]
-        res_next = np.zeros((len(phi), q_next), dtype=np.int64)
-        unit = slot[phi_m] >= 0
-        res_next[unit] = res_border[col[phi_v[unit], slot[phi_m[unit]]]]
-        dense = np.nonzero(~unit & ~zero[phi_m])[0]
-        step = max(1, _PRODUCT_CELLS // max(1, q * q_next))
-        for at in range(0, dense.size, step):
-            us = dense[at:at + step]
-            products = residue[phi_m[us]][:, :, None] * res_border[col[phi_v[us]]]
-            res_next[us] = (products % p).sum(axis=1) % p
-        residue, std = res_next, border[free]
+        key += (tuple(sorted(tuple(sorted(g.terms.items())) for g in new_gens)),)
+        if e < len(previous) and previous[e][0] == key:
+            state = previous[e]
+        else:
+            socle, *after = _span_step(n, p, e, residue, std, new_gens)
+            state = (key, total_socle + socle, total_length + std.size, *after)
+        _, total_socle, total_length, residue, std = state
+        if e + 1 < top:
+            for a in (residue, std):
+                a.setflags(write=False)
+            states.append(state)
         e += 1
+    _SPAN_MEMO.clear()
+    _SPAN_MEMO[n, p] = states
     return total_socle, total_length
+
+
+def _span_step(n, p, e, residue, std, new_gens):
+    """(degree-e socle, residue, std of degree e + 1): one degree step of
+    `_socle_by_degreewise_spans`, from the residues and standard positions of
+    degree e and the generators of degree e + 1."""
+    q = std.size
+    shifts, rep_v, rep_m, index = _shift_table(n, e)
+    # border columns, in monomial order; col[v, j] is the column of x_v s_j
+    border, col = np.unique(shifts[:, std], return_inverse=True)
+    col = col.reshape(n, q)
+    slot = np.full(len(residue), -1)
+    slot[std] = np.arange(q)
+    zero = ~residue.any(axis=1)
+    # the representations u = x_v m, one per entry of shifts; Phi(u) takes
+    # a standard m (a unit column) first, then one in J_e (the zero image)
+    rep_u = shifts.ravel()
+    priority = np.where(slot >= 0, 0, np.where(zero, 1, 2))[rep_m]
+    order = np.lexsort((priority, rep_u))
+    first = np.ones(rep_u.size, dtype=bool)
+    first[1:] = rep_u[order[1:]] != rep_u[order[:-1]]
+    phi = order[first]  # the representation chosen for each u
+    rest = order[~first]
+    base = phi[rep_u[rest]]
+    relations = np.zeros((rest.size + len(new_gens), border.size), dtype=np.int64)
+    rows = np.arange(rest.size)[:, None]
+    relations[rows, col[rep_v[rest]]] = residue[rep_m[rest]]
+    relations[rows, col[rep_v[base]]] -= residue[rep_m[base]]
+    for r, g in enumerate(new_gens, rest.size):
+        reps = phi[[index[m] for m in g.terms]]
+        coeffs = np.array(list(g.terms.values()), dtype=np.int64)
+        np.add.at(relations[r], col[rep_v[reps]],
+                  (coeffs[:, None] * residue[rep_m[reps]]) % p)
+    reduced, pivots = rref_mod_p(relations[relations.any(axis=1)], p)
+    is_free = np.ones(border.size, dtype=bool)
+    is_free[pivots] = False
+    free = np.nonzero(is_free)[0]
+    q_next = free.size
+    # residues of the border monomials in the standard basis of degree e + 1
+    res_border = np.zeros((border.size, q_next), dtype=np.int64)
+    res_border[pivots] = (-reduced[:len(pivots)][:, free]) % p
+    res_border[free, np.arange(q_next)] = 1
+    multiplication = res_border[col].transpose(0, 2, 1).reshape(n * q_next, q)
+    socle = nullity_mod_p(multiplication, p)
+    # residue of every degree-(e + 1) monomial: Phi(u) times res_border
+    phi_v, phi_m = rep_v[phi], rep_m[phi]
+    res_next = np.zeros((len(phi), q_next), dtype=np.int64)
+    unit = slot[phi_m] >= 0
+    res_next[unit] = res_border[col[phi_v[unit], slot[phi_m[unit]]]]
+    dense = np.nonzero(~unit & ~zero[phi_m])[0]
+    step = max(1, _PRODUCT_CELLS // max(1, q * q_next))
+    for at in range(0, dense.size, step):
+        us = dense[at:at + step]
+        products = residue[phi_m[us]][:, :, None] * res_border[col[phi_v[us]]]
+        res_next[us] = (products % p).sum(axis=1) % p
+    return socle, res_next, border[free]
 
 
 def _multiplication_maps(artinian: Ideal):

@@ -1,5 +1,6 @@
 import pytest
 
+from irlab import params
 from irlab.groebner import Ideal
 from irlab.ring import ring
 
@@ -50,3 +51,9 @@ def mixed6():
     """The edge ideal of the 6-cycle plus x*z*v, in 6 variables."""
     R6 = ring(("x", "y", "z", "u", "v", "w"))
     return Ideal(R6, ["x*y", "y*z", "z*u", "u*v", "v*w", "w*x", "x*z*v"])
+
+
+@pytest.fixture(autouse=True)
+def _empty_span_memo():
+    """Every test starts with no span-route state from an earlier one."""
+    params._SPAN_MEMO.clear()

@@ -252,6 +252,66 @@ def test_settled_pairs_spend_no_budget(R4, monkeypatch):
     assert module_buchberger_raw(vecs, R4.p) == want
 
 
+def shifted_combination(rng, vecs, n, p):
+    """sum c x_v g over the raw vectors g, with c and v random for each g."""
+    out = {}
+    for g in vecs:
+        v, c = rng.below(n), rng.below(p)
+        for (pos, m), a in g.items():
+            t = (pos, m[:v] + (m[v] + 1,) + m[v + 1:])
+            out[t] = (out.get(t, 0) + c * a) % p
+    return {t: a for t, a in out.items() if a}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rank", [1, 2])
+def test_entry_reductions_keep_the_bases(p, rank):
+    """Linear vectors, then quadrics that are sums of their variable
+    multiples, or one term off such a sum: each input reduces by the ones
+    before it on entry, and the basis is the tuple engine's, term order
+    included."""
+    rng = Rng(2700 + 10 * rank + p % 97)
+    for n in (2, 3, 4):
+        for trial in range(3):
+            vecs = [random_raw_vector(rng, n, rank, p, 1, True) for _ in range(rank + 1)]
+            for _ in range(2):
+                extra = shifted_combination(rng, vecs, n, p)
+                if trial:
+                    t = (rng.below(rank), monomials_of_degree(n, 2)[rng.below(n)])
+                    extra[t] = (extra.get(t, 0) + 1) % p
+                vecs.append({t: a for t, a in extra.items() if a})
+            got = module_buchberger_raw(vecs, p)
+            assert [list(g.items()) for g in got] == \
+                [list(g.items()) for g in module_buchberger_tuples(vecs, p)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_multiple_of_an_input_is_dropped_on_entry(p):
+    """h f reduces to 0 by f alone, so it never enters the basis and no pair
+    is formed with it."""
+    R = ring(("x", "y", "z"), p)
+    x, y, z = R.gens()
+    f, h = x * x + y * z - z * z, x + y * 2 - z
+    rank2 = {(0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1, (1, (0, 0, 1)): p - 1}
+    for vecs in ([_lift(f), _lift(f * h)],
+                 [rank2, {(pos, (m[0] + 1,) + m[1:]): c for (pos, m), c in rank2.items()}]):
+        assert len(groebner._buchberger(vecs, p)[1]) == 1
+        assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p)
+
+
+def test_entry_reductions_spend_no_budget(R3, monkeypatch):
+    """x + y + z, x + y - z and x - y + z reduce on entry to leads x, z and y,
+    coprime, so the run reduces no S-pair; seeded unreduced, the three leads
+    x would make two pairs to reduce."""
+    x, y, z = R3.gens()
+    gens = [x + y + z, x + y - z, x - y + z]
+    vecs = [_lift(g) for g in gens]
+    want = module_buchberger_tuples(vecs, R3.p)
+    monkeypatch.setenv("IRLAB_BUDGET", "1")
+    assert module_buchberger_raw(vecs, R3.p) == want
+    assert Ideal(R3, gens).groebner().leads == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
 def test_exponent_past_the_field_fails_closed(R3):
     """No degree above B enters a packed field: not from the input, not from an
     S-polynomial, not from a reduction step."""

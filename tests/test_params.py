@@ -14,7 +14,7 @@ from irlab.params import (Rng, _multiplication_maps, _socle_by_degreewise_spans,
                           _socle_by_kernels, construct_c_sop, find_parameter_element,
                           index_of_reducibility, is_d_sequence,
                           is_system_of_parameters)
-from irlab.ring import monomials_of_degree, ring
+from irlab.ring import Poly, monomials_of_degree, ring
 
 
 # -- rng ----------------------------------------------------------------------
@@ -456,6 +456,7 @@ def test_socle_routes_agree_on_random_artinian_quotients(p, monkeypatch):
         assert socle_by_full_slices(moved, R) == expected
         with monkeypatch.context() as patched:
             patched.setattr(params, "_PRODUCT_CELLS", 1)  # one monomial per product chunk
+            params._SPAN_MEMO.clear()  # so every degree runs chunked, none resumed
             assert _socle_by_degreewise_spans(moved, R) == expected
     assert calls["rref"] and calls["nullity"]
 
@@ -529,12 +530,123 @@ def test_span_route_eliminates_on_border_columns_only(monkeypatch, two_planes_or
         n = J.ring.nvars
         hilbert = Counter(sum(m) for m in J.standard_monomials())
         shapes.clear()
+        params._SPAN_MEMO.clear()  # a resumed call skips the degrees it shares
         _, length = _socle_by_degreewise_spans(J.gens, J.ring)
         assert length == sum(hilbert.values())
         assert sum(pivots for _, pivots in shapes) <= n * length
         for e, (columns, _) in enumerate(shapes):
             assert columns <= n * hilbert[e], (e, columns, hilbert)
         assert len(shapes) == len(hilbert)  # one elimination per degree of S/J
+
+
+# I = (xy - z^2, yz) cuts out the x- and y-axes, a curve, so one cubic more
+# can make it Artinian.
+_SPAN_BASE = ("x*y - z^2", "y*z")
+_OTHER_PRIME = {2: 3, 3: 2, 32003: 2**31 - 1, 2**31 - 1: 32003}
+
+
+def _cubic(R, rng, low):
+    """A random cubic form f of R with low + (f) Artinian."""
+    while True:
+        f = Poly(R, {m: c for m in monomials_of_degree(R.nvars, 3) if (c := rng.below(R.p))})
+        if Ideal(R, low + [f]).krull_dimension() == 0:
+            return f
+
+
+def _steps(calls, gens, R):
+    """(result, degree steps computed) of one span-route call: the route
+    makes one `rref_mod_p` call per degree step it does not resume."""
+    before = calls["rref"]
+    result = _socle_by_degreewise_spans(gens, R)
+    return result, calls["rref"] - before
+
+
+def _cold(calls, gens, R):
+    params._SPAN_MEMO.clear()
+    return _steps(calls, gens, R)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_span_route_resumes_below_the_top_degree(p, monkeypatch):
+    calls = _check_kernels_exactly(monkeypatch)
+    R = ring(("x", "y", "z"), p)
+    base = [R.parse(g) for g in _SPAN_BASE]
+    rng = Rng(2800 + p % 97)
+    for _ in range(3):
+        f, g = _cubic(R, rng, base), _cubic(R, rng, base)
+        want, cold = _cold(calls, base + [g], R)
+        assert want == socle_by_full_slices(base + [g], R)
+        _cold(calls, base + [f], R)
+        # steps 0 and 1 depend on the generators of degree <= 2 only, I's
+        assert _steps(calls, base + [g], R) == (want, cold - 2)
+        assert _steps(calls, [g] + base[::-1], R) == (want, cold - 2)  # order free
+        # the memo holds that one call's states below degree 3, read-only
+        (key, states), = params._SPAN_MEMO.items()
+        assert key == (3, p) and len(states) == 2
+        assert not any(a.flags.writeable for state in states for a in state[3:])
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_span_route_resumes_only_on_the_same_low_degrees(p, monkeypatch):
+    calls = _check_kernels_exactly(monkeypatch)
+    R = ring(("x", "y", "z"), p)
+    base = [R.parse(g) for g in _SPAN_BASE]
+    rng = Rng(2900 + p % 97)
+    f, g = _cubic(R, rng, base), _cubic(R, rng, base)
+    # another prime, the same term tuples: a monomial base and 0/1 cubics
+    R_other = ring(("x", "y", "z"), _OTHER_PRIME[p])
+    cubes = [R.parse("x^3 + y^3 + z^3"), R_other.parse("x^3 + y^3 + z^3")]
+    monomial = [[Q.parse("x*y"), Q.parse("y*z"), Q.parse("z^2"), c]
+                for Q, c in zip((R, R_other), cubes)]
+    _cold(calls, monomial[0], R)
+    assert _steps(calls, monomial[1], R_other) == _cold(calls, monomial[1], R_other)
+    # another number of variables
+    R4 = ring(("x", "y", "z", "w"), p)
+    lifted = [Poly(R4, {m + (0,): c for m, c in h.terms.items()}) for h in base + [g]]
+    _cold(calls, base + [f], R)
+    assert _steps(calls, lifted + [R4.parse("w")], R4) == \
+        _cold(calls, lifted + [R4.parse("w")], R4)
+    # an extra linear form changes every step; a changed quadric coefficient
+    # leaves step 0 (no generator of degree <= 1) shared.  At p = 2 the only
+    # other coefficient of z^2 is 0, which leaves a plane, so there the
+    # coefficient of xz changes from 0 to 1.
+    x, y, z = R.gens()
+    changed = [x * y - z * z * 2 if p > 2 else x * y - z * z + x * z, y * z]
+    for gens, shared in ((base + [x + y + z, g], 0), (changed + [_cubic(R, rng, changed)], 1)):
+        want, cold = _cold(calls, gens, R)
+        assert want == socle_by_full_slices(gens, R)
+        _cold(calls, base + [f], R)
+        assert _steps(calls, gens, R) == (want, cold - shared)
+
+
+def test_span_route_failure_keeps_the_memo(monkeypatch):
+    R = ring(("x", "y", "z"), 32003)
+    base = [R.parse(g) for g in _SPAN_BASE]
+    rng = Rng(3000)
+    f, g = _cubic(R, rng, base), _cubic(R, rng, base)
+    _socle_by_degreewise_spans(base + [f], R)
+    states = params._SPAN_MEMO[3, 32003]
+    # S = k[t] with no generator passes the e > 600 guard
+    with pytest.raises(PreconditionError, match="diverged"):
+        _socle_by_degreewise_spans([], ring(("t",), 32003))
+    assert list(params._SPAN_MEMO) == [(3, 32003)] and params._SPAN_MEMO[3, 32003] is states
+    # a same-ring call that raises after resuming its first two steps
+    step = params._span_step
+
+    def failing(n, p, e, *args):
+        if e == 2:
+            raise ArithmeticError("injected")
+        return step(n, p, e, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(params, "_span_step", failing)
+        with pytest.raises(ArithmeticError):
+            _socle_by_degreewise_spans(base + [g], R)
+    assert list(params._SPAN_MEMO) == [(3, 32003)] and params._SPAN_MEMO[3, 32003] is states
+    calls = _check_kernels_exactly(monkeypatch)
+    want, cold = _cold(calls, base + [g], R)
+    params._SPAN_MEMO[3, 32003] = states
+    assert _steps(calls, base + [g], R) == (want, cold - 2)
 
 
 # -- d-sequences ---------------------------------------------------------------------------
