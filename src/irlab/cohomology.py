@@ -15,9 +15,9 @@ dual(M, i) for i < dim M (`_dual_dims`).
 Ann H^0 of a cyclic S/I is read without Ext where it can be (`_ann_h0`), in
 order: S when the leads of the cached grevlex basis of I leave no socle
 monomial, since depth S/I >= depth S/in(I) (Bayer & Stillman 1987; Herzog &
-Hibi, Monomial Ideals, 2011, section 3.3); S when K = I : l^infinity, l the
-sum of the variables, is I itself; I : K when that is m-primary or S; and
-otherwise Ann Ext^n, as in every other slot.
+Hibi, Monomial Ideals, 2011, section 3.3); I : K, for K = I : l^infinity and
+l the sum of the variables, when that is m-primary or S; and otherwise Ann
+Ext^n, as in every other slot.
 
 The Stanley-Reisner route (links of the associated simplicial complex) gives
 an independent oracle for the Hilbert functions when the defining ideal is
@@ -143,21 +143,19 @@ def _ann_h0(I: Ideal) -> Ideal | None:
          (`GroebnerBasis.initial_socle_free`): then depth S/I >= 1, since
          depth S/I >= depth S/in(I) (Bayer & Stillman 1987; Herzog & Hibi,
          Monomial Ideals, 2011, section 3.3).  No basis is computed.
-      2. The unit ideal when K = I : l^infinity, l the sum of the variables,
-         read off one grevlex basis of the moved generators
-         (`_sum_of_variables_saturation`), is I itself: l is then a
-         nonzerodivisor, which covers depth >= 1 ideals whose initial ideal
-         has a socle monomial, such as (x^2, xy - z^2).
-      3. A = I : K when it is m-primary or the unit ideal: K contains sat I,
-         and equals it exactly then (K/I has finite length).
-      4. None otherwise: l lies in an associated prime other than m (more
+      2. A = I : K, for K = I : l^infinity with l the sum of the variables
+         (`_sum_of_variables_saturation`), when A is m-primary or the unit
+         ideal: K contains sat I, and equals it exactly then (K/I has finite
+         length).  K is I itself when l is a nonzerodivisor, and then A is
+         the unit ideal with no syzygy run (`Ideal.colon`); this covers
+         depth >= 1 ideals such as (x^2, xy - z^2), whose in(I) has a socle
+         monomial.
+      3. None otherwise: l lies in an associated prime other than m (more
          often over small fields), and the caller reads Ann Ext^n instead.
     """
     if I.groebner().initial_socle_free():
         return unit_ideal(I.ring)
     K = _sum_of_variables_saturation(I)
-    if K is I:
-        return unit_ideal(I.ring)
     A = I.colon(K)
     return A if A.is_unit() or A.krull_dimension() == 0 else None
 

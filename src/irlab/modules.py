@@ -183,25 +183,16 @@ def minimalize_complex(res: FreeResolution) -> FreeResolution:
 class Module:
     """Finitely presented graded module over the ambient polynomial ring.
 
-    It caches only what it computes: its minimal presentation, resolution, Ext
-    modules, annihilator and annihilator data (`cohomology.annihilator_data`).
-    Dimension and depth are read off those caches on each call.
+    A module is built on its minimal presentation: `shifts` and `relations`
+    are computed once, at construction, by `minimal_presentation`.  It caches
+    its resolution, Ext modules, annihilator and annihilator data
+    (`cohomology.annihilator_data`); dimension and depth are read off those.
     """
 
-    def __init__(self, ring_: Ring, shifts, relations, cyclic_ideal: Ideal | None = None,
-                 check=True):
+    def __init__(self, ring_: Ring, shifts, relations, cyclic_ideal: Ideal | None = None):
         self.ring = ring_
-        self.shifts = tuple(shifts)
-        rels = []
-        for r in relations:
-            if r:
-                rels.append(dict(r))
-        self.relations = tuple(rels)
+        self.shifts, self.relations = self.minimal_presentation(ring_, shifts, relations)
         self.cyclic_ideal = cyclic_ideal
-        if check:
-            for r in self.relations:
-                vec_degree(r, self.shifts)  # raises when inhomogeneous
-        self._min_pres = None
         self._resolution: FreeResolution | None = None
         self._ext: dict = {}
         self._ann: Ideal | None = None
@@ -219,7 +210,7 @@ class Module:
         if cached is not None:
             return cached
         rels = [_lift(g) for g in ideal.gens]
-        M = Module(ideal.ring, (0,), rels, cyclic_ideal=ideal, check=False)
+        M = Module(ideal.ring, (0,), rels, cyclic_ideal=ideal)
         _CYCLIC_CACHE[key] = M
         return M
 
@@ -227,36 +218,34 @@ class Module:
     def free(ring_: Ring, rank: int = 1, shifts=None) -> "Module":
         return Module(ring_, shifts or (0,) * rank, [])
 
-    @property
-    def rank(self) -> int:
-        return len(self.shifts)
-
     # -- minimal presentation ---------------------------------------------------
-    def minimal_presentation(self):
+    @staticmethod
+    def minimal_presentation(ring_: Ring, shifts, rels):
         """(shifts, relations) with unit entries pivoted away; Nakayama-minimal.
 
         The presentation is the one-step complex F_1 -> F_0, so the unit pivots
-        cancel exactly as in `minimalize_complex`.
+        cancel exactly as in `minimalize_complex`.  Raises PreconditionError on
+        an inhomogeneous relation (`vec_degree`).  With no relations the input
+        is already minimal and comes back unchanged.
         """
-        if self._min_pres is not None:
-            return self._min_pres
-        rels = list(self.relations)
-        degs = [vec_degree(r, self.shifts) for r in rels]
-        res = minimalize_complex(FreeResolution(self.ring, [self.shifts, degs], [rels]))
+        shifts = tuple(shifts)
+        rels = [r for r in rels if r]  # `minimalize_complex` copies them
+        if not rels:
+            return shifts, ()
+        degs = [vec_degree(r, shifts) for r in rels]
+        res = minimalize_complex(FreeResolution(ring_, [shifts, degs], [rels]))
         shifts = res.shifts[0]
         # The differential is gone when every relation cancelled; the
         # cancellation also leaves zero columns behind.
         rels = [r for cols in res.diffs for r in cols if r]
         # Prune to a minimal relation set so beta_1 is honest too.
-        rels = minimal_vec_generators(rels, shifts, self.ring)
-        self._min_pres = (shifts, tuple(rels))
-        return self._min_pres
+        return shifts, tuple(minimal_vec_generators(rels, shifts, ring_))
 
     def minimal_generator_count(self) -> int:
-        return len(self.minimal_presentation()[0])
+        return len(self.shifts)
 
     def is_zero(self) -> bool:
-        return self.minimal_generator_count() == 0
+        return not self.shifts
 
     # -- resolution -------------------------------------------------------------
     def resolution(self) -> FreeResolution:
@@ -268,11 +257,10 @@ class Module:
         """
         if self._resolution is not None:
             return self._resolution
-        shifts0, rels0 = self.minimal_presentation()
-        shifts = [tuple(shifts0)]
+        shifts = [self.shifts]
         diffs = []
-        current = list(rels0)
-        current_shifts = list(shifts0)
+        current = list(self.relations)
+        current_shifts = list(self.shifts)
         guard = 2 * self.ring.nvars + 4
         while current:
             if len(diffs) > guard:
@@ -303,7 +291,7 @@ class Module:
         res = self.resolution()
         length = res.length
         if j > length or self.is_zero():
-            out = self._ext[j] = _zero_module(self.ring)
+            out = self._ext[j] = Module(self.ring, (), ())
             return out
         dual_shifts = tuple(-s for s in res.shifts[j])
         rank_j = len(res.shifts[j])
@@ -330,10 +318,10 @@ class Module:
         The zero module has no generators e_i, so its annihilator is the unit ideal.
         """
         if self._ann is None:
-            shifts, rels = self.minimal_presentation()
+            rank = len(self.shifts)
             zero = (0,) * self.ring.nvars
-            es = [{(i, zero): 1} for i in range(len(shifts))]
-            self._ann = vector_colon(es, rels, len(shifts), self.ring)
+            es = [{(i, zero): 1} for i in range(rank)]
+            self._ann = vector_colon(es, self.relations, rank, self.ring)
         return self._ann
 
     def dim(self) -> int:
@@ -361,9 +349,8 @@ class Module:
         Groebner basis of the relations (each basis vector's first term);
         `top` bounds the total degree.
         """
-        shifts, rels = self.minimal_presentation()
-        gb_leads = [next(iter(g)) for g in module_buchberger_raw(rels, self.ring.p)]
-        for pos, s in enumerate(shifts):
+        gb_leads = [next(iter(g)) for g in module_buchberger_raw(self.relations, self.ring.p)]
+        for pos, s in enumerate(self.shifts):
             leads = [m for (q, m) in gb_leads if q == pos]
             yield s, standard_levels(leads, self.ring.nvars, None if top is None else top - s)
 
@@ -405,31 +392,20 @@ class Module:
     def __repr__(self):
         if self.cyclic_ideal is not None:
             return f"Module(S/{self.cyclic_ideal!r})"
-        return f"Module(rank {self.rank}, {len(self.relations)} relations)"
-
-
-def _zero_module(ring_: Ring) -> Module:
-    """The zero module, which knows its (empty) minimal presentation."""
-    out = Module(ring_, (), [], check=False)
-    out._min_pres = ((), ())
-    return out
+        return f"Module(rank {len(self.shifts)}, {len(self.relations)} relations)"
 
 
 def module_subquotient(gens, image, ambient_rank, ambient_shifts, ring_: Ring) -> Module:
     """Present span(gens)/span(image) inside a free module, via one syzygy run.
 
     Relations of the subquotient are {c : sum_i c_i gens_i lies in span(image)},
-    from `syzygies_raw` with the image as its relations.  The result is
-    returned minimalized, and knows that its presentation is minimal.
+    from `syzygies_raw` with the image as its relations, and the module is
+    built on their minimal presentation like any other.
     """
     if not gens:
-        return _zero_module(ring_)
+        return Module(ring_, (), ())
     degs = [vec_degree(g, ambient_shifts) for g in gens]
-    rels = syzygies_raw(gens, ambient_rank, ring_, image)
-    shifts, min_rels = Module(ring_, tuple(degs), rels).minimal_presentation()
-    out = Module(ring_, shifts, min_rels, check=False)
-    out._min_pres = (out.shifts, out.relations)
-    return out
+    return Module(ring_, degs, syzygies_raw(gens, ambient_rank, ring_, image))
 
 
 def subquotient_presentation(A: Ideal, B: Ideal) -> Module:

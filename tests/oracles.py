@@ -158,18 +158,19 @@ def check_complex(res):
             assert not acc, f"d_{k + 1} o d_{k + 2} != 0"
 
 
-def syzygy_chain(M):
-    """The free resolution of M by iterated `syzygies_raw`, from M's own
-    presentation and with no minimalization at any step."""
-    shifts = [M.shifts]
+def syzygy_chain(ring_, shifts, relations):
+    """The free resolution of the presentation (shifts, relations) by iterated
+    `syzygies_raw`, with no minimalization at any step.  It takes the
+    presentation itself, since a `Module` holds only its minimal one."""
+    shifts = [tuple(shifts)]
     diffs = []
-    current = list(M.relations)
+    current = list(relations)
     while current:
         degs = tuple(vec_degree(v, shifts[-1]) for v in current)
         diffs.append(current)
-        current = syzygies_raw(current, len(shifts[-1]), M.ring)
+        current = syzygies_raw(current, len(shifts[-1]), ring_)
         shifts.append(degs)
-    return FreeResolution(M.ring, shifts, diffs)
+    return FreeResolution(ring_, shifts, diffs)
 
 
 def tagged_projection(vs, relations, rank, ring_):
@@ -188,7 +189,7 @@ def tagged_projection(vs, relations, rank, ring_):
 def annihilator_by_colons(M):
     """Ann(M) as the intersection of the scalar colons (N : e_i): one colon per
     generator of the minimal presentation, folded by binary intersections."""
-    shifts, rels = M.minimal_presentation()
+    shifts, rels = M.shifts, M.relations
     if not shifts:
         return unit_ideal(M.ring)
     zero = (0,) * M.ring.nvars

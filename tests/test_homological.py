@@ -1,3 +1,5 @@
+import json
+from importlib import resources
 from math import comb
 
 import pytest
@@ -6,6 +8,7 @@ from oracles import (annihilator_by_colons, check_complex, has_unit_entries,
                      random_monomial_ideal, syzygy_chain)
 
 from irlab import modules
+from irlab.cli import corpus_index, load_ring_spec
 from irlab.errors import PreconditionError, ResourceBudgetExceeded, ZeroModuleError
 from irlab.groebner import Ideal
 from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
@@ -239,11 +242,12 @@ def test_betti_numbers_presentation_independent(R3):
 
 def test_non_minimal_resolution_still_resolves(R3):
     x, y, z = R3.gens()
-    M = Module.cyclic(Ideal(R3, [x * y, x * z, x * y + x * z]))
-    raw = syzygy_chain(M)
+    gens = [x * y, x * z, x * y + x * z]
+    M = Module.cyclic(Ideal(R3, gens))
+    raw = syzygy_chain(R3, (0,), [{(0, m): c for m, c in g.terms.items()} for g in gens])
     check_complex(raw)
     minimal = M.resolution()
-    assert raw.betti_numbers()[0] >= minimal.betti_numbers()[0]
+    assert raw.betti_numbers()[1] > minimal.betti_numbers()[1]
     # unit-pivot cancellation recovers the minimal Betti numbers
     assert minimalize_complex(raw).betti_numbers() == minimal.betti_numbers()
 
@@ -472,11 +476,100 @@ def test_hilbert_function_with_shifted_generators(R2):
 def test_minimal_presentation_cancels_unit_entry(R2):
     # x e_0 + e_1 = 0 makes e_1 = -x e_0, so the module is free on e_0.
     unit_rel = {(0, (1, 0)): 1, (1, (0, 0)): 1}
-    assert Module(R2, (0, 1), [unit_rel]).minimal_presentation() == ((0,), ())
+    M = Module(R2, (0, 1), [unit_rel])
+    assert (M.shifts, M.relations) == ((0,), ())
     # A second relation y e_1 becomes -x*y e_0 after the cancellation.
     M = Module(R2, (0, 1), [unit_rel, {(1, (0, 1)): 1}])
     p = R2.p
-    assert M.minimal_presentation() == ((0,), ({(0, (1, 1)): p - 1},))
+    assert (M.shifts, M.relations) == ((0,), ({(0, (1, 1)): p - 1},))
+
+
+def test_a_module_minimalizes_once(R3, monkeypatch):
+    # x e_0 + e_1, y e_1, z^2 e_0 is S/(xy, z^2) on e_0 once e_1 = -x e_0 is
+    # cancelled; every later reading uses that presentation as it stands
+    x, y, z = R3.gens()
+    p = R3.p
+    rels = [{(0, (1, 0, 0)): 1, (1, (0, 0, 0)): 1}, {(1, (0, 1, 0)): 1}, {(0, (0, 0, 2)): 1}]
+    M = Module(R3, (0, 1), rels)
+    assert (M.shifts, M.relations) == ((0,), ({(0, (1, 1, 0)): p - 1}, {(0, (0, 0, 2)): 1}))
+
+    def refuse(*args):
+        raise AssertionError("a built module minimalized its presentation again")
+
+    monkeypatch.setattr(modules, "minimalize_complex", refuse)
+    monkeypatch.setattr(modules, "minimal_vec_generators", refuse)
+    assert not M.is_zero() and M.minimal_generator_count() == 1
+    assert M.dim() == 1
+    assert M.annihilator() == Ideal(R3, [x * y, z * z])
+    assert M.hilbert_function(range(3)) == {0: 1, 1: 3, 2: 4}
+    # the resolution selects minimal generators of each syzygy module, and
+    # of nothing else
+    seen = []
+
+    def count(vecs, shifts, ring_):
+        seen.append(tuple(shifts))
+        return minimal_vec_generators(vecs, shifts, ring_)
+
+    monkeypatch.setattr(modules, "minimal_vec_generators", count)
+    res = M.resolution()
+    assert res.betti_numbers() == (1, 2, 1)
+    assert seen == [tuple(s) for s in res.shifts[1:]]
+
+
+def random_unit_presentation(R, rng, trial):
+    """Shifts of rank 1-3 and random homogeneous relations, some of them with
+    a unit entry at a random position, so that some generators cancel."""
+    p = R.p
+    shifts = tuple(rng.below(3) for _ in range(1 + trial % 3))
+    zero = (0,) * R.nvars
+    rels = []
+    for _ in range(len(shifts) + 1 + rng.below(3)):
+        pos = rng.below(len(shifts))
+        d = shifts[pos] + (rng.below(3) if rng.below(2) else 0)
+        rel = random_raw_vector(R, rng, shifts, d)
+        if d == shifts[pos] and rng.below(2):
+            rel[(pos, zero)] = 1 + rng.below(p - 1)
+        rels.append(rel)
+    return shifts, rels
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_a_minimal_presentation_is_its_own(p):
+    # rebuilding a module on its shifts and relations gives them back, on
+    # random presentations with unit entries and on the Ext modules of the
+    # golden and Cohen-Macaulay corpus specs; none has a unit entry left
+    rng = Rng(p + 53)
+    R = ring(("x", "y", "z"), p)
+    built = []
+    cancelled = 0
+    for trial in range(18):
+        shifts, rels = random_unit_presentation(R, rng, trial)
+        M = Module(R, shifts, rels)
+        cancelled += len(M.shifts) < len(shifts)
+        built.append(M)
+    assert cancelled >= 3
+    for group in ("golden", "cm_controls"):
+        for name in corpus_index()[group]:
+            data = json.loads((resources.files("irlab") / "corpus" / name).read_text())
+            M = Module.cyclic(load_ring_spec(data | {"characteristic": p}).ideal)
+            built += [M] + [M.ext(j) for j in range(M.ring.nvars + 1)]
+    for M in built:
+        again = Module(M.ring, M.shifts, M.relations)
+        assert (again.shifts, again.relations) == (M.shifts, M.relations), M
+        zero = (0,) * M.ring.nvars
+        assert all(m != zero for r in M.relations for (_, m) in r), M
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_an_inhomogeneous_relation_fails_at_construction(p):
+    R = ring(("x", "y", "z"), p)
+    # x + z^2, and the same inside a presentation whose other relation has a
+    # unit entry
+    inhomogeneous = {(0, (1, 0, 0)): 1, (0, (0, 0, 2)): 1}
+    with pytest.raises(PreconditionError):
+        Module(R, (0,), [inhomogeneous])
+    with pytest.raises(PreconditionError):
+        Module(R, (0, 1), [{(0, (1, 0, 0)): 1, (1, (0, 0, 0)): 1}, inhomogeneous])
 
 
 # -- subquotients ------------------------------------------------------------------------
