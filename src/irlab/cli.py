@@ -28,12 +28,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
 from . import __version__
-from .cohomology import cm_flags, socle_dimensions
+from .cohomology import annihilator_data, cm_flags, socle_dimensions
 from .errors import (InternalInvariantError, IrlabError, MethodDisagreement,
                      PolynomialParseError, PreconditionError, ResourceBudgetExceeded,
                      SearchExhausted)
@@ -43,7 +44,7 @@ from .modules import Module
 from .params import (ParameterList, construct_c_sop, index_of_reducibility,
                      is_system_of_parameters)
 from .ring import ring
-from .stable import (goto_suzuki_bound, limit_profile, stability_suite,
+from .stable import (formula_gcm, goto_suzuki_bound, limit_profile, stability_suite,
                      stable_value)
 
 EXIT_OK = 0
@@ -180,7 +181,6 @@ def analyze_payload(spec: RingSpec, seed: int) -> dict:
     if gsb is not None:
         report["diagnostics"]["upper_bound_gcm"] = gsb
     if M.dim() >= 1:
-        from .cohomology import annihilator_data
         data = annihilator_data(M)
         report["diagnostics"]["cohomology_annihilators"] = {
             "a_ideals": [[str(g) for g in a.minimal_generators()] or ["1"]
@@ -384,7 +384,6 @@ def golden_assertions():
         spec = load_corpus_spec("two_planes_origin.json")
         ideal = spec.ideal
         M = Module.cyclic(ideal)
-        from .stable import formula_gcm
         got = formula_gcm(M)
         assert got is not None and got[0] == 4, f"binomial formula {got}"
         sv = stable_value(ideal, seed=0)
@@ -415,7 +414,6 @@ def golden_assertions():
 
 
 def cmd_reproduce(args) -> int:
-    import time
     rows = []
     failed = None
     for name, thunk in golden_assertions():

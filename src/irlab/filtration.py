@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import cm_flags
+from .cohomology import annihilator_data, cm_flags
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import Ideal, _divides, _mono_lcm
 from .modules import Module, subquotient_presentation
+from .params import Rng, find_parameter_element, is_system_of_parameters
 
 
 def unmixed_component(ideal: Ideal, seed: int = 0, report: dict | None = None) -> Ideal:
@@ -27,9 +28,6 @@ def unmixed_component(ideal: Ideal, seed: int = 0, report: dict | None = None) -
     the element chosen; `report`, when given, records the element and whether
     a single colon already agreed with the full saturation.
     """
-    from .cohomology import annihilator_data
-    from .params import Rng, find_parameter_element
-
     M = Module.cyclic(ideal)
     if M.is_zero():
         raise ZeroModuleError("unmixed component of the zero module")
@@ -80,8 +78,6 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
     K_s = K_{s-1} : (Ann H^s)^infinity from K_{-1} = I.  K_0 is the saturation
     at m, as Ann H^0 is m-primary or S, and I itself (no colon) at S.
     """
-    from .cohomology import annihilator_data
-
     M = Module.cyclic(ideal)
     if M.is_zero():
         raise ZeroModuleError("dimension filtration of the zero module")
@@ -219,22 +215,18 @@ def is_good_sop(elements, ideal: Ideal, filtration=None):
     K_i cap ((tail) + I) <= I.  Returns (ok, witness) with the first violating
     polynomial; the zero step passes trivially.
     """
-    from .params import is_system_of_parameters
-
     elems = list(elements)
     if not is_system_of_parameters(elems, ideal):
         raise PreconditionError("good-sop check requires a verified system of parameters")
     filt = filtration or dimension_filtration(ideal)
     if isinstance(filt, (list, tuple)):
         # user-supplied chain of ideals: dim of each step K/I via (I : K)
-        steps = [(K, -1 if K == ideal else ideal.colon(K).krull_dimension())
-                 for K in filt]
-        dims = [d for _, d in steps if d >= 0] + [Module.cyclic(ideal).dim()]
-        if not all(a < b for a, b in zip(dims, dims[1:])):
+        filt = DimensionFiltration(
+            tuple(filt), tuple(-1 if K == ideal else ideal.colon(K).krull_dimension()
+                               for K in filt), Module.cyclic(ideal).dim())
+        if not filt.satisfies_dimension_condition():
             raise PreconditionError("supplied filtration violates the dimension condition")
-    else:
-        steps = list(zip(filt.ideals, filt.dims))
-    for K, d_i in steps:
+    for K, d_i in zip(filt.ideals, filt.dims):
         if d_i < 0:
             continue
         tail = elems[d_i:]

@@ -6,17 +6,18 @@ rank-1 input, every polynomial lifted to position 0.  A pair whose S-vector
 reduces to 0 by construction is settled when it is formed and never queued:
 two single terms in one position (their S-vector is 0) and, at rank 1 only,
 where it is sound, two coprime leads (the product criterion).  The chain
-criterion runs when a pair is popped (Buchberger 1979).  A plain run reduces
-each input by the basis so far before it enters, in input order, and drops it
-when it reduces to 0 (Becker & Weispfenning 1993); selection runs do not.
-There is one monomial order, grevlex (`ring.grevlex_key`); the module order
-is position-over-term over it (position 0 highest), which doubles as the
-elimination device behind syzygies.  Every colon, intersection and
-annihilator is one `vector_colon` call: {f : f v_t in N for every t} with v_t
-in block t of a block module that repeats N's relations in every block, read
-off one `syzygies_raw` run on the graph of the summed vector, the relations
-untagged.  Its basis elements inside the tag positions are the reduced basis
-of the result, so the result carries it and Buchberger never runs on it again.
+criterion runs when a pair is popped (Buchberger 1979).  Every input enters a
+run the same way: it waits in the pair heap at the degree of its lead, after
+the S-pairs of that degree, is reduced by the basis so far when its turn
+comes, and is dropped when it reduces to 0.  There is one monomial order,
+grevlex (`ring.grevlex_key`); the module order is position-over-term over it
+(position 0 highest), which doubles as the elimination device behind
+syzygies.  Every colon, intersection and annihilator is one `vector_colon`
+call: {f : f v_t in N for every t} with v_t in block t of a block module that
+repeats N's relations in every block, read off one `syzygies_raw` run on the
+graph of the summed vector, the relations untagged.  Its basis elements
+inside the tag positions are the reduced basis of the result, so the result
+carries it and Buchberger never runs on it again.
 `Ideal.colon` gives no block to a generator that I already contains, since
 I : g = S for g in I.
 Every basis returned is reduced, monic and sorted, hence canonical for the
@@ -39,16 +40,15 @@ degree of the terms it makes by the lcm's (or the reduced term's) degree plus
 the reducer's tail excess.  Past B the run raises
 ResourceBudgetExceeded instead of carrying into the next field.
 
-Minimal generators are picked inside one run (`minimal_generators_raw`): each
-candidate waits in the pair heap after the S-pairs of its shifted degree and
-is kept when its remainder is nonzero, which is exact (La Scala & Stillman
-1998).  The run stops after the last candidate; the pairs left lie above it.
+Minimal generators are picked inside one run (`minimal_generators_raw`): the
+degrees are shifted by the generator degrees, and a candidate is kept when
+its remainder is nonzero, which is exact (La Scala & Stillman 1998).  That
+run stops after the last candidate; the pairs left lie above it.
 
 A single Buchberger run aborts with ResourceBudgetExceeded once it spends its
 S-pair budget (default 200000; override with the IRLAB_BUDGET environment
 variable, a positive integer).  The budget caps every run alike and counts
-only the S-pairs it reduces; a plain run's entry reductions and a selection
-run's candidates never count.
+only the S-pairs it reduces; input reductions never count.
 """
 
 from __future__ import annotations
@@ -257,14 +257,15 @@ def _first_undivided(L, terms, shifts=None):
 def _buchberger(raw, p, shifts=None):
     """(layout, packed elements, leads, picked) of one run on the nonzero raw vectors.
 
-    Pairs go by sugar, lcm degree plus the shift of its position.  With shifts
-    None the vectors seed the basis and `picked` is None; otherwise they are
-    the candidates of a selection (module docstring), and `picked` lists the
-    indices into `raw` of those kept.  A plain run reduces each vector, in
-    order, by the basis so far and adds its nonzero remainder, so terms the
-    earlier vectors already cancel never reach an S-pair; these reductions
-    are no S-pairs and spend no budget.  Single terms alone need no pairs: a
-    plain run returns them, a selection picks by `_first_undivided`.
+    Pairs go by sugar, lcm degree plus the shift of its position (no shift
+    when shifts is None).  Every input waits in the pair heap at the degree of
+    its lead, after the S-pairs of that degree, and in input order among
+    inputs; on its turn it is reduced by the basis so far and its nonzero
+    remainder joins the basis.  `picked` lists the indices into `raw` of the
+    inputs that joined.  A plain run (shifts None) goes on until the heap is
+    empty; a selection (module docstring) stops after its last candidate.
+    Input reductions are no S-pairs and spend no budget.  Single terms alone
+    need no pairs: the run keeps those `_first_undivided` picks.
     """
     idx = [k for k, v in enumerate(raw) if v]
     if not idx:
@@ -273,16 +274,14 @@ def _buchberger(raw, p, shifts=None):
     vecs = [L.pack_vec(raw[k]) for k in idx]
     if all(len(g) == 1 for g in vecs):
         leads = [next(iter(g)) for g in vecs]
-        if shifts is None:
-            return L, vecs, leads, None
-        return L, vecs, leads, [idx[k] for k in _first_undivided(L, leads, shifts)]
+        kept = _first_undivided(L, leads, shifts)
+        return L, [vecs[k] for k in kept], [leads[k] for k in kept], [idx[k] for k in kept]
     budget = spair_budget()
     s_bits, nw = L.s, L.nw
     rank1 = all(t >= 0 for g in vecs for t in g)
     G, leads, reducers, expos, degs = [], [], [], [], []
     by_pos: dict = {}
     same_pos: dict = {}  # position key -> indices of the elements leading there
-    heap = []
     done = set()
 
     def add(g, lt):
@@ -307,22 +306,15 @@ def _buchberger(raw, p, shifts=None):
                 heapq.heappush(heap, (d + sh, 0, new, t, d))
         same.append(new)
 
-    if shifts is None:
-        for g in vecs:
-            rem = _normal_form(g, by_pos, L, p)
-            if rem:
-                add(rem, next(iter(rem)))
-        picked = None
-    else:
-        heap = [(_degree(L, max(g), shifts), 1, k) for k, g in enumerate(vecs)]
-        heapq.heapify(heap)
-        waiting, picked = len(vecs), []
+    heap = [(_degree(L, max(g), shifts), 1, k) for k, g in enumerate(vecs)]
+    heapq.heapify(heap)
+    waiting, picked = len(vecs), []
     spent = 0
     varmask, guard, degmask = L.varmask, L.guard, L.degmask
     positions = -(1 << s_bits)  # the bits of a packed term that hold -position
-    while heap and (picked is None or waiting):
+    while heap and (shifts is None or waiting):
         entry = heapq.heappop(heap)
-        if entry[1]:  # a candidate's turn
+        if entry[1]:  # an input's turn
             rem = _normal_form(vecs[entry[2]], by_pos, L, p)
             if rem:
                 add(rem, next(iter(rem)))

@@ -14,6 +14,8 @@ is finite data, so the dual is what we compute.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import InternalInvariantError, PreconditionError, ZeroModuleError
 from .groebner import (Ideal, _divides, _lift, minimal_generators_raw, module_buchberger_raw,
                        standard_levels, syzygies_raw, vector_colon)
@@ -444,8 +446,6 @@ def taylor_resolution(ideal: Ideal) -> FreeResolution:
     if g == 0:
         return FreeResolution(R, [(0,)], [])
 
-    from itertools import combinations as _comb
-
     def lcm_of(subset):
         out = [0] * R.nvars
         for i in subset:
@@ -456,7 +456,7 @@ def taylor_resolution(ideal: Ideal) -> FreeResolution:
     diffs = []
     prev_faces = {(): 0}
     for k in range(1, g + 1):
-        faces = list(_comb(range(g), k))
+        faces = list(combinations(range(g), k))
         index = {f: i for i, f in enumerate(faces)}
         shifts.append(tuple(sum(lcm_of(f)) for f in faces))
         cols = []

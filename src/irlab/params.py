@@ -40,6 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .cohomology import annihilator_data
 from .errors import (MethodDisagreement, PreconditionError, SearchExhausted,
                      ZeroModuleError)
 from .groebner import Ideal
@@ -252,8 +253,6 @@ def construct_c_sop(ideal: Ideal, min_degree: int = 1, seed: int = 0) -> Paramet
     cube is kept with the quotient module's annihilator data, so stage d of
     every construction on the same ring selects its generators once.
     """
-    from .cohomology import annihilator_data
-
     M = Module.cyclic(ideal)
     if M.is_zero():
         raise ZeroModuleError("deep systems of the zero module")

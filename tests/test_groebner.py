@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from oracles import (_vkey, membership_bruteforce, module_buchberger_tuples,
                      normal_form_tuples, quotient_dimension_bruteforce,
@@ -100,6 +102,19 @@ def test_reduced_basis_unique_under_permutation(R3):
     a = Ideal(R3, gens).groebner()
     b = Ideal(R3, list(reversed(gens))).groebner()
     assert [g.terms for g in a.elements] == [g.terms for g in b.elements]
+    # One input per lead degree, one of them inhomogeneous: the inputs enter
+    # the run by degree, not in the order given, so every order makes the
+    # same run, and the reduced basis is the tuple engine's.
+    for p in PRIMES:
+        x, y, z = ring(("x", "y", "z"), p).gens()
+        gens = [x * y - z, x * x * z + y ** 3, y * z * z - x ** 4 + z ** 4]
+        runs = []
+        for order in permutations(gens):
+            vecs = [_lift(g) for g in order]
+            _, G, _, picked = groebner._buchberger(vecs, p)
+            runs.append((G, [order[k] for k in picked]))
+            assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p)
+        assert all(run == runs[0] for run in runs)
 
 
 def test_budget_guard(R3, monkeypatch):
@@ -288,13 +303,14 @@ def test_entry_reductions_keep_the_bases(p, rank):
 @pytest.mark.parametrize("p", PRIMES)
 def test_a_multiple_of_an_input_is_dropped_on_entry(p):
     """h f reduces to 0 by f alone, so it never enters the basis and no pair
-    is formed with it."""
+    is formed with it, whichever of the two is given first."""
     R = ring(("x", "y", "z"), p)
     x, y, z = R.gens()
     f, h = x * x + y * z - z * z, x + y * 2 - z
     rank2 = {(0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1, (1, (0, 0, 1)): p - 1}
-    for vecs in ([_lift(f), _lift(f * h)],
-                 [rank2, {(pos, (m[0] + 1,) + m[1:]): c for (pos, m), c in rank2.items()}]):
+    x_rank2 = {(pos, (m[0] + 1,) + m[1:]): c for (pos, m), c in rank2.items()}
+    for vecs in ([_lift(f), _lift(f * h)], [_lift(f * h), _lift(f)],
+                 [rank2, x_rank2], [x_rank2, rank2]):
         assert len(groebner._buchberger(vecs, p)[1]) == 1
         assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p)
 
@@ -302,7 +318,8 @@ def test_a_multiple_of_an_input_is_dropped_on_entry(p):
 def test_entry_reductions_spend_no_budget(R3, monkeypatch):
     """x + y + z, x + y - z and x - y + z reduce on entry to leads x, z and y,
     coprime, so the run reduces no S-pair; seeded unreduced, the three leads
-    x would make two pairs to reduce."""
+    x would make two pairs to reduce.  Given before x, y and z, y^3 + xyz and
+    z^3 + xyz still enter after them, by degree, and reduce to 0."""
     x, y, z = R3.gens()
     gens = [x + y + z, x + y - z, x - y + z]
     vecs = [_lift(g) for g in gens]
@@ -310,6 +327,8 @@ def test_entry_reductions_spend_no_budget(R3, monkeypatch):
     monkeypatch.setenv("IRLAB_BUDGET", "1")
     assert module_buchberger_raw(vecs, R3.p) == want
     assert Ideal(R3, gens).groebner().leads == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    late = [y ** 3 + x * y * z, z ** 3 + x * y * z, x, y, z]
+    assert Ideal(R3, late).groebner().leads == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_exponent_past_the_field_fails_closed(R3):
@@ -321,10 +340,16 @@ def test_exponent_past_the_field_fails_closed(R3):
     with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
         module_buchberger_raw([{(0, (_B, 1, 0)): 1, (0, (0, 0, _B + 1)): 1}], p)
     # x^(B-1) z and z^2 share z: their lcm has degree B + 1, and z times the
-    # tail z^B would not fit its field.
-    with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
-        module_buchberger_raw([{(0, (_B - 1, 0, 1)): 1, (0, (0, 0, _B)): 1},
-                               {(0, (0, 0, 2)): 1}], p)
+    # tail y^(B-1) z would not fit its field.
+    lead_z = {(0, (_B - 1, 0, 1)): 1, (0, (0, _B - 1, 1)): 1}
+    for vecs in ([lead_z, {(0, (0, 0, 2)): 1}], [{(0, (0, 0, 2)): 1}, lead_z]):
+        with pytest.raises(ResourceBudgetExceeded, match="32-bit"):
+            module_buchberger_raw(vecs, p)
+    # With the tail z^B instead, z^2 enters first and reduces it away, so no
+    # pair of degree B + 1 is formed.
+    vecs = [{(0, (_B - 1, 0, 1)): 1, (0, (0, 0, _B)): 1}, {(0, (0, 0, 2)): 1}]
+    assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p) == \
+        [{(0, (0, 0, 2)): 1}, {(0, (_B - 1, 0, 1)): 1}]
     # Degree B itself is fine: x^B + z^B and y^B + 2 z^B are a reduced basis.
     vecs = [{(0, (_B, 0, 0)): 1, (0, (0, 0, _B)): 1}, {(0, (0, _B, 0)): 1, (0, (0, 0, _B)): 2}]
     assert module_buchberger_raw(vecs, p) == module_buchberger_tuples(vecs, p) == vecs[::-1]
