@@ -10,7 +10,10 @@ H^i goes through it:
 
 `socle_dimensions` returns the plain tuple (s_0, ..., s_d).  The three flags
 of `cm_flags` come from depth and dim and one table, the dimensions of
-dual(M, i) for i < dim M (`_dual_dims`).
+dual(M, i) for i < dim M (`_dual_dims`).  `annihilator_data` reads n0, the
+least power of m killing every H^i below the dimension, by counting the
+standard levels of each annihilator to their end: a finite-length quotient
+ends on its own, so no power is capped.
 
 Ann H^0 of a cyclic S/I is read without Ext where it can be (`_ann_h0`), in
 order: S when the leads of the cached grevlex basis of I leave no socle
@@ -56,9 +59,10 @@ def socle_dimensions(M: Module) -> tuple:
 class AnnihilatorData:
     """Annihilators of the below-top local cohomology and their product.
 
-    `n0` is the least power of the maximal ideal killing every H^i, i < dim;
-    it exists exactly when all the annihilators are m-primary or unit (the
-    finite-length situation) and is None otherwise.
+    `n0` is the least power of the maximal ideal killing every H^i, i < dim
+    (`_least_power_inside`); it is None exactly when some annihilator is
+    neither m-primary nor the unit ideal, that is when some H^i, i < dim,
+    has infinite length.
     """
 
     annihilators: tuple  # Ideal for each i in 0..d-1
@@ -75,19 +79,17 @@ class AnnihilatorData:
         return self.product.power(3).minimalized()
 
 
-POWER_CAP = 64  # the largest power of m that `_least_power_inside` tries
-
-
 def _least_power_inside(target: Ideal) -> int | None:
-    """Least k <= POWER_CAP with m^k inside `target`, else None; homogeneous input only.
+    """Least k with m^k inside `target`, homogeneous input only; None exactly
+    when `target` is not m-primary or S.
 
     m^k lies in a homogeneous J exactly when J has no standard monomial of
-    degree k, so k counts the nonempty levels below it.  Listing them costs
-    the length of S/J up to the cap, which is small for the m-primary J here.
+    degree k, so k counts the nonempty levels below it: the length of S/J is
+    listed, and it is finite here (0 levels for S).
     """
-    levels = standard_levels(target.groebner().leads, target.ring.nvars, POWER_CAP)
-    k = sum(1 for _ in levels)
-    return k if k <= POWER_CAP else None
+    if target.krull_dimension() > 0:
+        return None
+    return sum(1 for _ in standard_levels(target.groebner().leads, target.ring.nvars))
 
 
 def _substitute_last(polys, form):
@@ -170,26 +172,13 @@ def annihilator_data(M: Module) -> AnnihilatorData:
     anns = []
     for i in range(d):
         A = _ann_h0(M.cyclic_ideal) if i == 0 and M.cyclic_ideal is not None else None
-        if A is None:
-            E = dual(M, i)
-            A = unit_ideal(M.ring) if E.is_zero() else E.annihilator()
-        anns.append(A)
+        anns.append(A if A is not None else dual(M, i).annihilator())
     product = unit_ideal(M.ring)
     for a in anns:
         product = product.product(Ideal(M.ring, a.minimal_generators()))
     product = product.minimalized()
-    n0 = None
-    if all(a.is_unit() or a.krull_dimension() <= 0 for a in anns):
-        candidates = [0]
-        for a in anns:
-            if a.is_unit():
-                continue
-            k = _least_power_inside(a)
-            if k is None:
-                candidates = None
-                break
-            candidates.append(k)
-        n0 = max(candidates) if candidates is not None else None
+    powers = [_least_power_inside(a) for a in anns]
+    n0 = None if None in powers else max(powers)
     M._ann_data = AnnihilatorData(tuple(anns), product, n0)
     return M._ann_data
 
@@ -350,16 +339,10 @@ def local_cohomology_hilbert(M: Module, i: int, degrees) -> dict:
     dim H^i(M)_j equals dim Ext^{n-i}(M, S)_{-n-j}.
     """
     n = M.ring.nvars
-    E = dual(M, i)
-    if E.is_zero():
-        return {d: 0 for d in degrees}
-    h = E.hilbert_function([-n - d for d in degrees])
+    h = dual(M, i).hilbert_function([-n - d for d in degrees])
     return {d: h[-n - d] for d in degrees}
 
 
 def local_cohomology_length(M: Module, i: int):
     """Length of H^i(M) when finite (the dual Ext is Artinian), else None."""
-    E = dual(M, i)
-    if E.is_zero():
-        return 0
-    return E.length()
+    return dual(M, i).length()

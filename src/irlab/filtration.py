@@ -91,13 +91,8 @@ def dimension_filtration(ideal: Ideal) -> DimensionFiltration:
         K = K.saturation(ann[s])
         if not kept or K != kept[-1]:
             kept.append(K)
-    dims = []
-    for K in kept:
-        if K == ideal:
-            dims.append(-1)
-        else:
-            dims.append(ideal.colon(K).krull_dimension())
-    filt = DimensionFiltration(tuple(kept), tuple(dims), d)
+    dims = tuple(ideal.colon(K).krull_dimension() for K in kept)
+    filt = DimensionFiltration(tuple(kept), dims, d)
     if not filt.satisfies_dimension_condition():
         raise InternalInvariantError("dimension filtration failed the dimension condition")
     return filt
@@ -221,9 +216,9 @@ def is_good_sop(elements, ideal: Ideal, filtration=None):
     filt = filtration or dimension_filtration(ideal)
     if isinstance(filt, (list, tuple)):
         # user-supplied chain of ideals: dim of each step K/I via (I : K)
-        filt = DimensionFiltration(
-            tuple(filt), tuple(-1 if K == ideal else ideal.colon(K).krull_dimension()
-                               for K in filt), Module.cyclic(ideal).dim())
+        filt = DimensionFiltration(tuple(filt),
+                                   tuple(ideal.colon(K).krull_dimension() for K in filt),
+                                   Module.cyclic(ideal).dim())
         if not filt.satisfies_dimension_condition():
             raise PreconditionError("supplied filtration violates the dimension condition")
     for K, d_i in zip(filt.ideals, filt.dims):

@@ -254,8 +254,10 @@ class Module:
         """Minimal free resolution by iterated syzygies; cached.
 
         Every kernel is presented by a degreewise-minimal generating set, which
-        makes the whole resolution minimal; its length is then bounded by the
-        variable count.
+        makes the whole resolution minimal, so its length is at most the
+        variable count n (Hilbert's syzygy theorem).  Every column has passed
+        `vec_degree`, so an (n + 1)-th differential is a fault of this code,
+        not of the input: InternalInvariantError.
         """
         if self._resolution is not None:
             return self._resolution
@@ -263,11 +265,9 @@ class Module:
         diffs = []
         current = list(self.relations)
         current_shifts = list(self.shifts)
-        guard = 2 * self.ring.nvars + 4
         while current:
-            if len(diffs) > guard:
-                raise PreconditionError("resolution exceeded the length guard; "
-                                        "presentation is likely inhomogeneous")
+            if len(diffs) == self.ring.nvars:
+                raise InternalInvariantError("minimal resolution longer than the variable count")
             degs = [vec_degree(v, current_shifts) for v in current]
             diffs.append(list(current))
             shifts.append(tuple(degs))
@@ -378,16 +378,18 @@ class Module:
         return {d: c for d, c in sorted(numer.items()) if c}
 
     def length(self):
-        """Total vector-space dimension; None when the module is not Artinian."""
+        """Total vector-space dimension; None when the module is not Artinian.
+
+        The standard levels of each position of an Artinian module end on
+        their own, so they are counted to the end.
+        """
         if self.is_zero():
             return 0
         if self.dim() > 0:
             return None
         total = 0
         for _, levels in self._position_levels():
-            for e, level in levels:
-                if e > 512:
-                    raise PreconditionError("length enumeration diverged")
+            for _, level in levels:
                 total += len(level)
         return total
 

@@ -357,7 +357,12 @@ def _socle_by_degreewise_spans(gens, ring_):
     in (-p, p) or such a sum, since `rref_mod_p` reduces its own copy.
     Homogeneous generators and an Artinian quotient are required (the loop
     stops at the first empty degree of S/J); a nonzero constant gives the
-    unit ideal, (0, 0).
+    unit ideal, (0, 0).  With D the top generator degree, (S/J)_e = 0 for
+    every e > n(D - 1) when J is m-primary: its degree-D part generates an
+    m-primary ideal, which over an infinite extension field holds a regular
+    sequence of n forms of degree D, whose quotient ends in degree n(D - 1)
+    (Bruns & Herzog, Cohen-Macaulay Rings).  A nonempty degree past that bound
+    therefore means a quotient that is not Artinian, and raises.
 
     The state after step e, (total socle, total length, residue, std) of
     degree e + 1, depends only on n, p and the generators of degree <= e + 1.
@@ -392,7 +397,7 @@ def _socle_by_degreewise_spans(gens, ring_):
     key = ()
     e = 0
     while std.size:
-        if e > 600:
+        if e > n * (top - 1):
             raise PreconditionError("degreewise socle diverged; quotient not Artinian?")
         new_gens = by_degree.get(e + 1, [])
         key += (tuple(sorted(tuple(sorted(g.terms.items())) for g in new_gens)),)

@@ -74,11 +74,8 @@ def formula_gcm(M: Module):
     d = M.dim()
     s = socle_dimensions(M)
     value = sum(comb(d, i) * s[i] for i in range(d + 1))
-    if d >= 1:
-        n0 = annihilator_data(M).n0
-        threshold = 2 * n0 if n0 is not None else None
-    else:
-        threshold = 0
+    # Every annihilator of H^i, i < d, is m-primary or S here, so n0 is an int.
+    threshold = 2 * annihilator_data(M).n0 if d >= 1 else 0
     return value, threshold
 
 
@@ -179,8 +176,7 @@ def deep_element_kills_h2(s2, element) -> bool:
     that the dimension-3 formula leans on; it is checked directly as membership
     of the element in the Ext annihilators.
     """
-    return all(E.is_zero() or E.annihilator().contains(element)
-               for E in (dual(Module.cyclic(J), 2) for J in s2))
+    return all(dual(Module.cyclic(J), 2).annihilator().contains(element) for J in s2)
 
 
 def stable_value(ideal: Ideal, seed: int = 0, s2=None) -> StableValueReport:

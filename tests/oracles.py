@@ -356,7 +356,8 @@ def socle_by_full_slices(gens, ring_):
 
     a q_e x (n q_{e+1}) matrix gathered without any product.  Homogeneous
     generators and an Artinian quotient are required (the loop stops at the
-    first empty slice of S/J); a nonzero constant gives the unit ideal, (0, 0).
+    first empty slice of S/J, which comes by degree n(D - 1) + 1 for D the top
+    generator degree); a nonzero constant gives the unit ideal, (0, 0).
     """
     p = ring_.p
     n = ring_.nvars
@@ -369,6 +370,7 @@ def socle_by_full_slices(gens, ring_):
         by_degree.setdefault(g.degree(), []).append(g)
     if 0 in by_degree:
         return 0, 0
+    top = max(by_degree, default=0)
 
     total_socle = 0
     total_length = 0
@@ -377,7 +379,7 @@ def socle_by_full_slices(gens, ring_):
     std_e = np.arange(1)  # columns of the standard monomials of degree e
     e = 0
     while std_e.size:
-        if e > 600:
+        if e > n * (top - 1):
             raise PreconditionError("degreewise socle diverged; quotient not Artinian?")
         total_length += std_e.size
         # build the next slice J_{e+1}; shifts[v][i] is the column of x_v m_i

@@ -52,6 +52,29 @@ def test_analyze_plane_line(spec_file, capsys):
     assert ann["n0"] is None
 
 
+def plane_line_with_power(tmp_path, power):
+    """S/(xy, xz, x^power): Ann H^0 = (z, y, x^(power-1)), so n0 = power - 1."""
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(dict(PLANE_LINE, ideal=["x*y", "x*z", f"x^{power}"])))
+    return str(path)
+
+
+@pytest.mark.parametrize("power", [66, 600])
+def test_analyze_reads_n0_past_any_cap(power, tmp_path, capsys):
+    code, out, _ = run(capsys, "analyze", plane_line_with_power(tmp_path, power))
+    assert code == EXIT_OK
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["cohomology_annihilators"]["n0"] == power - 1
+    assert diagnostics["upper_bound_gcm"] == power
+
+
+def test_stable_threshold_reads_n0_past_any_cap(tmp_path, capsys):
+    code, out, _ = run(capsys, "stable", plane_line_with_power(tmp_path, 66))
+    assert code == EXIT_OK
+    note = json.loads(out)["cross_checks"]["gcm_binomial"]["note"]
+    assert note == "deep threshold 2*n0 = 130"
+
+
 def test_analyze_two_planes_corpus(capsys, tmp_path):
     data = json.loads((resources.files("irlab") / "corpus" / "two_planes_3d.json").read_text())
     path = tmp_path / "tp.json"
@@ -137,6 +160,15 @@ def test_ir_with_params(spec_file, capsys):
     report = json.loads(out)
     assert report["diagnostics"]["ir"]["value"] == 1
     assert report["diagnostics"]["ir"]["agree"] is True
+
+
+def test_ir_on_a_long_artinian_quotient(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"variables": ["t"], "ideal": []}))
+    code, out, _ = run(capsys, "ir", str(path), "--params", "t^700")
+    assert code == EXIT_OK
+    ir = json.loads(out)["diagnostics"]["ir"]
+    assert (ir["value"], ir["length"], ir["agree"]) == (1, 700, True)
 
 
 def test_ir_with_params_builds_the_quotient_once(spec_file, capsys, monkeypatch):

@@ -193,9 +193,10 @@ def test_least_power_inside_counts_standard_levels(p):
             assert _least_power_inside(J) == least_power_inside_by_membership(J)
     R1 = ring(("x",), p)
     (x,) = R1.gens()
-    for J, want in ((unit_ideal(R1), 0), (Ideal(R1, []), None), (Ideal(R1, [x**65]), None),
+    # no power is capped: x^65 counts its 65 levels
+    for J, want in ((unit_ideal(R1), 0), (Ideal(R1, []), None), (Ideal(R1, [x**65]), 65),
                     (Ideal(R1, [x**64]), 64)):
-        assert _least_power_inside(J) == least_power_inside_by_membership(J) == want
+        assert _least_power_inside(J) == least_power_inside_by_membership(J, cap=65) == want
 
 
 def test_product_sits_inside_every_factor(two_planes_3d, plane_and_line,

@@ -9,8 +9,9 @@ from oracles import (annihilator_by_colons, check_complex, has_unit_entries,
 
 from irlab import modules
 from irlab.cli import corpus_index, load_ring_spec
-from irlab.errors import PreconditionError, ResourceBudgetExceeded, ZeroModuleError
-from irlab.groebner import Ideal
+from irlab.errors import (InternalInvariantError, PreconditionError, ResourceBudgetExceeded,
+                          ZeroModuleError)
+from irlab.groebner import Ideal, _lift
 from irlab.modules import (Module, minimal_vec_generators, minimalize_complex,
                            poly_times_vec, subquotient_presentation, taylor_resolution,
                            vec_degree, vec_sub)
@@ -230,6 +231,17 @@ def test_resolution_length_bounded_by_variable_count(R3):
         assert res.length <= R3.nvars
         check_complex(res)
         assert not has_unit_entries(res)
+
+
+def test_resolution_past_the_variable_count_is_an_internal_fault(R2, monkeypatch):
+    # a kernel selection that never empties would append a third differential
+    # over two variables: a fault of the code, not of the homogeneous input
+    x, y = R2.gens()
+    M = Module(R2, (0,), [_lift(x), _lift(y)])
+    monkeypatch.setattr(modules, "minimal_vec_generators",
+                        lambda vecs, shifts, ring_: [{(0, (1, 0)): 1}])
+    with pytest.raises(InternalInvariantError, match="variable count"):
+        M.resolution()
 
 
 def test_betti_numbers_presentation_independent(R3):

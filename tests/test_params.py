@@ -365,6 +365,8 @@ def test_ir_bounded_by_length(plane_and_line):
     (("x", "y", "z"), ["x + y", "x^2", "z^2"], (1, 4)),
     # non-monomial: a complete intersection of two quadrics
     (("x", "y"), ["x^2 - y^2", "x*y"], (1, 4)),
+    # a long quotient, ending at n(D - 1) = 699 with no degree cap
+    (("t",), ["t^700"], (1, 700)),
 ])
 def test_socle_routes_hand_counts(variables, gens, expected):
     R = ring(variables)
